@@ -12,7 +12,6 @@ three stages agree on pairings.
 
 from __future__ import annotations
 
-import weakref
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ __all__ = [
     "MessagePair",
     "match_columnar",
     "match_messages",
-    "match_messages_cached",
     "match_messages_lenient",
     "UnmatchedMessageError",
 ]
@@ -168,30 +166,3 @@ def match_columnar(col) -> tuple[list[MessagePair], list[str]]:
 
     pairs.sort(key=lambda p: (p.src, p.send_index))
     return pairs, leftovers
-
-
-#: Per-TraceSet memo of strict matchings, guarded by per-rank record
-#: counts so appends after the first match invalidate the entry.
-_match_cache: "weakref.WeakKeyDictionary[TraceSet, tuple[tuple[int, ...], list[MessagePair]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def match_messages_cached(trace: TraceSet) -> list[MessagePair]:
-    """Memoized :func:`match_messages` (strict mode) per trace object.
-
-    Replaying the same trace on many platform variations re-derives the
-    identical pairing every time; this caches it for the lifetime of the
-    ``TraceSet`` object.  The returned list is shared — treat it as
-    read-only.  Traces mutated through ``ProcessTrace.append`` /
-    ``extend`` are re-matched (the memo keys on per-rank record counts);
-    in-place record *edits* that keep counts unchanged are not detected,
-    matching the immutable-records convention of :class:`TraceSet`.
-    """
-    fingerprint = tuple(len(p.records) for p in trace)
-    hit = _match_cache.get(trace)
-    if hit is not None and hit[0] == fingerprint:
-        return hit[1]
-    pairs = match_messages(trace)
-    _match_cache[trace] = (fingerprint, pairs)
-    return pairs

@@ -14,13 +14,32 @@ transfers are served FIFO by request time (a later transfer may start
 earlier only if it uses entirely different ports while the earlier one
 is port-blocked — matching Dimemas' per-resource queues).
 
+Arbitration is per resource.  A submitted transfer starts at once when
+its bus and both ports are free and queues otherwise.  A release wakes
+only what it could have unblocked:
+
+* if a bus was already free, no queued transfer was waiting for a bus,
+  so only the transfers queued on the freed output or input port are
+  checked, in FIFO order;
+* if the bus pool was empty, one FIFO pass over the whole queue hands
+  the freed bus to the first transfer whose ports are free.
+
+This is exact, not an approximation of a full rescan: a start only
+takes resources away, so between events no queued transfer is
+startable, and a blocked transfer stays blocked until one of its own
+resources is released.  A pass therefore never revisits an entry it
+has checked, and it stops as soon as the bus pool is empty again.  (The
+argument assumes submissions at event boundaries, which is where
+:mod:`repro.dimemas.replay` makes them.)
+
 Zero-byte messages (pure synchronization) bypass the network and cost
 only latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 from typing import Callable
 
 from .engine import EventLoop
@@ -113,7 +132,20 @@ class Network:
         self._free_buses = cfg.buses if cfg.buses is not None else float("inf")
         self._free_out = [cfg.output_ports] * nranks
         self._free_in = [cfg.input_ports] * nranks
-        self._queue: list[Transfer] = []
+        #: Transfers waiting for resources, keyed by queue sequence
+        #: number: insertion order is FIFO order and a started transfer
+        #: leaves in O(1).  Keys, never ``Transfer`` equality, identify
+        #: entries — transfers compare by value.
+        self._queue: dict[int, Transfer] = {}
+        #: The same entries by the output port (source rank) and the
+        #: input port (destination rank) they wait for.
+        self._out_wait: list[dict[int, Transfer]] = [{} for _ in range(nranks)]
+        self._in_wait: list[dict[int, Transfer]] = [{} for _ in range(nranks)]
+        self._seqs = count()
+        #: Queued transfers whose resources were checked while looking
+        #: for one to start (algorithmic cost, rolled up per replay as
+        #: the ``replay.queue_scan_steps`` metric).
+        self.scan_steps = 0
         #: Optional :class:`repro.audit.InvariantAuditor` — when set,
         #: occupancy is cross-checked against capacity at every
         #: acquire/release (one ``is None`` branch per started transfer,
@@ -165,20 +197,26 @@ class Network:
                 lambda: transfer._fire_arrived(self.loop.now),
             )
             return
-        # Fast path: nothing queued ahead and resources free — start
-        # immediately without the FIFO rescan.
-        if not self._queue and self._resources_free(transfer):
+        self._admit(transfer)
+
+    def _admit(self, transfer: Transfer) -> None:
+        """Start ``transfer`` now if its resources are free, else queue it.
+
+        Nothing queued is startable between events, so the newcomer
+        cannot overtake an earlier transfer by starting.
+        """
+        if self._resources_free(transfer):
             self._start(transfer)
-        else:
-            self._queue.append(transfer)
-            self._try_start()
-            if self.insight is not None and transfer.start_time is None:
-                # Still queued after the FIFO scan settled: some
-                # resource is genuinely exhausted for this transfer.
-                self.insight.note_queued(
-                    now, transfer, self._queue_cause(transfer),
-                    len(self._queue),
-                )
+            return
+        seq = next(self._seqs)
+        self._queue[seq] = transfer
+        self._out_wait[transfer.src][seq] = transfer
+        self._in_wait[transfer.dst][seq] = transfer
+        if self.insight is not None:
+            self.insight.note_queued(
+                self.loop.now, transfer, self._queue_cause(transfer),
+                len(self._queue),
+            )
 
     # ------------------------------------------------------------------ #
     def _queue_cause(self, t: Transfer) -> str:
@@ -203,23 +241,44 @@ class Network:
             and self._free_in[t.dst] >= 1
         )
 
-    def _try_start(self) -> None:
-        """Start every queued transfer whose resources are all free.
+    def _pass(self, entries) -> None:
+        """Start, in FIFO order, each queued ``(seq, transfer)`` entry
+        whose resources are free, until the bus pool is empty.
 
-        FIFO scan: earlier-queued transfers get first pick; a later
-        transfer only jumps ahead when it needs *different* ports (the
-        bus pool being shared, bus exhaustion blocks everyone).
+        ``entries`` must be a snapshot unless at most one start can
+        happen: the pass stops right after the start that empties the
+        pool, before the live queue could notice its change.
         """
-        queue = self._queue
-        started_any = True
-        while started_any and queue:
-            started_any = False
-            for i, t in enumerate(queue):
-                if self._resources_free(t):
-                    del queue[i]
-                    self._start(t)
-                    started_any = True
+        if self._free_buses < 1:
+            return
+        steps = 0
+        for seq, t in entries:
+            steps += 1
+            if self._resources_free(t):
+                del self._queue[seq]
+                del self._out_wait[t.src][seq]
+                del self._in_wait[t.dst][seq]
+                self._start(t)
+                if self._free_buses < 1:
                     break
+        self.scan_steps += steps
+
+    def _wake(self, released: Transfer) -> None:
+        """Start what the release of ``released``'s bus and ports
+        unblocked (called with a non-empty queue)."""
+        if self._free_buses == 1:
+            # The pool was empty: any queued transfer may have waited
+            # for this bus alone.  One bus admits one start, so the
+            # pass may walk the live queue.
+            self._pass(self._queue.items())
+            return
+        # A bus was free already, so only port-blocked transfers wait,
+        # and only those on the two freed ports can start now.
+        outs = self._out_wait[released.src]
+        ins = self._in_wait[released.dst]
+        if outs or ins:
+            # Merged by sequence number; an entry on both ports once.
+            self._pass(sorted({**outs, **ins}.items()))
 
     def _start(self, t: Transfer) -> None:
         self._free_buses -= 1
@@ -232,14 +291,25 @@ class Network:
         if self.auditor is not None:
             self.auditor.check_occupancy(self, t)
         loop = self.loop
-        t.start_time = loop.now
+        now = loop.now
+        t.start_time = now
         if self.insight is not None:
-            self.insight.note_start(loop.now, active, len(self._queue))
+            self.insight.note_start(now, active, len(self._queue))
+        finish, held = self._injection_end(t, now)
+        self.busy_seconds += held
+        loop.at(finish, lambda: self._finish_injection(t))
+
+    def _injection_end(self, t: Transfer, now: float) -> tuple[float, float]:
+        """When injecting ``t`` from ``now`` ends, and the wire seconds
+        its bus and ports are held."""
         # Same arithmetic as cfg.transfer_seconds, minus the property
         # chase — this runs once per started transfer.
         occupancy = t.size / self._bandwidth
-        self.busy_seconds += occupancy
-        loop.at(loop.now + occupancy, lambda: self._finish_injection(t))
+        return now + occupancy, occupancy
+
+    def _arrival(self, t: Transfer, now: float) -> float:
+        """When ``t``, injected at ``now``, reaches its destination."""
+        return now + self._latency
 
     def _finish_injection(self, t: Transfer) -> None:
         self._free_buses += 1
@@ -248,15 +318,14 @@ class Network:
         self._active -= 1
         if self.auditor is not None:
             self.auditor.check_release(self, t)
-        if self.insight is not None:
-            self.insight.note_release(
-                self.loop.now, self._active, len(self._queue)
-            )
         loop = self.loop
-        t._fire_injected(loop.now)
-        loop.at(loop.now + self._latency, lambda: t._fire_arrived(loop.now))
+        now = loop.now
+        if self.insight is not None:
+            self.insight.note_release(now, self._active, len(self._queue))
+        t._fire_injected(now)
+        loop.at(self._arrival(t, now), lambda: t._fire_arrived(loop.now))
         if self._queue:
-            self._try_start()
+            self._wake(t)
 
 
 class PerturbedNetwork(Network):
@@ -402,60 +471,41 @@ class PerturbedNetwork(Network):
             return "perturbation"
         return super()._queue_cause(t)
 
-    def _try_start(self) -> None:
-        super()._try_start()
+    def _admit(self, transfer: Transfer) -> None:
+        # An outage ends without a release, and other events at that
+        # instant may run before its wake-up: serve the queue first.
+        self._pass(list(self._queue.items()))
+        super()._admit(transfer)
+        self._await_outage_end()
+
+    def _wake(self, released: Transfer | None = None) -> None:
+        """One FIFO pass over the whole queue on every release (and at
+        the end of an outage, which frees the link with no release)."""
+        self._pass(list(self._queue.items()))
+        self._await_outage_end()
+
+    def _await_outage_end(self) -> None:
         if self._queue:
             until = self._outage_until(self.loop.now)
             if until is not None and until not in self._woken:
                 # Nothing else is guaranteed to poke the queue while the
                 # link is down — wake it the instant the outage lifts.
                 self._woken.add(until)
-                self.loop.at(until, self._try_start)
+                self.loop.at(until, self._wake)
 
-    def _start(self, t: Transfer) -> None:
-        self._free_buses -= 1
-        self._free_out[t.src] -= 1
-        self._free_in[t.dst] -= 1
-        active = self._active + 1
-        self._active = active
-        if active > self.peak_active:
-            self.peak_active = active
-        if self.auditor is not None:
-            self.auditor.check_occupancy(self, t)
-        loop = self.loop
-        t.start_time = loop.now
-        if self.insight is not None:
-            self.insight.note_start(loop.now, active, len(self._queue))
+    def _injection_end(self, t: Transfer, now: float) -> tuple[float, float]:
         occupancy = t.size / self._bandwidth
-        finish = self._wire_finish(loop.now, occupancy)
-        elapsed = finish - loop.now
+        finish = self._wire_finish(now, occupancy)
         # Wall-on-the-wire, not nominal occupancy: a stalled or slowed
         # transfer holds its bus and ports the whole time.
-        self.busy_seconds += elapsed
+        elapsed = finish - now
         excess = elapsed - occupancy
         if excess > 0.0:
             self._note_excess(t, excess)
-        loop.at(finish, lambda: self._finish_injection(t))
+        return finish, elapsed
 
-    def _finish_injection(self, t: Transfer) -> None:
-        self._free_buses += 1
-        self._free_out[t.src] += 1
-        self._free_in[t.dst] += 1
-        self._active -= 1
-        if self.auditor is not None:
-            self.auditor.check_release(self, t)
-        if self.insight is not None:
-            self.insight.note_release(
-                self.loop.now, self._active, len(self._queue)
-            )
-        loop = self.loop
-        t._fire_injected(loop.now)
-        extra = self._extra_latency(loop.now)
+    def _arrival(self, t: Transfer, now: float) -> float:
+        extra = self._extra_latency(now)
         if extra > 0.0:
             self._note_excess(t, extra)
-        loop.at(
-            loop.now + self._latency + extra,
-            lambda: t._fire_arrived(loop.now),
-        )
-        if self._queue:
-            self._try_start()
+        return now + self._latency + extra

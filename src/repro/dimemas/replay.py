@@ -808,6 +808,7 @@ def simulate(
         wall = time.perf_counter() - t_begin
         metrics.counter("replay.runs").inc()
         metrics.counter("replay.events").inc(sim.loop.executed)
+        metrics.counter("replay.queue_scan_steps").inc(sim.network.scan_steps)
         metrics.counter("replay.collectives").inc(sim.coll.completed)
         metrics.counter("replay.messages").inc(len(messages))
         metrics.histogram("replay.wall_seconds").observe(wall)

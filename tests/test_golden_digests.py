@@ -1,0 +1,216 @@
+"""Golden replay digests: the behaviour lock of the replay core.
+
+``result_digest`` defines replay behaviour bitwise.  This table pins it
+for the paper's studies on three platforms each (one bus, the Table I
+bus count, unlimited buses):
+
+* the six Table I applications x {original, real, ideal} at 16 ranks,
+  and CG and BT at 64 ranks;
+* the six named perturbation scenarios on BT/16 real, on one bus and
+  on the Table I bus count;
+* on CG/64 real, the full-audit verdict and the insight channel's
+  occupancy timeline, queue peak/total and queue causes.
+
+A change that is meant to leave behaviour alone must keep every entry
+identical.  If a change legitimately alters replay results, regenerate
+with::
+
+    PYTHONPATH=src python -m tests.test_golden_digests
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.audit.auditor import AuditConfig
+from repro.audit.certify import result_digest
+from repro.dimemas import PAPER_BUSES, MachineConfig, simulate
+from repro.experiments.pipeline import VARIANTS, AppExperiment
+from repro.insight.channel import collect
+from repro.obs.metrics import get_registry
+from repro.perturb.scenarios import SCENARIO_KINDS, build_scenario
+
+GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
+
+#: Table I applications, in the paper's order.
+APPS = tuple(PAPER_BUSES)
+#: Applications locked at each rank count.
+SCALES = {16: APPS, 64: ("cg", "bt")}
+PLATFORMS = ("buses=1", "table1", "unlimited")
+#: The perturbation cases: every scenario on BT/16 real, on these
+#: platforms.
+PERTURB_PLATFORMS = ("table1", "buses=1")
+#: The audit and insight case.
+ANALYSIS_CASE = ("cg", 64, "real", "table1")
+
+
+def machine(app: str, platform: str) -> MachineConfig:
+    base = MachineConfig.paper_testbed(app)
+    if platform == "buses=1":
+        return base.with_platform(buses=1)
+    if platform == "unlimited":
+        return base.with_platform(buses=None)
+    return base
+
+
+def case_id(app: str, nranks: int, variant: str, platform: str) -> str:
+    return f"{app}/{nranks}/{variant}/{platform}"
+
+
+REPLAY_CASES = [
+    (app, n, v, p)
+    for n, apps in SCALES.items() for app in apps
+    for v in VARIANTS for p in PLATFORMS
+]
+
+PERTURB_CASES = [(k, p) for k in SCENARIO_KINDS for p in PERTURB_PLATFORMS]
+
+
+def _sha(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=repr).encode()
+    return hashlib.sha256(blob).hexdigest()[:24]
+
+
+class Traces:
+    """Lazily traced experiments, one per (app, nranks)."""
+
+    def __init__(self) -> None:
+        self._exps: dict[tuple[str, int], AppExperiment] = {}
+        self._replays: dict[tuple, tuple[str, int, int]] = {}
+
+    def trace(self, app: str, nranks: int, variant: str):
+        exp = self._exps.get((app, nranks))
+        if exp is None:
+            exp = self._exps[(app, nranks)] = AppExperiment(app, nranks)
+        return exp.trace(variant)
+
+    def replay(self, app, nranks, variant, platform) -> tuple[str, int, int]:
+        """``(result_digest, queue scan steps, messages)`` of one case,
+        replayed once per module and read from the metrics registry."""
+        key = (app, nranks, variant, platform)
+        if key not in self._replays:
+            counters = get_registry().counter
+            steps0 = counters("replay.queue_scan_steps").value
+            res = simulate(self.trace(app, nranks, variant),
+                           machine(app, platform))
+            steps = counters("replay.queue_scan_steps").value - steps0
+            self._replays[key] = (result_digest(res), steps, len(res.messages))
+        return self._replays[key]
+
+    # -- the non-replay entries ------------------------------------------ #
+    def perturbed(self, kind: str, platform: str) -> str:
+        app, nranks, variant = "bt", 16, "real"
+        cfg = machine(app, platform)
+        horizon = simulate(self.trace(app, nranks, "original"), cfg).duration
+        schedule = build_scenario(kind, horizon, seed=0)
+        res = simulate(self.trace(app, nranks, variant), cfg,
+                       perturb=schedule)
+        return result_digest(res)
+
+    def audit(self) -> dict:
+        app, nranks, variant, platform = ANALYSIS_CASE
+        acfg = AuditConfig(level="full")
+        res = simulate(self.trace(app, nranks, variant),
+                       machine(app, platform), audit=acfg)
+        return {"digest": result_digest(res), "report": acfg.report.to_dict()}
+
+    def insight(self) -> str:
+        app, nranks, variant, platform = ANALYSIS_CASE
+        _res, col = collect(self.trace(app, nranks, variant),
+                            machine(app, platform))
+        return _sha({
+            "occupancy": col.occupancy,
+            "queued_peak": col.queued_peak,
+            "queued_total": col.queued_total,
+            # Insertion order is queueing order; keys are object ids.
+            "queue_causes": list(col.queue_cause.values()),
+        })
+
+
+def build_golden(traces: Traces) -> dict:
+    return {
+        "replay": {
+            case_id(*c): traces.replay(*c)[0] for c in REPLAY_CASES
+        },
+        "perturb": {
+            f"{k}/{p}": traces.perturbed(k, p) for k, p in PERTURB_CASES
+        },
+        "audit": traces.audit(),
+        "insight": traces.insight(),
+    }
+
+
+@pytest.fixture(scope="module")
+def traces() -> Traces:
+    return Traces()
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    assert GOLDEN.exists(), (
+        "golden file missing; generate with "
+        "PYTHONPATH=src python -m tests.test_golden_digests"
+    )
+    return json.loads(GOLDEN.read_text())
+
+
+class TestGoldenDigests:
+    def test_table_covers_every_case(self, golden):
+        assert sorted(golden["replay"]) == sorted(
+            case_id(*c) for c in REPLAY_CASES
+        )
+        assert sorted(golden["perturb"]) == sorted(
+            f"{k}/{p}" for k, p in PERTURB_CASES
+        )
+
+    @pytest.mark.parametrize(
+        "case", REPLAY_CASES, ids=[case_id(*c) for c in REPLAY_CASES],
+    )
+    def test_replay(self, traces, golden, case):
+        assert traces.replay(*case)[0] == golden["replay"][case_id(*case)]
+
+    @pytest.mark.parametrize(
+        "kind,platform", PERTURB_CASES,
+        ids=[f"{k}/{p}" for k, p in PERTURB_CASES],
+    )
+    def test_perturbation(self, traces, golden, kind, platform):
+        assert (traces.perturbed(kind, platform)
+                == golden["perturb"][f"{kind}/{platform}"])
+
+    def test_full_audit(self, traces, golden):
+        assert traces.audit() == golden["audit"]
+
+    def test_insight_channel(self, traces, golden):
+        assert traces.insight() == golden["insight"]
+
+
+#: Queued entries whose resources may be checked per replayed message.
+MAX_SCAN_STEPS_PER_MESSAGE = 4
+
+SCAN_CASES = [c for c in REPLAY_CASES if c[0] in ("cg", "bt")]
+
+
+class TestQueueScanCost:
+    """Network arbitration cost stays flat from 16 to 64 ranks."""
+
+    @pytest.mark.parametrize(
+        "case", SCAN_CASES, ids=[case_id(*c) for c in SCAN_CASES],
+    )
+    def test_scan_steps_per_message_bounded(self, traces, case):
+        _digest, steps, messages = traces.replay(*case)
+        assert messages > 0
+        assert steps <= MAX_SCAN_STEPS_PER_MESSAGE * messages, (
+            f"{steps / messages:.2f} queue scan steps per message"
+        )
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(build_golden(Traces()), indent=1,
+                                 sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

@@ -1,0 +1,121 @@
+"""Per-resource network arbitration against a full FIFO rescan.
+
+:class:`~repro.dimemas.network.Network` wakes only the transfers a
+release can unblock.  These tests drive it and a reference arbiter that
+restarts a FIFO scan at the queue head after every start (the obvious
+reading of Dimemas' queueing rule) with the same random traffic, and
+require the same starts, in the same order, at the same times.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dimemas.engine import EventLoop
+from repro.dimemas.machine import MachineConfig
+from repro.dimemas.network import Network, Transfer
+from repro.insight.channel import InsightCollector
+
+NRANKS = 5
+
+
+def _rescan(net):
+    """Restart a FIFO scan at the queue head after every start, until
+    nothing queued can start."""
+    while True:
+        for seq, t in net._queue.items():
+            if net._resources_free(t):
+                break
+        else:
+            return
+        Network._pass(net, [(seq, t)])
+
+
+class RescanNetwork(Network):
+    """Network arbitrated by a full rescan on every submit and release."""
+
+    def _admit(self, transfer):
+        if not self._queue and self._resources_free(transfer):
+            self._start(transfer)
+            return
+        seq = next(self._seqs)
+        self._queue[seq] = transfer
+        self._out_wait[transfer.src][seq] = transfer
+        self._in_wait[transfer.dst][seq] = transfer
+        _rescan(self)
+        if self.insight is not None and transfer.start_time is None:
+            self.insight.note_queued(
+                self.loop.now, transfer, self._queue_cause(transfer),
+                len(self._queue),
+            )
+
+    def _wake(self, released):
+        _rescan(self)
+
+
+class _StartLog:
+    """Stands in for the auditor to record every start and release."""
+
+    def __init__(self):
+        self.log = []
+
+    def check_occupancy(self, net, t):
+        self.log.append(("start", t.tag, net.loop.now, len(net._queue)))
+
+    def check_release(self, net, t):
+        self.log.append(("release", t.tag, net.loop.now))
+
+
+def arbitrate(cls, traffic, **platform):
+    """Submit ``traffic`` — ``(slot, src, dst, size)`` tuples, a slot
+    being 5 us — and return the network and everything it decided."""
+    loop = EventLoop()
+    cfg = MachineConfig(bandwidth_mbps=100.0, latency=10e-6, **platform)
+    net = cls(loop, NRANKS, cfg)
+    net.auditor, net.insight = _StartLog(), InsightCollector()
+    transfers = []
+    for i, (slot, src, dst, size) in enumerate(traffic):
+        tr = Transfer(src=src, dst=dst, size=size, tag=i)
+        transfers.append(tr)
+        loop.at(slot * 5e-6, lambda tr=tr: net.submit(tr))
+    loop.run()
+    ins = net.insight
+    return net, {
+        "log": net.auditor.log,
+        "times": [(t.start_time, t.inject_time, t.arrival_time)
+                  for t in transfers],
+        "occupancy": ins.occupancy,
+        "queued": (ins.queued_peak, ins.queued_total,
+                   list(ins.queue_cause.values())),
+    }
+
+
+_message = st.tuples(
+    st.integers(0, 6), st.integers(0, NRANKS - 1),
+    st.integers(0, NRANKS - 1), st.sampled_from((1000, 2000, 3000)),
+).filter(lambda m: m[1] != m[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    traffic=st.lists(_message, min_size=1, max_size=30),
+    buses=st.sampled_from((1, 2, 3, None)),
+    ports=st.sampled_from((1, 2)),
+)
+def test_same_schedule_as_full_rescan(traffic, buses, ports):
+    platform = dict(buses=buses, input_ports=ports, output_ports=ports)
+    net, got = arbitrate(Network, traffic, **platform)
+    _ref, want = arbitrate(RescanNetwork, traffic, **platform)
+    assert got == want
+    assert not net._queue
+    assert not any(net._out_wait) and not any(net._in_wait)
+
+
+def test_scan_steps_count_queued_checks_only():
+    # One bus, three transfers at t=0: the first starts on submit, and
+    # each of the two releases hands the bus to the queue head.
+    net, _ = arbitrate(Network, [(0, 0, 1, 1000), (0, 2, 3, 1000),
+                                 (0, 0, 2, 1000)], buses=1)
+    assert net.scan_steps == 2
