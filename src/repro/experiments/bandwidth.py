@@ -20,6 +20,14 @@ searches run in *speculative batched* mode: each round evaluates the
 whole midpoint tree of the next few bisection levels concurrently and
 then walks it, descending several levels per round while returning the
 bitwise-identical threshold of the sequential search.
+
+A round is sized to the pool: the deepest complete midpoint tree with
+at most ``max(3, engine.jobs)`` nodes.  On two workers that is 3 probes
+for 2 levels, 2 replay slots like the sequential search; a 7-node tree
+would take 4 slots for 3 levels.  A 1-node round would be a single
+point, which the engine replays in the parent, so a round has at least
+3.  Every round still probes both flanks of its root, which is what
+non-monotone detection needs.
 """
 
 from __future__ import annotations
@@ -252,6 +260,11 @@ def bisect_bandwidth_batched(
     return math.exp(lhi)
 
 
+def _round_nodes(engine) -> int:
+    """Probes per speculative round: the pool's width, at least 3."""
+    return max(3, engine.jobs)
+
+
 def relaxation_bandwidth(
     exp: AppExperiment,
     variant: str = "real",
@@ -259,14 +272,13 @@ def relaxation_bandwidth(
     slack: float = 1e-9,
     rel_tol: float = 0.01,
     engine=None,
-    batch: int = 7,
 ) -> float:
     """Fig. 6(b): min bandwidth where ``variant`` matches the original
     execution at the baseline bandwidth.
 
     Pass a :class:`~repro.experiments.parallel.ExperimentEngine` as
-    ``engine`` to probe speculative bisection batches concurrently
-    (identical result, fewer sequential rounds).
+    ``engine`` to probe speculative bisection rounds, sized to its
+    pool, concurrently (identical result, fewer sequential rounds).
     """
     base_bw = baseline_bw if baseline_bw is not None else exp.machine.bandwidth_mbps
     with _span("bisect.relaxation", app=exp.app_name, variant=variant):
@@ -279,7 +291,8 @@ def relaxation_bandwidth(
                 exp, variant, threshold
             )
             return bisect_bandwidth_batched(
-                predicate_many, hi=base_bw, rel_tol=rel_tol, batch=batch,
+                predicate_many, hi=base_bw, rel_tol=rel_tol,
+                batch=_round_nodes(engine),
             )
 
         def fast_enough(bw: float) -> bool:
@@ -295,7 +308,6 @@ def equivalent_bandwidth(
     slack: float = 1e-9,
     rel_tol: float = 0.01,
     engine=None,
-    batch: int = 7,
 ) -> float:
     """Fig. 6(c): bandwidth the original execution needs to match
     ``variant`` at the baseline bandwidth (``inf`` when unreachable).
@@ -315,7 +327,7 @@ def equivalent_bandwidth(
             )
             return bisect_bandwidth_batched(
                 predicate_many, lo=base_bw * 0.999, rel_tol=rel_tol,
-                batch=batch,
+                batch=_round_nodes(engine),
             )
 
         def fast_enough(bw: float) -> bool:

@@ -13,13 +13,18 @@ costs one-time:
   parallel engine's zero-copy dispatch: the parent publishes each
   trace's compact encoding once, and every worker decodes it straight
   into the replay plan — no record objects, no re-serialization;
-* :class:`SimResultCache` persists replay results as ``.json`` files
-  keyed by a content hash of the *trace itself* plus the full
+* :class:`SimResultCache` persists replay results keyed by a content
+  hash of the *trace itself* plus the full
   :class:`~repro.dimemas.machine.MachineConfig`, so a repeated grid
-  point is free across processes and sessions.  Each result also
-  publishes a one-line ``.dur`` sidecar carrying just the simulated
-  makespan, so duration-only consumers (bandwidth bisection, sweeps)
-  answer warm hits without parsing the full result envelope.
+  point is free across processes and sessions.  An entry has two
+  files: the ``.json`` result envelope and a one-line ``.dur`` sidecar
+  carrying just the simulated makespan.  Which ones a replay writes
+  depends on who asked for it: a pool worker replaying a point for
+  duration-only consumers (bandwidth bisection, sweeps) publishes the
+  sidecar alone, since nobody reads its envelope; result-mode points
+  and :class:`~repro.experiments.pipeline.AppExperiment` publish both.
+  Duration lookups read the sidecar first and fall back to the
+  envelope only when the sidecar is missing or bad.
 
 Both caches publish atomically (write to a per-process unique temp
 name, then :meth:`~pathlib.Path.replace`), so concurrent workers of the
@@ -611,15 +616,23 @@ class TraceStore(_DegradableCache):
         :attr:`degraded` and fall back to spec-based dispatch.
         """
         digest = col.digest
-        if digest in self._lru or digest in self._mem:
+        if self.has(digest):
             return digest
         self._lru[digest] = col
         while len(self._lru) > self.LRU_MAX:
             self._lru.popitem(last=False)
-        path = self.path_for(digest)
-        if not path.exists() and not self._publish(path, col.encode()):
+        if not self._publish(self.path_for(digest), col.encode()):
             self._mem[digest] = col
         return digest
+
+    def has(self, digest: str) -> bool:
+        """Whether the store already holds ``digest`` (no decode).
+
+        The parent asks this before building a trace it only needs for
+        :meth:`put`: a digest the store holds ships as is.
+        """
+        return (digest in self._lru or digest in self._mem
+                or self.path_for(digest).exists())
 
     def get(self, digest: str) -> ColumnarTrace | None:
         """The stored trace under ``digest``, or None.
@@ -680,7 +693,9 @@ class SimResultCache(_DegradableCache):
     checksum covers the canonicalized payload, so a truncated or
     bit-flipped entry (or one written by another schema version) is
     quarantined and re-simulated instead of crashing or — worse —
-    silently returning garbage numbers.
+    silently returning garbage numbers.  The ``.dur`` sidecar carries
+    its own checksum; a key may have a sidecar and no envelope (a
+    duration-only replay), and ``len()`` counts envelopes only.
     """
 
     #: Metric-name prefix of this cache's registry counters.
@@ -689,6 +704,9 @@ class SimResultCache(_DegradableCache):
     def __init__(self, directory: str | Path):
         self._init_store(directory)
         self._mem_digests: dict[str, str] = {}
+        #: Makespans held in memory when their sidecar could not be
+        #: published (degraded); only :meth:`load_duration` reads them.
+        self._mem_durations: dict[str, float] = {}
         #: Mirrored into the metrics registry under ``cache.replay.*``.
         self.hits = 0
         self.misses = 0
@@ -785,11 +803,20 @@ class SimResultCache(_DegradableCache):
         ):
             self._mem[key] = payload
         else:
-            # Duration sidecar: one line, parsed without touching the
-            # (much larger) result envelope.  Best-effort — a missing
-            # sidecar just costs a full load on the next duration-only
-            # lookup, which heals it.
-            self._publish(self._dur_path(key), self._dur_line(result.duration))
+            self.store_duration(key, result.duration)
+
+    def store_duration(self, key: str, duration: float) -> None:
+        """Publish only the ``.dur`` sidecar of ``key`` (atomic).
+
+        One checksummed line, parsed by :meth:`load_duration` without
+        touching the (much larger) result envelope.  This is all a
+        duration-only replay publishes; :meth:`store` calls it for the
+        sidecar of every full result.  When the cache is degraded the
+        makespan is held in memory, where :meth:`load_duration` finds
+        it and :meth:`load` never looks.
+        """
+        if not self._publish(self._dur_path(key), self._dur_line(duration)):
+            self._mem_durations[key] = duration
 
     def load_duration(self, key: str) -> float | None:
         """The cached makespan under ``key``, or None (counts hit/miss).
@@ -805,6 +832,10 @@ class SimResultCache(_DegradableCache):
         if held is not None:
             self._count("hits")
             return held["duration"]
+        duration = self._mem_durations.get(key)
+        if duration is not None:
+            self._count("hits")
+            return duration
         path = self._dur_path(key)
         try:
             line = path.read_text()
@@ -838,7 +869,7 @@ class SimResultCache(_DegradableCache):
         result = self.load(key)
         if result is None:
             return None
-        self._publish(path, self._dur_line(result.duration))
+        self.store_duration(key, result.duration)
         return result.duration
 
     def quarantine_entry(self, key: str, reason: str) -> bool:
@@ -852,6 +883,7 @@ class SimResultCache(_DegradableCache):
         evicted.
         """
         evicted = self._mem.pop(key, None) is not None
+        evicted |= self._mem_durations.pop(key, None) is not None
         path = self.path_for(key)
         if path.exists():
             _quarantine(path, reason)
@@ -931,6 +963,7 @@ class SimResultCache(_DegradableCache):
         n = len(self._mem)
         self._mem.clear()
         self._mem_digests.clear()
+        self._mem_durations.clear()
         if self.directory.is_dir():
             for p in self.directory.glob("*.json"):
                 p.unlink()

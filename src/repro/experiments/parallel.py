@@ -313,9 +313,14 @@ def _resolve_experiment(
     return exp
 
 
-def _simulate_point(point: GridPoint, cache_dir: str | None, store: dict) -> SimResult:
+def _simulate_point(point: GridPoint, cache_dir: str | None, store: dict,
+                    mode: str) -> SimResult | float:
+    """A point's result, or in ``duration`` mode just its makespan,
+    which :meth:`AppExperiment.duration` answers from the sidecar when
+    it can."""
     exp = _resolve_experiment(point, cache_dir, store)
-    return exp.simulate(
+    run = exp.simulate if mode == "result" else exp.duration
+    return run(
         point.variant,
         bandwidth_mbps=point.bandwidth_mbps,
         buses=point.buses,
@@ -478,9 +483,12 @@ def _run_shipped(digest: str, cfg: MachineConfig, mode: str):
 
     The worker never sees record objects: a warm point answers from the
     shared result cache by digest, a cold one decodes the packed trace
-    straight into a replay plan.  A digest the store cannot produce
-    (corruption was quarantined, or the parent's store degraded after
-    dispatch) raises — the parent retries the point by spec.
+    straight into a replay plan.  A duration-mode replay publishes only
+    the ``.dur`` sidecar: nobody reads its result envelope, whose
+    serialization would cost as much as the replay.  A digest the store
+    cannot produce (corruption was quarantined, or the parent's store
+    degraded after dispatch) raises — the parent retries the point by
+    spec.
     """
     sim_cache = _worker_sim_cache()
     key = (
@@ -488,14 +496,10 @@ def _run_shipped(digest: str, cfg: MachineConfig, mode: str):
         if sim_cache is not None else None
     )
     if sim_cache is not None:
-        if mode == "duration":
-            dur = sim_cache.load_duration(key)
-            if dur is not None:
-                return dur
-        else:
-            hit = sim_cache.load(key)
-            if hit is not None:
-                return hit
+        load = sim_cache.load if mode == "result" else sim_cache.load_duration
+        hit = load(key)
+        if hit is not None:
+            return hit
     store = _worker_store()
     col = store.get(digest) if store is not None else None
     if col is None:
@@ -504,9 +508,13 @@ def _run_shipped(digest: str, cfg: MachineConfig, mode: str):
             f"point must be re-dispatched by spec"
         )
     res = simulate(col, cfg)
+    if mode == "duration":
+        if sim_cache is not None:
+            sim_cache.store_duration(key, res.duration)
+        return res.duration
     if sim_cache is not None:
         sim_cache.store(key, res)
-    return res if mode == "result" else res.duration
+    return res
 
 
 def _run_task(task: tuple, mode: str):
@@ -515,9 +523,8 @@ def _run_task(task: tuple, mode: str):
     from the grid-point spec (fallback and retry path)."""
     if task[0] == "ship":
         return _run_shipped(task[1], task[2], mode)
-    point = task[1]
-    res = _simulate_point(point, _WORKER["cache_dir"], _WORKER["experiments"])
-    return res if mode == "result" else res.duration
+    return _simulate_point(task[1], _WORKER["cache_dir"],
+                           _WORKER["experiments"], mode)
 
 
 def _worker_warmup() -> None:
@@ -919,10 +926,12 @@ class ExperimentEngine:
     def _dispatch_task(self, point: GridPoint) -> tuple:
         """Prepare a point's pool task: ship-by-digest when possible.
 
-        The zero-copy path: resolve (and trace) the experiment once in
-        the parent, publish its packed encoding in the dispatch store,
-        and hand workers just ``(digest, platform)`` — a few dozen bytes
-        instead of a pickled record forest.  Any preparation trouble —
+        The zero-copy path: hand workers just ``(digest, platform)`` —
+        a few dozen bytes instead of a pickled record forest.  When the
+        spec->digest index already knows the variant's digest and the
+        dispatch store holds those columns, the task ships as is;
+        otherwise the parent resolves (and traces) the experiment once
+        and publishes its packed encoding.  Any preparation trouble —
         unknown app, degraded store — falls back to shipping the spec,
         where the worker reproduces (and properly attributes) the
         failure itself.
@@ -947,7 +956,9 @@ class ExperimentEngine:
                     point.bandwidth_mbps, point.buses, point.latency,
                     point.perturb,
                 )
-                digest = store.put(exp.columnar(point.variant))
+                digest = exp._known_digest(point.variant)
+                if digest is None or not store.has(digest):
+                    digest = store.put(exp.columnar(point.variant))
             except Exception:  # noqa: BLE001 - worker will attribute it
                 pass
             else:
@@ -1290,8 +1301,8 @@ class ExperimentEngine:
             t0 = time.monotonic()
             try:
                 _check_rss_budget(self.rss_limit_mb)
-                res = _simulate_point(p, self.cache_dir, self._experiments)
-                value = res if mode == "result" else res.duration
+                value = _simulate_point(p, self.cache_dir, self._experiments,
+                                        mode)
                 value = self._maybe_verify(p, mode, value, "serial")
                 out.append(value)
                 self._journal_value(p, mode, value)

@@ -1,0 +1,158 @@
+"""A duration probe costs one replay: the cache traffic behind it.
+
+Duration-only consumers (the Figure 6 bandwidth searches, sweeps) read
+makespans, never full results.  These tests pin what each path writes
+and reads:
+
+* a pooled ``durations()`` replay publishes only the ``.dur`` sidecar;
+  a later ``run_grid`` of the same points replays them again and writes
+  the result envelopes;
+* warm duration lookups, through ``AppExperiment.duration`` and through
+  a serial engine, read sidecars and never load an envelope;
+* a search on an experiment keyed apart from the grid that published
+  the trace digests ships its probes by digest and traces nothing in
+  the parent;
+* a degraded cache keeps a sidecar-only duration in memory, where
+  ``load_duration`` finds it without reaching ``load``.
+"""
+
+from __future__ import annotations
+
+import errno
+
+import pytest
+
+from repro.audit.certify import result_digest
+from repro.dimemas.replay import simulate
+from repro.experiments import cache as cache_mod
+from repro.experiments.bandwidth import (
+    equivalent_bandwidth,
+    relaxation_bandwidth,
+)
+from repro.experiments.cache import SimResultCache
+from repro.experiments.parallel import ExperimentEngine, expand_grid
+from repro.experiments.pipeline import VARIANTS, AppExperiment
+from repro.obs import get_registry
+
+#: A tiny Sweep3D instance so traces build in milliseconds.
+TINY = dict(nx=8, ny=8, nz=4, mk=2, angle_block=2, iterations=1)
+
+
+def tiny_exp(**kwargs) -> AppExperiment:
+    return AppExperiment("sweep3d", nranks=4, app_params=TINY, **kwargs)
+
+
+def ladder(bandwidths=(None, 100.0)):
+    return expand_grid(["sweep3d"], variants=VARIANTS, bandwidths=bandwidths,
+                       nranks=4, app_params=TINY)
+
+
+def counter(name: str) -> int:
+    return get_registry().counter(name).value
+
+
+def _no_load(self, key):
+    raise AssertionError(f"SimResultCache.load({key}) on a warm duration lookup")
+
+
+class TestSidecarOnlyPoints:
+    def test_pooled_durations_write_sidecars_then_run_grid_envelopes(
+            self, tmp_path):
+        points = ladder()
+        replays = tmp_path / "replays"
+        executed0 = counter("engine.points_executed")
+        with ExperimentEngine(jobs=2, cache_dir=tmp_path) as eng:
+            durs = eng.durations(points)
+        executed = counter("engine.points_executed") - executed0
+        assert executed == len(points)
+        assert len(list(replays.glob("*.dur"))) == executed
+        assert not list(replays.glob("*.json"))
+
+        with ExperimentEngine(jobs=2, cache_dir=tmp_path) as eng:
+            results = eng.run_grid(points)
+        assert len(list(replays.glob("*.json"))) == len(points)
+        exp = tiny_exp()
+        for p, res, dur in zip(points, results, durs):
+            direct = simulate(exp.trace(p.variant),
+                              exp.platform(bandwidth_mbps=p.bandwidth_mbps))
+            assert result_digest(res) == result_digest(direct)
+            assert res.duration == dur
+
+    def test_warm_duration_lookups_never_load_envelopes(
+            self, tmp_path, monkeypatch):
+        points = ladder()
+        with ExperimentEngine(jobs=2, cache_dir=tmp_path) as eng:
+            durs = eng.durations(points)
+        monkeypatch.setattr(SimResultCache, "load", _no_load)
+
+        exp = tiny_exp(sim_cache=SimResultCache(tmp_path / "replays"))
+        assert [exp.duration(p.variant, bandwidth_mbps=p.bandwidth_mbps)
+                for p in points] == durs
+        assert exp._traces == {}
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            assert eng.durations(points) == durs
+
+    def test_degraded_store_duration_is_held_in_memory(
+            self, tmp_path, monkeypatch):
+        # A read-only directory, modelled at the publish call: mode bits
+        # do not stop a root user.
+        def read_only(path, data):
+            raise OSError(errno.EROFS, "Read-only file system")
+
+        cache = SimResultCache(tmp_path / "replays")
+        monkeypatch.setattr(cache_mod, "_stage_and_publish", read_only)
+        key = "0" * 24
+        cache.store_duration(key, 1.25)
+        assert cache.degraded
+        assert not list((tmp_path / "replays").iterdir())
+        assert cache.load(key) is None  # no result behind the duration
+        monkeypatch.setattr(SimResultCache, "load", _no_load)
+        assert cache.load_duration(key) == 1.25
+
+
+class TestSearchDispatchByDigest:
+    @pytest.mark.parametrize("search,variant", [
+        (relaxation_bandwidth, "real"), (equivalent_bandwidth, "ideal"),
+    ])
+    def test_search_traces_nothing_once_digests_are_published(
+            self, tmp_path, monkeypatch, search, variant):
+        expected = search(tiny_exp(), variant)
+        exp = tiny_exp(sim_cache=SimResultCache(tmp_path / "replays"))
+        traced = []
+
+        def trace(v="original"):
+            traced.append(v)
+            raise AssertionError(f"parent built the {v} trace")
+
+        with ExperimentEngine(jobs=2, cache_dir=tmp_path) as eng:
+            points = ladder()
+            eng.durations(points)
+            assert (eng.point_for(exp).experiment_key()
+                    != points[0].experiment_key())
+            monkeypatch.setattr(exp, "trace", trace)
+            spec0 = counter("engine.dispatch.spec_points")
+            assert search(exp, variant, engine=eng) == expected
+        assert traced == []
+        assert counter("engine.dispatch.spec_points") == spec0
+
+
+class TestRoundSize:
+    def test_rounds_are_sized_to_the_pool(self, tmp_path, monkeypatch):
+        """On two workers every speculative round is the 3-node tree of
+        two levels, never a wider one."""
+        expected = relaxation_bandwidth(tiny_exp(), "real")
+        calls = []
+        with ExperimentEngine(jobs=2, cache_dir=tmp_path) as eng:
+            durations = eng.durations
+
+            def recording(points):
+                points = list(points)
+                calls.append(len(points))
+                return durations(points)
+
+            monkeypatch.setattr(eng, "durations", recording)
+            assert relaxation_bandwidth(tiny_exp(), "real",
+                                        engine=eng) == expected
+        # The anchor, the bracket ends, then the rounds.
+        assert calls[:2] == [1, 2]
+        assert len(calls) > 3 and set(calls[2:]) == {3}

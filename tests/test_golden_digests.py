@@ -9,7 +9,13 @@ bus count, unlimited buses):
 * the six named perturbation scenarios on BT/16 real, on one bus and
   on the Table I bus count;
 * on CG/64 real, the full-audit verdict and the insight channel's
-  occupancy timeline, queue peak/total and queue causes.
+  occupancy timeline, queue peak/total and queue causes;
+* ``figure6``: the ``repr`` of the Figure 6(b) relaxation and 6(c)
+  equivalent bandwidths of the real and ideal variants on CG/16 and
+  BT/16 (BT's equivalents are ``inf``).  Each is checked along four
+  routes: the sequential search, a cold two-worker engine, a second
+  two-worker engine on the same cache directory, and a serial engine
+  on it.
 
 A change that is meant to leave behaviour alone must keep every entry
 identical.  If a change legitimately alters replay results, regenerate
@@ -29,6 +35,12 @@ import pytest
 from repro.audit.auditor import AuditConfig
 from repro.audit.certify import result_digest
 from repro.dimemas import PAPER_BUSES, MachineConfig, simulate
+from repro.experiments.bandwidth import (
+    equivalent_bandwidth,
+    relaxation_bandwidth,
+)
+from repro.experiments.cache import SimResultCache, TraceCache
+from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.pipeline import VARIANTS, AppExperiment
 from repro.insight.channel import collect
 from repro.obs.metrics import get_registry
@@ -46,6 +58,12 @@ PLATFORMS = ("buses=1", "table1", "unlimited")
 PERTURB_PLATFORMS = ("table1", "buses=1")
 #: The audit and insight case.
 ANALYSIS_CASE = ("cg", 64, "real", "table1")
+#: The Figure 6(b)/(c) threshold cases: both searches for both
+#: overlapped variants, on these applications at 16 ranks.
+FIGURE6_APPS = ("cg", "bt")
+FIGURE6_NRANKS = 16
+SEARCHES = {"relaxation": relaxation_bandwidth,
+            "equivalent": equivalent_bandwidth}
 
 
 def machine(app: str, platform: str) -> MachineConfig:
@@ -132,6 +150,16 @@ class Traces:
         })
 
 
+def figure6(exp: AppExperiment, engine=None) -> dict[str, str]:
+    """``repr`` of every Figure 6 threshold of one experiment."""
+    return {
+        f"{exp.app_name}/{exp.nranks}/{kind}/{variant}": repr(
+            search(exp, variant, engine=engine))
+        for kind, search in SEARCHES.items()
+        for variant in ("real", "ideal")
+    }
+
+
 def build_golden(traces: Traces) -> dict:
     return {
         "replay": {
@@ -142,6 +170,10 @@ def build_golden(traces: Traces) -> dict:
         },
         "audit": traces.audit(),
         "insight": traces.insight(),
+        "figure6": {
+            k: v for app in FIGURE6_APPS
+            for k, v in figure6(AppExperiment(app, FIGURE6_NRANKS)).items()
+        },
     }
 
 
@@ -167,6 +199,11 @@ class TestGoldenDigests:
         assert sorted(golden["perturb"]) == sorted(
             f"{k}/{p}" for k, p in PERTURB_CASES
         )
+        assert sorted(golden["figure6"]) == sorted(
+            f"{app}/{FIGURE6_NRANKS}/{kind}/{variant}"
+            for app in FIGURE6_APPS for kind in SEARCHES
+            for variant in ("real", "ideal")
+        )
 
     @pytest.mark.parametrize(
         "case", REPLAY_CASES, ids=[case_id(*c) for c in REPLAY_CASES],
@@ -187,6 +224,31 @@ class TestGoldenDigests:
 
     def test_insight_channel(self, traces, golden):
         assert traces.insight() == golden["insight"]
+
+
+class TestFigure6Thresholds:
+    """The bandwidth searches give the locked thresholds on every route."""
+
+    @pytest.mark.parametrize("app", FIGURE6_APPS)
+    def test_every_route(self, golden, tmp_path, app):
+        expected = {k: v for k, v in golden["figure6"].items()
+                    if k.startswith(f"{app}/{FIGURE6_NRANKS}/")}
+        assert len(expected) == 4
+
+        def cached_exp() -> AppExperiment:
+            return AppExperiment(
+                app, FIGURE6_NRANKS, cache=TraceCache(tmp_path / "traces"),
+                sim_cache=SimResultCache(tmp_path / "replays"),
+            )
+
+        assert figure6(AppExperiment(app, FIGURE6_NRANKS)) == expected, (
+            "sequential")
+        for route, jobs in (("cold pool", 2), ("warm pool", 2),
+                            ("serial engine", 1)):
+            exp = cached_exp()
+            with ExperimentEngine(jobs=jobs, cache_dir=tmp_path) as engine:
+                assert figure6(exp, engine=engine) == expected, route
+            exp.cache.flush()
 
 
 #: Queued entries whose resources may be checked per replayed message.

@@ -10,6 +10,7 @@ without becoming flaky on loaded CI machines.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -83,20 +84,51 @@ class TestDisabledCost:
         allows generous noise).  Both runs exercise the identical code
         path, so a real regression would have to come from the obs
         hooks themselves — the run-to-run spread bounds their cost
-        together with the machine noise."""
+        together with the machine noise.
+
+        One replay takes about 1.5 ms, within reach of a single
+        scheduler hiccup, so each sample sums a loop of replays lasting
+        at least 50 ms.  The two runs' replays alternate within the
+        loop, so a drift in the host's speed slows both alike, and the
+        collector is paused during a sample, so one collection cannot
+        land on one run only."""
         trace = _cg_trace()
         machine = MachineConfig(bandwidth_mbps=250.0)
         simulate(trace, machine)  # warm plan memo + allocations
 
-        def best_of(k):
-            best = float("inf")
-            for _ in range(k):
-                t0 = time.perf_counter()
-                simulate(trace, machine)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def replay() -> float:
+            t0 = time.perf_counter()
+            simulate(trace, machine)
+            return time.perf_counter() - t0
 
-        a, b = best_of(3), best_of(3)
+        def paused_gc(loop):
+            gc.collect()
+            gc.disable()
+            try:
+                return loop()
+            finally:
+                gc.enable()
+
+        def calibrate() -> int:
+            reps, spent = 0, 0.0
+            while spent < 0.05:
+                spent += replay()
+                reps += 1
+            return reps
+
+        reps = paused_gc(calibrate)
+
+        def sample() -> tuple[float, float]:
+            a = b = 0.0
+            for _ in range(reps):
+                a += replay()
+                b += replay()
+            return a, b
+
+        a = b = float("inf")
+        for _ in range(3):  # best of 3 per run
+            sa, sb = paused_gc(sample)
+            a, b = min(a, sa), min(b, sb)
         assert abs(a - b) / max(a, b) < 0.25, (
             f"replay wall-clock unstable: {a:.4f}s vs {b:.4f}s"
         )

@@ -16,6 +16,16 @@ Used two ways::
     # standalone, to log an existing snapshot:
     python tools/bench_history.py benchmarks/perf/BENCH_replay.json
 
+    # before logging a saved pipebench result line, compare it with
+    # the last entry of the same bench (named by the file stem):
+    python tools/bench_history.py --compare fig6-cg-64.json
+
+``--compare`` prints each end-to-end metric that ``BENCHMARK.json``
+declares next to the bench's last history entry, with the relative
+change and the metric's bound, and exits 1 when any metric is worse by
+more than its bound.  A bench with no history has nothing to compare
+and passes.
+
 Lines are self-contained JSON objects, so the history is greppable and
 trivially loadable::
 
@@ -32,13 +42,13 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-__all__ = ["append_history", "git_sha"]
+__all__ = ["append_history", "compare_history", "git_sha"]
 
+ROOT = Path(__file__).resolve().parent.parent
 #: Default history file, next to the BENCH_*.json snapshots.
-HISTORY_PATH = (
-    Path(__file__).resolve().parent.parent / "benchmarks" / "perf"
-    / "HISTORY.jsonl"
-)
+HISTORY_PATH = ROOT / "benchmarks" / "perf" / "HISTORY.jsonl"
+#: The benchmark declaration: end-to-end metrics and their bounds.
+BENCHMARK_PATH = ROOT / "BENCHMARK.json"
 
 
 def git_sha(cwd: str | Path | None = None) -> str:
@@ -80,16 +90,71 @@ def append_history(
     return path
 
 
+def _bench_name(path: Path) -> str:
+    """BENCH_replay.json -> "replay"; fig6-cg-64.json -> "fig6-cg-64"."""
+    return path.stem.replace("BENCH_", "").lower() or path.stem
+
+
+def compare_history(doc: dict, bench: str) -> tuple[list[str], bool]:
+    """Compare a result line with the bench's last history entry.
+
+    Returns the report lines and whether any end-to-end metric of the
+    benchmark declaration is worse than that entry by more than its
+    bound (relative change, in the metric's ``better`` direction).
+    """
+    spec = json.loads(BENCHMARK_PATH.read_text())
+    last = None
+    if HISTORY_PATH.exists():
+        for raw in HISTORY_PATH.read_text().splitlines():
+            entry = json.loads(raw) if raw.strip() else {}
+            if entry.get("bench") == bench:
+                last = entry
+    if last is None:
+        return [f"{bench}: no history entry to compare with"], False
+    lines = [f"{bench}: against {last.get('git_sha', '?')[:12]} "
+             f"({last.get('timestamp', '?')})",
+             f"  {'metric':<12} {'last':>12} {'now':>12} {'change':>8} "
+             f"{'bound':>6}"]
+    worse = False
+    old, new = last["results"].get("metrics", {}), doc.get("metrics", {})
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        if name not in old or name not in new:
+            lines.append(f"  {name:<12} missing")
+            continue
+        a, b = old[name]["value"], new[name]["value"]
+        change = (b - a) / a
+        loss = change if metric["better"] == "lower" else -change
+        verdict = ""
+        if loss > bound:
+            worse = True
+            verdict = "  WORSE"
+        lines.append(f"  {name:<12} {a:>12.4g} {b:>12.4g} {change:>+8.1%} "
+                     f"{bound:>6.0%}  {metric['unit']}{verdict}")
+    return lines, worse
+
+
 def main(argv: list[str] | None = None) -> int:
     args = argv if argv is not None else sys.argv[1:]
     if not args or args[0] in ("-h", "--help"):
         print(__doc__, file=sys.stderr)
         return 0 if args else 2
+    if args[0] == "--compare":
+        if len(args) == 1:
+            print(__doc__, file=sys.stderr)
+            return 2
+        worse = False
+        for snapshot in args[1:]:
+            p = Path(snapshot)
+            lines, bad = compare_history(json.loads(p.read_text()),
+                                         _bench_name(p))
+            print("\n".join(lines))
+            worse |= bad
+        return 1 if worse else 0
     for snapshot in args:
         p = Path(snapshot)
         doc = json.loads(p.read_text())
-        # BENCH_replay.json -> "replay"
-        name = p.stem.replace("BENCH_", "").lower() or p.stem
+        name = _bench_name(p)
         out = append_history(doc, bench=name)
         print(f"appended {p.name} ({name}) -> {out}", file=sys.stderr)
     return 0
