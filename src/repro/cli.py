@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import functools
 import os
+import shutil
 import sys
 
 from .apps import APPS, get_app
@@ -45,8 +46,9 @@ __all__ = ["main_analyze", "main_explain", "main_overlap", "main_report",
 #: CLI exit codes for diagnosed replay failures (0 ok, 2 argparse).
 EXIT_DEADLOCK = 3
 EXIT_TIMEOUT = 4
-#: The campaign drained gracefully after SIGTERM/SIGINT and left a
-#: journal behind: re-run with ``--resume <run-id>`` to continue.
+#: The campaign drained gracefully after SIGTERM/SIGINT and left its
+#: run directory and result cache behind: re-run with
+#: ``--resume <run-id>`` to continue.
 EXIT_RESUMABLE = 5
 #: The integrity audit found violations (``--strict-audit`` / a failed
 #: ``repro-verify`` certification).
@@ -672,7 +674,8 @@ def main_report(argv: list[str] | None = None) -> int:
     ap.add_argument("--cache-dir", default=None,
                     help="persist traces and replay results in this "
                          "directory (shared by all workers; re-runs are "
-                         "nearly free)")
+                         "nearly free).  Default while a run is recorded: "
+                         "<run-dir>/cache, deleted once the run finishes ok")
     ap.add_argument("--degraded", action="store_true",
                     help="report FAILED rows instead of aborting when "
                          "replays keep failing")
@@ -684,19 +687,18 @@ def main_report(argv: list[str] | None = None) -> int:
     ap.add_argument("--explain", action="store_true",
                     help="append per-app overlap explanations (wait-state "
                          "attribution scorecards and verdicts)")
-    g = ap.add_argument_group("checkpoint/resume")
+    g = ap.add_argument_group("resume")
     g.add_argument("--resume", default=None, metavar="RUN_ID",
-                   help="resume an interrupted campaign: replay its "
-                        "journal, re-run only the missing points, and "
-                        "continue under the same run manifest")
+                   help="resume an interrupted campaign under the same "
+                        "run directory: replays found in its result cache "
+                        "(<run-dir>/cache, or the --cache-dir given) are "
+                        "served, only the missing ones re-run")
     g.add_argument("--list-runs", action="store_true",
-                   help="list resumable runs under the obs dir (with "
-                        "point-completion progress) and exit")
+                   help="list the runs under the obs dir (status, "
+                        "replays so far, resumable) and exit")
     _obs_args(ap)
     args = ap.parse_args(argv)
-    from .experiments.checkpoint import (
-        CheckpointJournal, list_runs, render_runs_table,
-    )
+    from .experiments.checkpoint import list_runs, render_runs_table
     from .experiments.report import full_report
 
     if args.list_runs:
@@ -717,21 +719,19 @@ def main_report(argv: list[str] | None = None) -> int:
         kwargs["apps"] = apps
     with _observed(args, "repro-report", run_id=args.resume,
                    resume=bool(args.resume)) as run:
-        journal = None
-        if run is not None:
-            journal = CheckpointJournal(run.dir / "journal.jsonl",
-                                        run_id=run.run_id)
-        try:
-            print(full_report(nranks=args.nranks,
-                              include_bandwidth=not args.no_bandwidth,
-                              jobs=args.jobs, cache_dir=args.cache_dir,
-                              degraded=args.degraded, checkpoint=journal,
-                              verify_sample=args.verify_sample,
-                              explain=args.explain,
-                              **kwargs))
-        finally:
-            if journal is not None:
-                journal.close()
+        # A recorded run resumes from a result cache of its own until
+        # it finishes.
+        own_cache = args.cache_dir is None and run is not None
+        cache_dir = run.dir / "cache" if own_cache else args.cache_dir
+        print(full_report(nranks=args.nranks,
+                          include_bandwidth=not args.no_bandwidth,
+                          jobs=args.jobs, cache_dir=cache_dir,
+                          degraded=args.degraded,
+                          verify_sample=args.verify_sample,
+                          explain=args.explain,
+                          **kwargs))
+        if own_cache:
+            shutil.rmtree(cache_dir, ignore_errors=True)
     return 0
 
 

@@ -92,9 +92,9 @@ class MachineConfig:
         construction: a schedule that perturbs nothing is stored as
         ``None``, so a no-op schedule *is* the pristine platform —
         same replay, same cache keys.  Because configs flow through
-        ``dataclasses.asdict`` into every result-cache key and
-        checkpoint journal entry, carrying the schedule here keys all
-        of those by the perturbation automatically.
+        ``dataclasses.asdict`` into every result-cache key, carrying
+        the schedule here keys every cached replay by the perturbation
+        automatically.
     """
 
     bandwidth_mbps: float = PAPER_BANDWIDTH_MBPS

@@ -5,8 +5,8 @@
 * :mod:`repro.experiments.bandwidth` — Figure 6(b)/(c) searches;
 * :mod:`repro.experiments.calibration` — Table I bus calibration;
 * :mod:`repro.experiments.cache` — persistent trace/result caches;
-* :mod:`repro.experiments.checkpoint` — crash-safe campaign journal,
-  graceful drain, and resume;
+* :mod:`repro.experiments.checkpoint` — graceful drain and the run
+  listing; a campaign resumes from its result cache;
 * :mod:`repro.experiments.tables` — Table II / Figure 5 data;
 * :mod:`repro.experiments.resilience` — fault-injection resilience
   sweeps (how much overlap masks a degraded platform);
@@ -22,15 +22,7 @@ from .bandwidth import (
 )
 from .cache import SimResultCache, TraceCache, disk_low, trace_digest
 from .calibration import bus_sensitivity, calibrate_buses, saturation_knee
-from .checkpoint import (
-    CampaignInterrupted,
-    CheckpointJournal,
-    JournalEntry,
-    graceful_drain,
-    list_runs,
-    point_key,
-    replay_journal,
-)
+from .checkpoint import CampaignInterrupted, graceful_drain, list_runs
 from .parallel import (
     DegradedBracketError,
     ExperimentEngine,
@@ -40,6 +32,7 @@ from .parallel import (
     RetryPolicy,
     WorkerMemoryError,
     expand_grid,
+    point_key,
     speedup_grid,
 )
 from .pipeline import AppExperiment, VARIANTS
@@ -56,9 +49,9 @@ from .scaling import ScalePoint, ScalingStudy, scaling_study
 from .sweeps import SweepResult, ascii_series, bandwidth_sweep, latency_sweep
 
 __all__ = [
-    "AppExperiment", "CampaignInterrupted", "CheckpointJournal",
+    "AppExperiment", "CampaignInterrupted",
     "DegradedBracketError", "ExperimentEngine",
-    "GridExecutionError", "GridPoint", "JournalEntry",
+    "GridExecutionError", "GridPoint",
     "NonMonotonePredicateError", "PointFailure", "RetryPolicy",
     "WorkerMemoryError",
     "PAPER_CONSUMPTION", "PAPER_PRODUCTION", "PatternRow",
@@ -66,7 +59,7 @@ __all__ = [
     "bus_sensitivity", "calibrate_buses", "disk_low",
     "equivalent_bandwidth", "expand_grid", "figure5_series", "full_report",
     "graceful_drain", "list_runs", "pattern_row", "point_key",
-    "relaxation_bandwidth", "replay_journal", "saturation_knee",
+    "relaxation_bandwidth", "saturation_knee",
     "ResilienceReport", "ResilienceRow", "resilience_sweep",
     "ScalePoint", "ScalingStudy", "SimResultCache", "TraceCache",
     "scaling_study", "speedup_grid", "trace_digest",

@@ -57,9 +57,10 @@ def _anchor_duration(
 ) -> float:
     """The search's anchor duration, engine-mediated when possible.
 
-    Routing the anchor replay through the engine journals it alongside
-    the probe points, so a resumed search re-derives the identical
-    threshold without re-execution.  A quarantined anchor cannot anchor
+    Routing the anchor replay through the engine gives it the probe
+    points' pool, result cache and failure handling, so a resumed
+    search serves it from the cache like any probe.  A quarantined
+    anchor cannot anchor
     anything: raise :class:`~repro.experiments.parallel.DegradedBracketError`
     rather than bisect against a missing number.
     """

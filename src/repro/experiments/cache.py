@@ -61,6 +61,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import threading
 import time
 from collections import OrderedDict
@@ -90,8 +91,8 @@ __all__ = [
 _log = logging.getLogger("repro.experiments.cache")
 
 #: Default disk low-water mark (bytes): below this much free space,
-#: cache and journal writers degrade instead of running the disk to
-#: zero and dying on ENOSPC mid-write.
+#: cache writers degrade instead of running the disk to zero and dying
+#: on ENOSPC mid-write.
 DEFAULT_MIN_FREE_BYTES = 16 * 1024 * 1024
 
 
@@ -119,8 +120,8 @@ def min_free_bytes() -> int:
 
 def disk_low(path: str | Path, floor: int | None = None) -> bool:
     """True when the filesystem under ``path`` is below the low-water
-    mark — the signal for cache/journal writers to degrade gracefully
-    rather than die on ENOSPC mid-write."""
+    mark — the signal for cache writers to degrade gracefully rather
+    than die on ENOSPC mid-write."""
     free = free_disk_bytes(path)
     if free is None:
         return False
@@ -187,6 +188,24 @@ def _stage_and_publish(path: Path, data: str | bytes) -> None:
     else:
         tmp.write_text(data)
     tmp.replace(path)
+
+
+#: Points this process has stored (counted only while the chaos hook
+#: below is armed).
+_stored_points = itertools.count(1)
+
+
+def _maybe_selfkill_after_store() -> None:
+    """Chaos-test hook: SIGKILL this process after its Nth stored point.
+
+    Armed via ``$REPRO_TEST_SELFKILL_AFTER_STORE=N``.  Every stored
+    point passes through :meth:`SimResultCache.store_duration`, so the
+    kill lands right after the point became servable to a resumed
+    session.
+    """
+    raw = os.environ.get("REPRO_TEST_SELFKILL_AFTER_STORE")
+    if raw and next(_stored_points) >= int(raw):
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _pid_alive(pid: int) -> bool:
@@ -817,6 +836,7 @@ class SimResultCache(_DegradableCache):
         """
         if not self._publish(self._dur_path(key), self._dur_line(duration)):
             self._mem_durations[key] = duration
+        _maybe_selfkill_after_store()
 
     def load_duration(self, key: str) -> float | None:
         """The cached makespan under ``key``, or None (counts hit/miss).

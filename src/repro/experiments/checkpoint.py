@@ -1,347 +1,93 @@
-"""Crash-safe campaign state: write-ahead journal + atomic resume.
+"""Interrupting and resuming a campaign: graceful drain, run listing.
 
 The paper's evaluation campaigns (bandwidth/latency/bus sweeps, the
-full report, scaling ladders, calibrations) are long grids of replays.
-This module makes every such campaign *killable and resumable*:
+full report, scaling ladders, calibrations) are long grids of
+deterministic replays.  A campaign needs no state of its own to be
+killable and resumable:
 
-* :class:`CheckpointJournal` — an append-only, checksummed, fsync'd
-  ``journal.jsonl`` under the run directory.  Every grid-point
-  completion (results, durations, and :class:`PointFailure`
-  quarantine decisions alike) is appended as one self-verifying line
-  *before* the campaign proceeds, so a SIGKILL at any instant loses at
-  most the points whose completions had not yet been journaled.
-* :func:`replay_journal` — reads a journal back, verifying each line's
-  checksum and schema; a truncated or garbled line (torn write of a
-  killed process, bit flip) is detected, counted, and dropped — the
-  affected point simply re-runs.  Replay is idempotent: replaying a
-  journal twice yields exactly the state of replaying it once.
-* :func:`graceful_drain` — SIGTERM/SIGINT turn into a *drain*: the
-  engine stops dispatching, journals in-flight completions, and raises
-  :class:`CampaignInterrupted`, which the CLI maps to the distinct
+* every finished replay lands in the content-addressed
+  :class:`~repro.experiments.cache.SimResultCache` (checksummed,
+  published atomically, quarantined and recomputed when damaged), so a
+  second session on the same cache directory replays only the points
+  the first one did not finish;
+* the run directory (:class:`~repro.obs.RunContext`) keeps the
+  manifest and the event log of every session of one run ID.
+
+A kill at any instant therefore costs at most the replays that had not
+reached the cache, never a wrong number.  This module adds the rest:
+
+* :func:`graceful_drain` — SIGTERM/SIGINT turn into a *drain* that
+  raises :class:`CampaignInterrupted`, which the CLI maps to the
   "interrupted, resumable" exit code 5.  A second signal forces the
-  old hard-interrupt path (exit 130).
-* :func:`free_disk_bytes` / :func:`disk_low` — the low-water guard:
-  journal (and cache) writes degrade to warnings instead of crashing
-  the campaign when the disk is nearly full.
-* :func:`list_runs` — enumerate resumable runs under an obs dir with
-  their point-completion progress (``repro-report --list-runs``).
-
-On ``--resume <run-id>`` the engine replays the journal, verifies each
-entry against the requesting point's spec digest, serves verified
-completions without re-execution (``checkpoint.replayed`` counts
-them), and re-enqueues only missing or corrupt points — under the
-*same* run manifest (merged metric totals, a ``resumed_from`` event,
-monotone run-sequence numbers).
+  hard-interrupt path (exit 130).
+* :func:`list_runs` — the runs under an obs dir with their status and
+  progress (``repro-report --list-runs``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
-import hashlib
 import json
 import logging
-import os
 import signal
-import threading
 from pathlib import Path
 from typing import Any, Iterator
 
-from ..obs import get_registry
-from .cache import content_key, disk_low, free_disk_bytes, min_free_bytes
+from ..obs import count_sessions
 
 __all__ = [
     "CampaignInterrupted",
-    "CheckpointJournal",
-    "JournalEntry",
-    "disk_low",
-    "free_disk_bytes",
     "graceful_drain",
     "list_runs",
-    "min_free_bytes",
-    "point_key",
-    "replay_journal",
+    "render_runs_table",
 ]
 
 _log = logging.getLogger("repro.experiments.checkpoint")
 
-#: Journal line schema.  Bumping it invalidates (drops, re-runs) every
-#: entry written by earlier code instead of misreading it.
-JOURNAL_SCHEMA = 1
 
+class CampaignInterrupted(BaseException):
+    """The campaign drained after SIGTERM/SIGINT.
 
-class CampaignInterrupted(RuntimeError):
-    """The campaign drained after SIGTERM/SIGINT and can be resumed.
+    ``run_id`` names the run to pass to ``--resume``: set when a run
+    was open and the engine had a result cache to resume from, None
+    otherwise (the CLI then falls back to the conventional 130 exit).
+    ``remaining`` counts grid points left undone when the drain stopped
+    a grid, and is None when it stopped the campaign elsewhere.
 
-    ``run_id`` names the run to pass to ``--resume`` (None when the
-    campaign ran without a journal and is therefore *not* resumable —
-    the CLI then falls back to the conventional 130 exit).
-    ``remaining`` counts grid points that had not completed when the
-    drain finished.
+    Like :class:`KeyboardInterrupt` it derives from
+    :class:`BaseException`: the signal handler may raise it anywhere in
+    the main thread, and an ``except Exception`` that turns failures
+    into report rows or quarantined points must not swallow it.
     """
 
-    def __init__(self, run_id: str | None = None, remaining: int = 0):
+    def __init__(self, run_id: str | None = None,
+                 remaining: int | None = None):
         self.run_id = run_id
         self.remaining = remaining
         self.resumable = run_id is not None
         what = f"run {run_id}" if run_id else "campaign"
-        super().__init__(
-            f"{what} interrupted; {remaining} grid point(s) left undone"
-        )
+        left = ("" if remaining is None
+                else f"; {remaining} grid point(s) left undone")
+        super().__init__(f"{what} interrupted{left}")
 
 
 # --------------------------------------------------------------------------- #
-# Point identity: the spec digest journal entries are verified against.
-# --------------------------------------------------------------------------- #
-
-def point_key(point) -> str:
-    """Versioned content digest of a grid point's full spec.
-
-    Covers every field of the point — app, variant, scale, chunk
-    count, platform overrides (perturbation schedule included), app
-    parameters, and the machine config itself — so no two distinct
-    replays can alias one journal entry.
-    """
-    machine = point.machine
-    perturb = getattr(point, "perturb", None)
-    return content_key(
-        kind="grid_point",
-        app=point.app,
-        variant=point.variant,
-        nranks=point.nranks,
-        chunks=point.chunks,
-        bandwidth_mbps=point.bandwidth_mbps,
-        buses=point.buses,
-        latency=point.latency,
-        app_params=point.app_params,
-        machine=None if machine is None else dataclasses.asdict(machine),
-        perturb=None if perturb is None else perturb.to_dict(),
-    )
-
-
-# --------------------------------------------------------------------------- #
-# The journal.
-# --------------------------------------------------------------------------- #
-
-def _seal_line(seq: int, entry: dict) -> str:
-    """One self-verifying journal line (checksum covers seq + entry)."""
-    body = json.dumps({"seq": seq, "entry": entry},
-                      sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    return json.dumps(
-        {"schema": JOURNAL_SCHEMA, "sha256": digest, "seq": seq,
-         "entry": entry},
-        sort_keys=True, separators=(",", ":"),
-    )
-
-
-def _verify_line(line: str) -> tuple[int, dict] | None:
-    """Parse and verify one journal line; None when torn or garbled."""
-    try:
-        doc = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(doc, dict) or doc.get("schema") != JOURNAL_SCHEMA:
-        return None
-    seq, entry = doc.get("seq"), doc.get("entry")
-    if not isinstance(seq, int) or not isinstance(entry, dict):
-        return None
-    body = json.dumps({"seq": seq, "entry": entry},
-                      sort_keys=True, separators=(",", ":"))
-    if doc.get("sha256") != hashlib.sha256(body.encode()).hexdigest():
-        return None
-    return seq, entry
-
-
-@dataclasses.dataclass(frozen=True)
-class JournalEntry:
-    """One verified point completion restored from a journal."""
-
-    seq: int
-    point: str              # the point's spec digest (:func:`point_key`)
-    mode: str               # "result" | "duration" | "failure"
-    payload: dict
-
-
-def replay_journal(path: str | Path) -> tuple[dict[tuple[str, str], JournalEntry], int, int]:
-    """Read a journal back: ``({(point, mode): entry}, max_seq, dropped)``.
-
-    Every line is checksum-verified; torn/garbled/foreign-schema lines
-    are dropped (and counted) so the affected points re-run instead of
-    poisoning the campaign.  Later duplicates win, making replay
-    idempotent: replaying twice equals replaying once.
-    """
-    entries: dict[tuple[str, str], JournalEntry] = {}
-    max_seq = 0
-    dropped = 0
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return entries, max_seq, dropped
-    except OSError as exc:
-        _log.warning("journal %s unreadable (%s); starting fresh", path, exc)
-        return entries, max_seq, dropped
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        verified = _verify_line(line)
-        if verified is None:
-            dropped += 1
-            continue
-        seq, entry = verified
-        max_seq = max(max_seq, seq)
-        pt, mode = entry.get("point"), entry.get("mode")
-        if not isinstance(pt, str) or mode not in ("result", "duration",
-                                                   "failure"):
-            dropped += 1
-            continue
-        entries[(pt, mode)] = JournalEntry(
-            seq=seq, point=pt, mode=mode,
-            payload=entry.get("payload") or {},
-        )
-    if dropped:
-        _log.warning(
-            "journal %s: dropped %d torn/garbled line(s); the affected "
-            "points will re-run", path, dropped,
-        )
-        get_registry().counter("checkpoint.lines_dropped").inc(dropped)
-    return entries, max_seq, dropped
-
-
-class CheckpointJournal:
-    """Write-ahead journal of grid-point completions for one run.
-
-    Opening an existing journal replays it (verified lines only), so a
-    resumed engine can serve journaled points without re-execution.
-    Appends are checksummed, flushed, and fsync'd before returning —
-    the write-ahead contract — unless the disk falls below the
-    low-water mark, in which case the journal *degrades*: appends
-    become no-ops with a single structured warning and a
-    ``checkpoint.degraded`` metric, and the campaign continues
-    (resumability is lost for new points, correctness is not).
-    """
-
-    def __init__(self, path: str | Path, run_id: str | None = None,
-                 fsync: bool | None = None):
-        self.path = Path(path)
-        self.run_id = run_id
-        if fsync is None:
-            fsync = os.environ.get("REPRO_JOURNAL_FSYNC", "1") != "0"
-        self.fsync = fsync
-        self.degraded = False
-        self.entries, self._seq, self.dropped = replay_journal(self.path)
-        self._appends = 0
-        self._lock = threading.Lock()
-        self._fh = None
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        except OSError as exc:
-            self._degrade(f"journal unwritable: {exc}")
-
-    # -- degradation ---------------------------------------------------------
-    def _degrade(self, reason: str) -> None:
-        if self.degraded:
-            return
-        self.degraded = True
-        get_registry().counter("checkpoint.degraded").inc()
-        _log.warning(
-            "checkpoint journal degraded (%s); new completions will NOT "
-            "be resumable", reason,
-        )
-
-    # -- reads ---------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def lookup(self, key: str, mode: str) -> JournalEntry | None:
-        """The journaled completion serving (point ``key``, ``mode``).
-
-        A ``result`` entry also serves a ``duration`` request (the
-        duration rides inside the result payload); ``failure`` entries
-        are returned for either mode — the caller decides whether a
-        quarantined point is replayable (degraded engines) or should
-        get a fresh chance (strict engines).
-        """
-        hit = self.entries.get((key, mode))
-        if hit is None and mode == "duration":
-            hit = self.entries.get((key, "result"))
-        if hit is None:
-            hit = self.entries.get((key, "failure"))
-        return hit
-
-    # -- the write-ahead append ---------------------------------------------
-    def record(self, key: str, mode: str, payload: dict) -> None:
-        """Append one completion (fsync'd) and index it for lookups."""
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
-            self.entries[(key, mode)] = JournalEntry(
-                seq=seq, point=key, mode=mode, payload=payload,
-            )
-            if self._fh is None:
-                return
-            if disk_low(self.path):
-                self._degrade("disk below low-water mark")
-                return
-            line = _seal_line(seq, {"point": key, "mode": mode,
-                                    "payload": payload})
-            try:
-                self._fh.write(line + "\n")
-                self._fh.flush()
-                if self.fsync:
-                    os.fsync(self._fh.fileno())
-            except (OSError, ValueError) as exc:
-                self._degrade(f"append failed: {exc}")
-                return
-            get_registry().counter("checkpoint.journaled").inc()
-            self._appends += 1
-            _maybe_selfkill_after_append(self._appends)
-
-    def close(self) -> None:
-        """Flush and close the journal file (idempotent)."""
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            try:
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            except (OSError, ValueError):
-                pass
-            fh.close()
-
-    def __enter__(self) -> "CheckpointJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _maybe_selfkill_after_append(appends: int) -> None:
-    """Chaos-test hook: SIGKILL this process after the Nth append.
-
-    Armed via ``$REPRO_TEST_SELFKILL_AFTER_APPEND``; used by the chaos
-    harness to land a kill deterministically *between* a journaled
-    completion and the campaign acting on it.
-    """
-    raw = os.environ.get("REPRO_TEST_SELFKILL_AFTER_APPEND")
-    if raw and appends >= int(raw):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-# --------------------------------------------------------------------------- #
-# Graceful drain: SIGTERM/SIGINT -> stop dispatching, journal, exit 5.
+# Graceful drain: SIGTERM/SIGINT -> stop, exit 5.
 # --------------------------------------------------------------------------- #
 
 @contextlib.contextmanager
-def graceful_drain(engine, run_id: str | None = None) -> Iterator[None]:
+def graceful_drain(engine) -> Iterator[None]:
     """Install drain-on-signal handling around a campaign.
 
-    The first SIGTERM or SIGINT asks ``engine`` to drain: no new grid
-    points are dispatched, in-flight completions are journaled, and
-    the engine raises :class:`CampaignInterrupted` (CLI exit code 5,
-    resumable).  A second signal escalates to ``KeyboardInterrupt``
-    (the conventional hard-interrupt path, exit 130).
+    The first SIGTERM or SIGINT drains the campaign.  A mediated
+    ``engine`` (see :attr:`ExperimentEngine.mediated`) stops
+    dispatching, awaits the points already running in its pool, and
+    raises :class:`CampaignInterrupted` from its next scheduling step.
+    Any other campaign runs entirely in this thread, with nothing in
+    flight to wait for, so the handler raises the engine's
+    :class:`CampaignInterrupted` at once.  A second signal escalates to
+    ``KeyboardInterrupt`` (the conventional hard-interrupt path, exit
+    130).
 
     Outside the main thread — or wherever ``signal.signal`` is
     unavailable — this is a no-op wrapper; the engine can still be
@@ -351,15 +97,15 @@ def graceful_drain(engine, run_id: str | None = None) -> Iterator[None]:
 
     def _handler(signum, frame):
         seen["count"] += 1
-        if seen["count"] == 1:
-            name = signal.Signals(signum).name
-            _log.warning(
-                "%s received: draining campaign (journal + caches); "
-                "signal again to force-quit", name,
-            )
-            engine.request_drain()
-            return
-        raise KeyboardInterrupt
+        if seen["count"] > 1:
+            raise KeyboardInterrupt
+        _log.warning(
+            "%s received: draining campaign; signal again to force-quit",
+            signal.Signals(signum).name,
+        )
+        engine.request_drain()
+        if not engine.mediated:
+            raise engine._interrupted()
 
     previous: dict[int, Any] = {}
     try:
@@ -380,12 +126,13 @@ def graceful_drain(engine, run_id: str | None = None) -> Iterator[None]:
 # --------------------------------------------------------------------------- #
 
 def list_runs(obs_dir: str | Path) -> list[dict]:
-    """Enumerate runs under an obs dir with point-completion progress.
+    """Enumerate the runs under an obs dir, newest first.
 
-    One record per run directory, newest first: ``run_id``, ``command``
-    and ``status`` from the manifest (when present), journaled-point
-    counts by kind, ``run_seq``, and whether the run looks resumable
-    (has a journal and did not finish with status ``ok``).
+    One record per run directory: ``run_id``; ``command``, ``status``
+    and ``replays`` (the run's ``replay.runs`` counter merged over its
+    sessions) from the manifest of its last finished session;
+    ``run_seq``, the sessions started (killed ones included); and
+    whether the run looks resumable (it did not finish ``ok``).
     """
     root = Path(obs_dir)
     out: list[dict] = []
@@ -393,30 +140,23 @@ def list_runs(obs_dir: str | Path) -> list[dict]:
         return out
     for run_dir in sorted((d for d in root.iterdir() if d.is_dir()),
                           reverse=True):
-        journal = run_dir / "journal.jsonl"
         manifest_path = run_dir / "manifest.json"
-        if not journal.exists() and not manifest_path.exists():
+        sessions = count_sessions(run_dir)
+        if not sessions and not manifest_path.exists():
             continue
-        manifest: dict = {}
-        if manifest_path.exists():
-            try:
-                manifest = json.loads(manifest_path.read_text())
-            except (OSError, ValueError):
-                manifest = {}
-        entries, _, dropped = replay_journal(journal)
-        modes = {"result": 0, "duration": 0, "failure": 0}
-        for (_, mode) in entries:
-            modes[mode] = modes.get(mode, 0) + 1
+        try:
+            manifest = json.loads(manifest_path.read_text())
+        except (OSError, ValueError):
+            manifest = {}
         status = manifest.get("status", "unknown")
+        merged = manifest.get("merged_counters") or {}
         out.append({
             "run_id": run_dir.name,
             "command": manifest.get("command"),
             "status": status,
-            "run_seq": manifest.get("run_seq", 1),
-            "points": len(entries),
-            "failures": modes["failure"],
-            "dropped_lines": dropped,
-            "resumable": journal.exists() and status != "ok",
+            "run_seq": sessions,
+            "replays": int(merged.get("replay.runs", 0)),
+            "resumable": status != "ok",
             "started": manifest.get("started"),
         })
     return out
@@ -426,12 +166,12 @@ def render_runs_table(runs: list[dict]) -> str:
     """Human-readable ``--list-runs`` table."""
     if not runs:
         return "no runs found"
-    lines = [f"{'run-id':<26} {'seq':>3} {'status':<12} {'points':>6} "
-             f"{'failed':>6} {'resumable':>9}  command"]
+    lines = [f"{'run-id':<26} {'seq':>3} {'status':<12} {'replays':>7} "
+             f"{'resumable':>9}  command"]
     for r in runs:
         lines.append(
             f"{r['run_id']:<26} {r['run_seq']:>3} {r['status']:<12} "
-            f"{r['points']:>6} {r['failures']:>6} "
+            f"{r['replays']:>7} "
             f"{'yes' if r['resumable'] else 'no':>9}  {r['command'] or '-'}"
         )
     return "\n".join(lines)

@@ -26,6 +26,7 @@ several levels per round with bitwise-identical thresholds.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -54,8 +55,8 @@ from ..obs import (
     span as _span,
     worker_config,
 )
-from .cache import SimResultCache, TraceCache, TraceStore
-from .checkpoint import CampaignInterrupted, CheckpointJournal, point_key
+from .cache import SimResultCache, TraceCache, TraceStore, content_key
+from .checkpoint import CampaignInterrupted
 from .pipeline import AppExperiment
 
 __all__ = [
@@ -67,6 +68,7 @@ __all__ = [
     "RetryPolicy",
     "WorkerMemoryError",
     "expand_grid",
+    "point_key",
     "speedup_grid",
 ]
 
@@ -111,6 +113,31 @@ class GridPoint:
         overrides excluded — they share one trace; perturbation is a
         replay-time platform override too)."""
         return (self.app, self.nranks, self.chunks, self.app_params, self.machine)
+
+
+def point_key(point: GridPoint) -> str:
+    """Versioned content digest of a grid point's full spec.
+
+    Covers every field of the point — app, variant, scale, chunk
+    count, platform overrides (perturbation schedule included), app
+    parameters, and the machine config itself — so no two distinct
+    replays share a key.
+    """
+    machine = point.machine
+    perturb = point.perturb
+    return content_key(
+        kind="grid_point",
+        app=point.app,
+        variant=point.variant,
+        nranks=point.nranks,
+        chunks=point.chunks,
+        bandwidth_mbps=point.bandwidth_mbps,
+        buses=point.buses,
+        latency=point.latency,
+        app_params=point.app_params,
+        machine=None if machine is None else dataclasses.asdict(machine),
+        perturb=None if perturb is None else perturb.to_dict(),
+    )
 
 
 def expand_grid(
@@ -335,7 +362,7 @@ class WorkerMemoryError(MemoryError):
     Raised *inside* a worker (or the serial path) when its resident set
     exceeds the engine's ``rss_limit_mb`` budget — converting an
     impending out-of-memory kill (which would break the whole pool)
-    into an ordinary, retryable, journaled point failure.
+    into an ordinary, retryable point failure.
     """
 
 
@@ -381,31 +408,6 @@ def _maybe_selfkill(env_var: str) -> None:
     """Chaos-test hook: SIGKILL this process when ``env_var`` is set."""
     if os.environ.get(env_var):
         os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _failure_payload(failure: PointFailure) -> dict:
-    """JSON-ready journal payload of a quarantine decision."""
-    return {
-        "kind": failure.kind,
-        "error": failure.error,
-        "attempts": failure.attempts,
-        "attempt_history": [list(t) for t in failure.attempt_history],
-        "traceback": failure.traceback,
-    }
-
-
-def _failure_from_payload(point: GridPoint, payload: dict) -> PointFailure:
-    """Rebuild a journaled :class:`PointFailure` for ``point``."""
-    return PointFailure(
-        point=point,
-        kind=payload.get("kind", "exception"),
-        error=payload.get("error", ""),
-        attempts=int(payload.get("attempts", 1)),
-        attempt_history=tuple(
-            tuple(t) for t in payload.get("attempt_history", ())
-        ),
-        traceback=payload.get("traceback", ""),
-    )
 
 
 #: Per-worker-process state, set once by the pool initializer.
@@ -596,7 +598,10 @@ class ExperimentEngine:
         :class:`~repro.experiments.cache.TraceStore`.  Shared by all
         workers; ``None`` disables persistence (each process still
         memoizes in memory, and the dispatch store lives in a temporary
-        directory for the engine's lifetime).
+        directory for the engine's lifetime).  The result cache is
+        also what resumes an interrupted campaign: a new engine on the
+        same directory serves every finished point without executing
+        it.
     retry:
         :class:`RetryPolicy` governing worker failures (default: three
         attempts, 50 ms exponential backoff, no per-point timeout).
@@ -607,18 +612,14 @@ class ExperimentEngine:
         When True, points that exhaust their retries come back as
         :class:`PointFailure` sentinels in the result list (and are
         recorded in :attr:`quarantine`); when False (default) the grid
-        raises :class:`GridExecutionError` listing them.
-    checkpoint:
-        A :class:`~repro.experiments.checkpoint.CheckpointJournal`.
-        Every grid-point completion (quarantine decisions included) is
-        write-ahead journaled; points already present in the journal
-        are served from it without re-execution (the ``--resume``
-        path), counted by the ``checkpoint.replayed`` metric.
+        raises :class:`GridExecutionError` listing them.  Quarantine
+        decisions are not persisted: a resumed session retries the
+        point.
     rss_limit_mb:
         Per-process resident-set budget (MiB).  A worker (or the
         serial path) whose RSS exceeds it fails the current point with
-        :class:`WorkerMemoryError` — a retryable, journalable failure —
-        instead of dying to the OOM killer and breaking the pool.
+        :class:`WorkerMemoryError` — a retryable failure — instead of
+        dying to the OOM killer and breaking the pool.
         Defaults to ``$REPRO_WORKER_RSS_LIMIT_MB`` (unset = no budget).
     verify_sample:
         Determinism certification rate in ``[0, 1]`` (default
@@ -633,8 +634,8 @@ class ExperimentEngine:
     The engine is a context manager; :meth:`close` shuts the pool down.
     :meth:`request_drain` (wired to SIGTERM/SIGINT by
     :func:`~repro.experiments.checkpoint.graceful_drain`) makes the
-    next grid stop dispatching, journal in-flight completions, and
-    raise :class:`~repro.experiments.checkpoint.CampaignInterrupted`.
+    next grid stop dispatching, await the points in flight, and raise
+    :class:`~repro.experiments.checkpoint.CampaignInterrupted`.
     """
 
     def __init__(
@@ -643,7 +644,6 @@ class ExperimentEngine:
         cache_dir: str | Path | None = None,
         retry: RetryPolicy | None = None,
         degraded: bool = False,
-        checkpoint: CheckpointJournal | None = None,
         rss_limit_mb: float | None = None,
         verify_sample: float | None = None,
     ):
@@ -653,7 +653,6 @@ class ExperimentEngine:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.retry = retry if retry is not None else RetryPolicy()
         self.degraded = bool(degraded)
-        self.checkpoint = checkpoint
         if rss_limit_mb is None:
             raw = os.environ.get("REPRO_WORKER_RSS_LIMIT_MB")
             if raw:
@@ -691,12 +690,12 @@ class ExperimentEngine:
 
     # -- drain (graceful SIGTERM/SIGINT) -------------------------------------
     def request_drain(self) -> None:
-        """Stop dispatching new grid points; journal what completes.
+        """Stop dispatching new grid points; keep what completes.
 
         Async-signal safe (sets an event); the running grid notices at
         its next scheduling step and raises
         :class:`~repro.experiments.checkpoint.CampaignInterrupted`
-        after journaling every completion already in flight.
+        after awaiting every point already in flight.
         """
         self._drain.set()
 
@@ -707,65 +706,20 @@ class ExperimentEngine:
     @property
     def mediated(self) -> bool:
         """True when work should route through the engine even for one
-        serial process — a parallel pool, degraded bookkeeping, a
-        checkpoint journal, or sampled re-verification all need to see
-        every point."""
-        return (self.jobs > 1 or self.degraded
-                or self.checkpoint is not None
-                or self.verify_sample > 0.0)
+        serial process — a parallel pool, degraded bookkeeping, or
+        sampled re-verification all need to see every point."""
+        return self.jobs > 1 or self.degraded or self.verify_sample > 0.0
 
-    def _interrupted(self, remaining: int) -> CampaignInterrupted:
-        run_id = self.checkpoint.run_id if self.checkpoint is not None else None
+    def _interrupted(self, remaining: int | None = None) -> CampaignInterrupted:
+        """The drain's exception: resumable when a run is open and the
+        engine has a result cache to resume from."""
         get_registry().counter("engine.drains").inc()
         run = current_run()
         if run is not None:
             run.record("campaign_drained", remaining=remaining)
-        return CampaignInterrupted(run_id, remaining=remaining)
-
-    # -- checkpoint serve/record ---------------------------------------------
-    def _serve_checkpoint(self, point: GridPoint, mode: str):
-        """The journaled value for ``point`` (result, duration, or —
-        in degraded mode — a restored :class:`PointFailure`); None
-        when the journal cannot answer and the point must run."""
-        if self.checkpoint is None:
-            return None
-        hit = self.checkpoint.lookup(point_key(point), mode)
-        if hit is None:
-            return None
-        if hit.mode == "failure":
-            # Strict engines give journaled failures a fresh chance;
-            # degraded engines reproduce the quarantine decision.
-            if not self.degraded:
-                return None
-            failure = _failure_from_payload(point, hit.payload)
-            self.quarantine[point] = failure
-            get_registry().counter("checkpoint.replayed").inc()
-            return failure
-        if hit.mode == "result":
-            try:
-                res = SimResult.from_dict(hit.payload["result"])
-            except (KeyError, TypeError, ValueError):
-                return None  # corrupt payload: re-run the point
-            get_registry().counter("checkpoint.replayed").inc()
-            return res if mode == "result" else res.duration
-        if mode != "duration" or "duration" not in hit.payload:
-            return None
-        get_registry().counter("checkpoint.replayed").inc()
-        return hit.payload["duration"]
-
-    def _journal_value(self, point: GridPoint, mode: str, value) -> None:
-        """Write-ahead journal one completion (results and failures)."""
-        if self.checkpoint is None:
-            return
-        key = point_key(point)
-        if isinstance(value, PointFailure):
-            self.checkpoint.record(key, "failure", _failure_payload(value))
-        elif mode == "result":
-            if self.checkpoint.lookup(key, "result") is None:
-                self.checkpoint.record(key, "result",
-                                       {"result": value.to_dict()})
-        elif self.checkpoint.entries.get((key, "duration")) is None:
-            self.checkpoint.record(key, "duration", {"duration": value})
+        resumable = run is not None and self.cache_dir is not None
+        return CampaignInterrupted(run.run_id if resumable else None,
+                                   remaining=remaining)
 
     # -- determinism certification (--verify-sample) -------------------------
     def _verify_sampled(self, point: GridPoint) -> bool:
@@ -847,6 +801,25 @@ class ExperimentEngine:
             point.app, point.variant, mode, source, expected, actual,
         )
         return fresh if mode == "result" else fresh.duration
+
+    def _cached_value(self, point: GridPoint, mode: str):
+        """The point's value from the persistent cache, or None.
+
+        Warm hits are answered in this process without execution (a
+        duration reads only the one-line sidecar) and certified like
+        executed values when sampled; only misses cost a replay.
+        """
+        if self.cache_dir is None:
+            return None
+        exp = _resolve_experiment(point, self.cache_dir, self._experiments)
+        lookup = exp.cached_duration if mode == "duration" else exp.cached_result
+        hit = lookup(
+            point.variant, bandwidth_mbps=point.bandwidth_mbps,
+            buses=point.buses, latency=point.latency, perturb=point.perturb,
+        )
+        if hit is None:
+            return None
+        return self._maybe_verify(point, mode, hit, "cache")
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -974,47 +947,19 @@ class ExperimentEngine:
     def _map_points(self, points: list[GridPoint], mode: str) -> list:
         """Fan the points across the pool, preserving input order.
 
-        Points answerable without execution are resolved directly in
-        the parent — first from the checkpoint journal (the resume
-        path), then from the persistent cache (warm hits; duration mode
-        reads only the one-line sidecar) — and only actual misses pay
-        worker dispatch.  The misses are sorted by experiment identity
+        Warm hits are resolved directly in the parent
+        (:meth:`_cached_value`), and only actual misses pay worker
+        dispatch.  The misses are sorted by experiment identity
         and grouped into batches, so one worker tends to replay all
         platform variations of the same trace and per-task pool
         overhead amortizes across a batch; results come back in the
         input order.
 
         Worker failures are retried per :attr:`retry`; permanently dead
-        points surface per :attr:`degraded` (sentinel or raise).  Every
-        completion — warm hits included — is write-ahead journaled when
-        a checkpoint is attached.
+        points surface per :attr:`degraded` (sentinel or raise).
         """
-        out: list = [None] * len(points)
-        miss: list[int] = []
-        for i, p in enumerate(points):
-            served = self._serve_checkpoint(p, mode)
-            if served is not None:
-                out[i] = served
-                continue
-            hit = None
-            if self.cache_dir is not None:
-                exp = _resolve_experiment(p, self.cache_dir, self._experiments)
-                if mode == "duration":
-                    hit = exp.cached_duration(
-                        p.variant, bandwidth_mbps=p.bandwidth_mbps,
-                        buses=p.buses, latency=p.latency, perturb=p.perturb,
-                    )
-                else:
-                    hit = exp.cached_result(
-                        p.variant, bandwidth_mbps=p.bandwidth_mbps,
-                        buses=p.buses, latency=p.latency, perturb=p.perturb,
-                    )
-            if hit is not None:
-                hit = self._maybe_verify(p, mode, hit, "cache")
-                out[i] = hit
-                self._journal_value(p, mode, hit)
-            else:
-                miss.append(i)
+        out = [self._cached_value(p, mode) for p in points]
+        miss = [i for i, value in enumerate(out) if value is None]
         if not miss:
             return out
         if self._drain.is_set():
@@ -1088,7 +1033,7 @@ class ExperimentEngine:
 
         A drain request (:meth:`request_drain`) is honored at the next
         scheduling step: queued futures are cancelled, running ones are
-        awaited and journaled, and the grid raises
+        awaited (their workers have stored them), and the grid raises
         :class:`~repro.experiments.checkpoint.CampaignInterrupted`.
         """
         retry = self.retry
@@ -1147,7 +1092,6 @@ class ExperimentEngine:
             self.quarantine[point] = failure
             failures.append(failure)
             out[slot] = failure
-            self._journal_value(point, mode, failure)
             reg.counter("engine.quarantined").inc()
             run = current_run()
             if run is not None:
@@ -1242,7 +1186,6 @@ class ExperimentEngine:
                     for (slot, point), outcome in zip(entries, outcomes):
                         if outcome[0] == "ok":
                             out[slot] = outcome[1]
-                            self._journal_value(point, mode, outcome[1])
                             reg.counter("engine.points_executed").inc()
                             reg.histogram(
                                 "engine.point_wall_seconds"
@@ -1257,11 +1200,11 @@ class ExperimentEngine:
                 raise self._interrupted(remaining=remaining)
 
     def _drain_inflight(self, mode: str, pending: dict, out: list) -> None:
-        """Drain step: cancel what never started, journal what finishes.
+        """Drain step: cancel what never started, await what runs.
 
         Queued futures are cancelled (their points re-run on resume);
-        futures already executing are awaited so their completions are
-        journaled — a drain loses no finished work.
+        futures already executing are awaited, so the points they finish
+        reach the result cache — a drain loses no finished work.
         """
         running: dict[
             Future, tuple[list[tuple[int, GridPoint]], int, float]
@@ -1282,7 +1225,6 @@ class ExperimentEngine:
                 if outcome[0] != "ok":
                     continue
                 out[slot] = outcome[1]
-                self._journal_value(point, mode, outcome[1])
                 reg.counter("engine.points_executed").inc()
                 reg.histogram("engine.point_wall_seconds").observe(per_point)
 
@@ -1294,22 +1236,19 @@ class ExperimentEngine:
         for p in points:
             if self._drain.is_set():
                 raise self._interrupted(remaining=len(points) - len(out))
-            served = self._serve_checkpoint(p, mode)
-            if served is not None:
-                out.append(served)
-                continue
             t0 = time.monotonic()
             try:
-                _check_rss_budget(self.rss_limit_mb)
-                value = _simulate_point(p, self.cache_dir, self._experiments,
-                                        mode)
-                value = self._maybe_verify(p, mode, value, "serial")
+                value = self._cached_value(p, mode)
+                if value is None:
+                    _check_rss_budget(self.rss_limit_mb)
+                    value = _simulate_point(p, self.cache_dir,
+                                            self._experiments, mode)
+                    value = self._maybe_verify(p, mode, value, "serial")
+                    reg.counter("engine.points_executed").inc()
+                    reg.histogram("engine.point_wall_seconds").observe(
+                        time.monotonic() - t0
+                    )
                 out.append(value)
-                self._journal_value(p, mode, value)
-                reg.counter("engine.points_executed").inc()
-                reg.histogram("engine.point_wall_seconds").observe(
-                    time.monotonic() - t0
-                )
             except Exception as exc:  # noqa: BLE001 - uniform grid contract
                 err = f"{type(exc).__name__}: {exc}"
                 failure = PointFailure(
@@ -1318,7 +1257,6 @@ class ExperimentEngine:
                     traceback="".join(_tb.format_exception(exc)),
                 )
                 self.quarantine[p] = failure
-                self._journal_value(p, mode, failure)
                 reg.counter("engine.quarantined").inc()
                 if not self.degraded:
                     raise GridExecutionError([failure]) from exc

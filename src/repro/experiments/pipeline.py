@@ -120,7 +120,7 @@ class AppExperiment:
         ``perturb`` attaches a
         :class:`~repro.perturb.PerturbationSchedule` to the platform;
         because it becomes a :class:`MachineConfig` field, every cache
-        key and checkpoint identity downstream picks it up for free.
+        key downstream picks it up for free.
         """
         overrides: dict = {}
         if bandwidth_mbps is not None:

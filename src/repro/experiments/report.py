@@ -20,7 +20,7 @@ from ..paraver.timeline import iteration_bounds
 from .bandwidth import equivalent_bandwidth, relaxation_bandwidth
 from .cache import SimResultCache, TraceCache, sweep_cache_dir
 from .calibration import saturation_knee
-from .checkpoint import CampaignInterrupted, CheckpointJournal, graceful_drain
+from .checkpoint import CampaignInterrupted, graceful_drain
 from .parallel import DegradedBracketError, ExperimentEngine, GridExecutionError
 from .pipeline import AppExperiment
 from .tables import PAPER_CONSUMPTION, PAPER_PRODUCTION, figure5_series, pattern_row
@@ -80,7 +80,6 @@ def full_report(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     degraded: bool = False,
-    checkpoint: "CheckpointJournal | None" = None,
     verify_sample: float | None = None,
     explain: bool = False,
 ) -> str:
@@ -93,11 +92,10 @@ def full_report(
     ``degraded=True`` lets the report finish with per-app FAILED rows
     when some replays keep dying, instead of aborting the whole run.
 
-    Passing a :class:`~repro.experiments.checkpoint.CheckpointJournal`
-    makes the campaign killable/resumable: completions are journaled
-    write-ahead, SIGTERM/SIGINT drain gracefully into a resumable
-    :class:`~repro.experiments.checkpoint.CampaignInterrupted`, and a
-    resumed run serves journaled points without re-execution.
+    SIGTERM/SIGINT drain the campaign into a
+    :class:`~repro.experiments.checkpoint.CampaignInterrupted`; with a
+    ``cache_dir``, running the report again on it replays only what
+    the interrupted session had not stored (the ``--resume`` path).
 
     ``verify_sample`` (0..1, or ``$REPRO_VERIFY_SAMPLE``) re-replays
     that fraction of cache hits and worker-returned grid points
@@ -110,25 +108,20 @@ def full_report(
     replays bypass the result caches).
     """
     engine = ExperimentEngine(jobs=jobs, cache_dir=cache_dir,
-                              degraded=degraded, checkpoint=checkpoint,
-                              verify_sample=verify_sample)
+                              degraded=degraded, verify_sample=verify_sample)
     try:
         with graceful_drain(engine):
             return _full_report(nranks, apps, include_bandwidth, engine,
                                 explain=explain)
-    except CampaignInterrupted:
-        # Graceful drain already journaled in-flight completions; drop
-        # half-written staging files so the cache stays clean, then let
-        # the CLI map this to the "interrupted, resumable" exit code.
-        engine._discard_pool("interrupted (drained)")
-        if cache_dir is not None:
-            sweep_cache_dir(cache_dir)
-        raise
-    except KeyboardInterrupt:
-        # Fast teardown: a graceful close would wait for busy workers.
-        # Kill them and drop the half-written staging files they (and
-        # we) leave behind, so the cache stays clean for the next run.
-        engine._discard_pool("interrupted (Ctrl-C)")
+    except (CampaignInterrupted, KeyboardInterrupt) as exc:
+        # A drain has already awaited the points in flight, and a hard
+        # Ctrl-C must not wait for busy workers: kill them and drop the
+        # half-written staging files they (and we) leave behind, so the
+        # cache stays clean for the next session.  The CLI maps the
+        # drain to the "interrupted, resumable" exit code.
+        drained = isinstance(exc, CampaignInterrupted)
+        engine._discard_pool(
+            "interrupted (drained)" if drained else "interrupted (Ctrl-C)")
         if cache_dir is not None:
             sweep_cache_dir(cache_dir)
         raise
@@ -268,7 +261,8 @@ def _full_report(
 
     # A blank line terminates the Figure 6 table (consumers parse rows
     # until the first blank line), then the cross-process cache totals.
-    if trace_cache is not None or sim_cache is not None:
+    if trace_cache is not None:
+        trace_cache.flush()  # land background publishes before returning
         print(file=out)
         print(_cache_summary_line(cache_before), file=out)
     if engine.verify_sample > 0.0:
@@ -286,34 +280,12 @@ def _full_report(
 
 
 def main() -> None:  # pragma: no cover - exercised via CLI
-    """Entry point of ``python -m repro.experiments.report``."""
-    import argparse
+    """Entry point of ``python -m repro.experiments.report``: the
+    ``repro-report`` command, same options and exit codes."""
     import sys
 
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nranks", type=int, default=DEFAULT_NRANKS)
-    ap.add_argument("--no-bandwidth", action="store_true",
-                    help="skip the (slow) Figure 6(b)/(c) searches")
-    ap.add_argument("-j", "--jobs", type=int, default=1,
-                    help="worker processes for the replay grids")
-    ap.add_argument("--cache-dir", default=None,
-                    help="persist traces and replay results here")
-    ap.add_argument("--degraded", action="store_true",
-                    help="report FAILED rows instead of aborting when "
-                         "replays keep failing")
-    ap.add_argument("--verify-sample", type=float, default=None,
-                    metavar="P", help="re-replay this fraction of cached/"
-                    "worker results and quarantine digest mismatches")
-    args = ap.parse_args()
-    try:
-        sys.stdout.write(full_report(nranks=args.nranks,
-                                     include_bandwidth=not args.no_bandwidth,
-                                     jobs=args.jobs, cache_dir=args.cache_dir,
-                                     degraded=args.degraded,
-                                     verify_sample=args.verify_sample) + "\n")
-    except CampaignInterrupted as exc:
-        sys.stderr.write(f"{exc}\n")
-        sys.exit(5 if exc.resumable else 130)
+    from ..cli import main_report
+    sys.exit(main_report())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -23,10 +23,10 @@ lengthens).
 Every replay routes through the :class:`ExperimentEngine`, so the
 sweep inherits the pool, the digest-keyed caches (the perturbation
 schedule is a :class:`~repro.dimemas.machine.MachineConfig` field and
-therefore part of every cache key), the checkpoint journal, and the
-retry policy.  Results are deterministic: same seed, same apps, same
-scenario list → identical :meth:`ResilienceReport.result_digest`
-regardless of job count.
+therefore part of every cache key; the cache is also what an
+interrupted sweep resumes from), and the retry policy.  Results are
+deterministic: same seed, same apps, same scenario list → identical
+:meth:`ResilienceReport.result_digest` regardless of job count.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def resilience_sweep(
     scenario *horizon*, so windows land at the same relative position
     in every app.  Phase two replays both variants under every named
     scenario (:data:`~repro.perturb.scenarios.SCENARIO_KINDS`).  Both
-    phases fan through ``engine`` when given (pool, caches, journal,
-    retries); without one, a private serial engine is used.
+    phases fan through ``engine`` when given (pool, caches, retries);
+    without one, a private serial engine is used.
 
     Quarantined points (degraded engines only) surface as ``nan``
     durations and a ``None`` resilience index — the report keeps its

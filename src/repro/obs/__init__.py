@@ -25,6 +25,7 @@ from .manifest import (
     RunContext,
     collect_worker_payload,
     configure_worker,
+    count_sessions,
     current_run,
     git_revision,
     new_run_id,
@@ -61,6 +62,7 @@ __all__ = [
     "collect_worker_payload",
     "configure_logging",
     "configure_worker",
+    "count_sessions",
     "current_run",
     "disable",
     "enable",

@@ -33,7 +33,8 @@ from .metrics import get_registry, merge_counter_totals
 
 __all__ = [
     "RunContext", "collect_worker_payload", "configure_worker",
-    "current_run", "git_revision", "new_run_id", "worker_config",
+    "count_sessions", "current_run", "git_revision", "new_run_id",
+    "worker_config",
 ]
 
 
@@ -55,6 +56,28 @@ def git_revision() -> str | None:
         return None
     rev = out.stdout.strip()
     return rev if out.returncode == 0 and rev else None
+
+
+def count_sessions(run_dir: str | Path) -> int:
+    """Sessions started in a run directory: its ``run_start`` events.
+
+    Every session appends one to ``events.jsonl`` as it opens, while
+    ``manifest.json`` is written only when a session finishes, so a
+    SIGKILLed session is counted here and missing from the manifest.
+    """
+    try:
+        text = (Path(run_dir) / "events.jsonl").read_text(encoding="utf-8")
+    except OSError:
+        return 0
+    sessions = 0
+    for line in text.splitlines():
+        if "run_start" not in line:
+            continue
+        try:
+            sessions += json.loads(line).get("kind") == "run_start"
+        except ValueError:
+            pass  # the torn last line of a killed session
+    return sessions
 
 
 #: The active run of this process (at most one; None when unobserved).
@@ -103,8 +126,9 @@ class RunContext:
         self.worker_events = 0
         self.worker_pids: set[int] = set()
         self.spans: list[dict] = []
-        #: Monotone run-sequence number: 1 for a fresh run, previous+1
-        #: for every resume of the same run ID.
+        #: Monotone run-sequence number: 1 for a fresh run, and one more
+        #: than the sessions already started for every resume of the
+        #: same run ID (killed sessions included).
         self.run_seq = 1
         #: Metric totals accumulated by earlier sequences of this run
         #: (merged into the *manifest document* at finalize; the live
@@ -115,7 +139,7 @@ class RunContext:
         self.manifest_path = self.dir / "manifest.json"
         if resume:
             prior = self._load_prior_manifest()
-            self.run_seq = int(prior.get("run_seq", 1)) + 1
+            self.run_seq = count_sessions(self.dir) + 1
             # merged_counters already folds every earlier sequence in;
             # fall back to the plain snapshot for pre-resume manifests.
             merged = (prior.get("merged_counters")

@@ -15,8 +15,8 @@ Where it plugs in
 
 ``simulate(trace, machine, perturb=schedule)`` — or a
 :class:`~repro.dimemas.machine.MachineConfig` carrying the schedule in
-its ``perturb`` field, which also keys every result cache and
-checkpoint journal entry by the perturbation — replays the trace on
+its ``perturb`` field, which also keys every result cache entry by
+the perturbation — replays the trace on
 the degraded platform.  The network-facing math (windowed wire-time
 integration, outage handling) lives in
 :class:`repro.dimemas.network.PerturbedNetwork`; the CPU-facing math

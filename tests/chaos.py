@@ -4,43 +4,51 @@ Run as a subprocess by ``tests/test_chaos.py`` (and by hand when
 debugging crash-recovery)::
 
     python tests/chaos.py --obs-dir OBS --cache-dir CACHE --out TABLE \
-        [--resume RUN_ID] [--jobs N] [--metrics-json FILE]
+        [--resume RUN_ID] [--jobs N] [--metrics-json FILE] \
+        [--store-delay SECONDS]
 
 The driver runs a small deterministic Sweep3D grid through an
-:class:`~repro.experiments.parallel.ExperimentEngine` with a
-:class:`~repro.experiments.checkpoint.CheckpointJournal` attached and
-writes the campaign's final table (one formatted row per grid point)
-to ``--out``.  The harness SIGKILLs it at chosen or randomized
-instants — via the ``REPRO_TEST_SELFKILL_*`` hooks or an external
-``killpg`` — then re-invokes it with ``--resume`` and asserts the
-final table is bitwise-identical to an uninterrupted run's, with zero
-re-execution of journaled points.
+:class:`~repro.experiments.parallel.ExperimentEngine` on a result
+cache, inside a run directory, and writes the campaign's final table
+(one formatted row per grid point) to ``--out``.  The harness kills it
+at chosen or randomized instants — via the ``REPRO_TEST_SELFKILL_*``
+hooks or an external ``killpg`` — then re-invokes it with ``--resume``
+on the same cache and asserts the final table is bitwise-identical to
+an uninterrupted run's, with no stored point executed again.
+
+``REPRO_TEST_CHAOS_SELF_SIGTERM=N`` makes the driver deliver SIGTERM
+to itself after its Nth stored point (``0``: before the grid), as an
+operator's ``kill`` would.  ``--store-delay`` sleeps after every
+stored point, pool workers included (they are forked from the
+driver), to give an external kill a wide window.
 
 Exit codes mirror the CLI contract: 0 done, 5 interrupted-but-
 resumable (graceful drain), 130 hard interrupt.
 
 The first stdout line is always ``run-id: <id>`` so the harness can
 learn what to pass to ``--resume``.  ``--metrics-json`` dumps the
-*session* counters (``checkpoint.replayed``,
+*session* counters (``cache.replay.hits``, ``replay.runs``,
 ``engine.points_executed``, ...) at campaign end for the harness's
-zero-re-execution assertions.
+no-re-execution assertions.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import signal
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.experiments import (  # noqa: E402
     CampaignInterrupted,
-    CheckpointJournal,
     ExperimentEngine,
+    SimResultCache,
     expand_grid,
     graceful_drain,
 )
@@ -82,45 +90,61 @@ def dump_metrics(path: str | None) -> None:
     Path(path).write_text(json.dumps(reg.snapshot()["counters"], indent=1))
 
 
+def after_each_store(action) -> None:
+    """Call ``action(n)`` after this process's nth stored point."""
+    store_duration = SimResultCache.store_duration
+    stored = itertools.count(1)
+
+    def wrapped(self, key, duration):
+        store_duration(self, key, duration)
+        action(next(stored))
+
+    SimResultCache.store_duration = wrapped
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--obs-dir", required=True)
-    ap.add_argument("--cache-dir", default=None)
+    ap.add_argument("--cache-dir", required=True)
     ap.add_argument("--out", required=True)
     ap.add_argument("--resume", default=None, metavar="RUN_ID")
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--metrics-json", default=None)
+    ap.add_argument("--store-delay", type=float, default=0.0)
     args = ap.parse_args(argv)
 
     run = RunContext(args.obs_dir, command="chaos-campaign",
                      run_id=args.resume, resume=bool(args.resume))
     print(f"run-id: {run.run_id}", flush=True)
-    journal = CheckpointJournal(run.dir / "journal.jsonl", run_id=run.run_id)
-    engine = ExperimentEngine(jobs=args.jobs, cache_dir=args.cache_dir,
-                              checkpoint=journal)
+    if args.store_delay:
+        after_each_store(lambda n: time.sleep(args.store_delay))
+    sigterm_after = int(os.environ.get("REPRO_TEST_CHAOS_SELF_SIGTERM", -1))
+
+    def sigterm_self(stored: int) -> None:
+        if stored == sigterm_after:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    if sigterm_after > 0:
+        after_each_store(sigterm_self)
+    engine = ExperimentEngine(jobs=args.jobs, cache_dir=args.cache_dir)
     points = campaign_points()
     try:
         with graceful_drain(engine):
-            if os.environ.get("REPRO_TEST_CHAOS_SELF_SIGTERM"):
-                # Deterministic drain: deliver SIGTERM to ourselves with
-                # the handler armed, as an operator's `kill` would.
-                os.kill(os.getpid(), signal.SIGTERM)
+            sigterm_self(0)
             results = engine.run_grid(points)
     except CampaignInterrupted as exc:
         dump_metrics(args.metrics_json)
         run.finalize(status="interrupted")
-        journal.close()
         print(f"interrupted: {exc}", file=sys.stderr)
-        return 5
+        return 5 if exc.resumable else 130
     except KeyboardInterrupt:
         run.finalize(status="error")
-        journal.close()
         return 130
+    finally:
+        engine.close()
     Path(args.out).write_text(render_table(points, results))
     dump_metrics(args.metrics_json)
     run.finalize(status="ok")
-    journal.close()
-    engine.close()
     return 0
 
 

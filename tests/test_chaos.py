@@ -2,17 +2,18 @@
 
 Each scenario runs the driver as a real subprocess, kills it at a
 chosen or randomized instant (SIGKILL — no cleanup, no atexit), then
-re-invokes it with ``--resume`` and asserts:
+re-invokes it with ``--resume`` on the same result cache and asserts:
 
 * the resumed campaign's final table is **bitwise-identical** to an
   uninterrupted run's, and
-* **zero re-execution** of journaled points: in the final session,
-  ``checkpoint.replayed`` equals the journal's entry count at resume
-  and ``checkpoint.replayed + engine.points_executed`` covers the
-  whole grid.
+* **no stored point runs again**: ``served`` is the number of result
+  keys with a ``.json`` envelope or a ``.dur`` sidecar under
+  ``cache/replays/`` when the driver died; in the resumed session
+  ``cache.replay.hits`` equals ``served``, and ``replay.runs`` and
+  ``engine.points_executed`` both equal the grid size minus ``served``.
 
-Also covers the graceful-drain contract: SIGTERM → journal in-flight,
-exit code 5, resumable.
+Also covers the graceful-drain contract (SIGTERM → exit code 5,
+resumable) and the run-sequence numbers of killed sessions.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import time
 from pathlib import Path
 
 import pytest
-
-from repro.experiments import replay_journal
 
 DRIVER = Path(__file__).resolve().parent / "chaos.py"
 TOTAL_POINTS = 8  # len(chaos.campaign_points())
@@ -52,14 +51,8 @@ class DriverRun:
         self.stderr = stderr
 
 
-def invoke(workdir: Path, *, resume: str | None = None,
-           env: dict | None = None, jobs: int = 1):
-    """Run the chaos driver to completion; return (run, run_id).
-
-    Output goes to files, not pipes: a SIGKILLed driver can leave
-    orphaned pool workers holding inherited pipe ends, which would
-    stall a ``communicate()``-style wait for EOF indefinitely.
-    """
+def driver_cmd(workdir: Path, *, resume: str | None = None, jobs: int = 1,
+               store_delay: float = 0.0) -> list[str]:
     cmd = [
         sys.executable, str(DRIVER),
         "--obs-dir", str(workdir / "obs"),
@@ -70,60 +63,90 @@ def invoke(workdir: Path, *, resume: str | None = None,
     ]
     if resume:
         cmd += ["--resume", resume]
+    if store_delay:
+        cmd += ["--store-delay", str(store_delay)]
+    return cmd
+
+
+def kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL the driver's process group (orphaned pool workers too).
+
+    A SIGKILLed process never returns to user space, so once the driver
+    is reaped and its workers' last system calls have settled, nothing
+    more lands in the cache.
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        pass
+    proc.wait(timeout=60)
+    time.sleep(0.1)
+
+
+def invoke(workdir: Path, *, resume: str | None = None,
+           env: dict | None = None, jobs: int = 1):
+    """Run the chaos driver to completion; return (run, run_id).
+
+    Output goes to files, not pipes: a SIGKILLed driver can leave
+    orphaned pool workers holding inherited pipe ends, which would
+    stall a ``communicate()``-style wait for EOF indefinitely.
+    """
     out_path = workdir / "driver-stdout.log"
     err_path = workdir / "driver-stderr.log"
     with open(out_path, "w") as out, open(err_path, "w") as err:
-        proc = subprocess.Popen(cmd, stdout=out, stderr=err,
+        proc = subprocess.Popen(driver_cmd(workdir, resume=resume, jobs=jobs),
+                                stdout=out, stderr=err,
                                 env=scrubbed_env(env),
                                 start_new_session=True)
         try:
-            returncode = proc.wait(timeout=120)
+            proc.wait(timeout=120)
         finally:
             # Reap any orphaned pool workers a SIGKILLed driver left
-            # behind — they must not keep draining the call queue while
-            # the resumed campaign runs.
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
-    run = DriverRun(returncode, out_path.read_text(),
+            # behind — they must not keep storing points while the
+            # resumed campaign runs.
+            kill_group(proc)
+    run = DriverRun(proc.returncode, out_path.read_text(),
                     err_path.read_text())
-    run_id = None
-    for line in run.stdout.splitlines():
+    return run, run_id_of(run.stdout)
+
+
+def run_id_of(stdout: str) -> str | None:
+    for line in stdout.splitlines():
         if line.startswith("run-id: "):
-            run_id = line.removeprefix("run-id: ").strip()
-            break
-    return run, run_id
+            return line.removeprefix("run-id: ").strip()
+    return None
 
 
-def journal_path(workdir: Path, run_id: str) -> Path:
-    return workdir / "obs" / run_id / "journal.jsonl"
-
-
-def journaled_points(workdir: Path, run_id: str) -> int:
-    """Unique journaled completions that a resume can serve."""
-    path = journal_path(workdir, run_id)
-    if not path.exists():
+def stored_points(workdir: Path) -> int:
+    """Result keys a resumed session can serve from the cache."""
+    replays = workdir / "cache" / "replays"
+    if not replays.is_dir():
         return 0
-    entries, _, _ = replay_journal(path)
-    return len(entries)
+    return len({p.stem for p in replays.iterdir()
+                if p.suffix in (".json", ".dur")})
 
 
 def final_metrics(workdir: Path) -> dict:
     return json.loads((workdir / "metrics.json").read_text())
 
 
-def assert_resumed_clean(workdir: Path, run_id: str, baseline: str,
-                         served: int) -> None:
+def assert_resumed_clean(workdir: Path, baseline: str, served: int) -> None:
     """The post-resume invariants every scenario shares."""
     assert (workdir / "table.txt").read_text() == baseline
     metrics = final_metrics(workdir)
-    replayed = metrics.get("checkpoint.replayed", 0)
-    executed = metrics.get("engine.points_executed", 0)
-    # Zero re-execution: every journaled point was served, not re-run,
-    # and together they cover the whole grid.
-    assert replayed == served
-    assert replayed + executed == TOTAL_POINTS
+    assert metrics.get("cache.replay.hits", 0) == served
+    assert metrics.get("replay.runs", 0) == TOTAL_POINTS - served
+    assert metrics.get("engine.points_executed", 0) == TOTAL_POINTS - served
+
+
+def resume_clean(workdir: Path, run_id: str, baseline: str,
+                 jobs: int = 1) -> None:
+    """Resume a killed or drained run and check it (served = what the
+    cache holds now)."""
+    served = stored_points(workdir)
+    proc, _ = invoke(workdir, resume=run_id, jobs=jobs)
+    assert proc.returncode == 0, proc.stderr
+    assert_resumed_clean(workdir, baseline, served)
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +155,9 @@ def baseline(tmp_path_factory) -> str:
     workdir = tmp_path_factory.mktemp("chaos-baseline")
     proc, run_id = invoke(workdir)
     assert proc.returncode == 0, proc.stderr
-    metrics = final_metrics(workdir)
-    assert metrics["checkpoint.journaled"] == TOTAL_POINTS
-    assert metrics["engine.points_executed"] == TOTAL_POINTS
+    assert_resumed_clean(workdir, (workdir / "table.txt").read_text(),
+                         served=0)
+    assert stored_points(workdir) == TOTAL_POINTS
     return (workdir / "table.txt").read_text()
 
 
@@ -144,111 +167,99 @@ class TestKillAndResume:
             tmp_path, env={"REPRO_TEST_SELFKILL_BEFORE_DISPATCH": "1"})
         assert proc.returncode == SIGKILLED
         assert run_id is not None
-        assert journaled_points(tmp_path, run_id) == 0
+        assert stored_points(tmp_path) == 0
+        resume_clean(tmp_path, run_id, baseline)
 
-        proc, _ = invoke(tmp_path, resume=run_id)
-        assert proc.returncode == 0, proc.stderr
-        assert_resumed_clean(tmp_path, run_id, baseline, served=0)
-
-    @pytest.mark.parametrize("after", [1, 3, 7])
-    def test_sigkill_mid_campaign_after_nth_journal_append(
-            self, tmp_path, baseline, after):
+    @pytest.mark.parametrize("after", [1, 3, 7, TOTAL_POINTS])
+    def test_sigkill_after_nth_stored_point(self, tmp_path, baseline, after):
+        """Killed right after a stored point; after the last one the
+        resumed session executes nothing."""
         proc, run_id = invoke(
-            tmp_path,
-            env={"REPRO_TEST_SELFKILL_AFTER_APPEND": str(after)})
+            tmp_path, env={"REPRO_TEST_SELFKILL_AFTER_STORE": str(after)})
         assert proc.returncode == SIGKILLED
-        served = journaled_points(tmp_path, run_id)
-        assert served == after  # the kill landed right after the append
-
-        proc, _ = invoke(tmp_path, resume=run_id)
-        assert proc.returncode == 0, proc.stderr
-        assert_resumed_clean(tmp_path, run_id, baseline, served=served)
-
-    def test_sigkill_post_journal_full_grid(self, tmp_path, baseline):
-        """Killed after the last append: resume re-executes *nothing*."""
-        proc, run_id = invoke(
-            tmp_path,
-            env={"REPRO_TEST_SELFKILL_AFTER_APPEND": str(TOTAL_POINTS)})
-        assert proc.returncode == SIGKILLED
-        assert journaled_points(tmp_path, run_id) == TOTAL_POINTS
-
-        proc, _ = invoke(tmp_path, resume=run_id)
-        assert proc.returncode == 0, proc.stderr
-        assert_resumed_clean(tmp_path, run_id, baseline,
-                             served=TOTAL_POINTS)
-        assert final_metrics(tmp_path).get("engine.points_executed", 0) == 0
+        assert stored_points(tmp_path) == after
+        resume_clean(tmp_path, run_id, baseline)
 
     def test_sigkill_at_randomized_instant(self, tmp_path, baseline):
         """The acceptance scenario: SIGKILL at a random instant, resume,
-        bitwise-identical table, zero re-execution of journaled points."""
+        bitwise-identical table, no stored point executed again."""
         rng = random.Random(0xC4A05)
         for trial in range(3):
             workdir = tmp_path / f"trial{trial}"
             workdir.mkdir()
-            cmd = [
-                sys.executable, str(DRIVER),
-                "--obs-dir", str(workdir / "obs"),
-                "--cache-dir", str(workdir / "cache"),
-                "--out", str(workdir / "table.txt"),
-                "--metrics-json", str(workdir / "metrics.json"),
-            ]
             proc = subprocess.Popen(
-                cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                text=True, env=scrubbed_env(), start_new_session=True)
-            first = proc.stdout.readline()
-            assert first.startswith("run-id: ")
-            run_id = first.removeprefix("run-id: ").strip()
+                driver_cmd(workdir), stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, text=True, env=scrubbed_env(),
+                start_new_session=True)
+            run_id = run_id_of(proc.stdout.readline())
+            assert run_id is not None
             time.sleep(rng.uniform(0.0, 0.4))
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass  # campaign finished before the kill landed
-            proc.communicate(timeout=60)
+            kill_group(proc)
+            proc.stdout.close()
 
             if proc.returncode == 0:
                 # Outran the kill: already a complete, identical table.
                 assert (workdir / "table.txt").read_text() == baseline
                 continue
             assert proc.returncode == SIGKILLED
-            served = journaled_points(workdir, run_id)
-            proc2, _ = invoke(workdir, resume=run_id)
-            assert proc2.returncode == 0, proc2.stderr
-            assert_resumed_clean(workdir, run_id, baseline, served=served)
+            resume_clean(workdir, run_id, baseline)
 
     def test_sigkill_and_resume_with_worker_pool(self, tmp_path, baseline):
-        proc, run_id = invoke(
-            tmp_path, jobs=2,
-            env={"REPRO_TEST_SELFKILL_AFTER_APPEND": "2"})
+        """Two workers; the process group dies once two points are
+        stored (each stored point is followed by a pause, so the kill
+        lands mid-grid)."""
+        proc = subprocess.Popen(
+            driver_cmd(tmp_path, jobs=2, store_delay=0.2),
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=scrubbed_env(), start_new_session=True)
+        run_id = run_id_of(proc.stdout.readline())
+        deadline = time.monotonic() + 60.0
+        while (proc.poll() is None and stored_points(tmp_path) < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        kill_group(proc)
+        proc.stdout.close()
         assert proc.returncode == SIGKILLED
-        served = journaled_points(tmp_path, run_id)
-        assert served >= 2
+        assert 2 <= stored_points(tmp_path) < TOTAL_POINTS
+        resume_clean(tmp_path, run_id, baseline, jobs=2)
 
-        proc, _ = invoke(tmp_path, resume=run_id, jobs=2)
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "table.txt").read_text() == baseline
-        metrics = final_metrics(tmp_path)
-        assert metrics.get("checkpoint.replayed", 0) == served
+    def test_run_seq_counts_killed_sessions(self, tmp_path, baseline):
+        """Start, kill, resume, kill, resume: sessions 1, 2, 3, although
+        the killed sessions never wrote a manifest."""
+        kill_after = {"REPRO_TEST_SELFKILL_AFTER_STORE": "2"}
+        proc, run_id = invoke(tmp_path, env=kill_after)
+        assert proc.returncode == SIGKILLED
+        proc, _ = invoke(tmp_path, resume=run_id, env=kill_after)
+        assert proc.returncode == SIGKILLED
+        assert stored_points(tmp_path) == 4
+        resume_clean(tmp_path, run_id, baseline)
+
+        run_dir = tmp_path / "obs" / run_id
+        events = [json.loads(line) for line in
+                  (run_dir / "events.jsonl").read_text().splitlines()]
+        assert [e["run_seq"] for e in events
+                if e["kind"] == "run_start"] == [1, 2, 3]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["run_seq"] == 3
+        assert manifest["status"] == "ok"
 
 
 class TestGracefulDrain:
     def test_sigterm_drains_to_exit_5_then_resume(self, tmp_path, baseline):
         proc, run_id = invoke(
-            tmp_path, env={"REPRO_TEST_CHAOS_SELF_SIGTERM": "1"})
+            tmp_path, env={"REPRO_TEST_CHAOS_SELF_SIGTERM": "3"})
         assert proc.returncode == 5, (proc.stdout, proc.stderr)
         assert "interrupted" in proc.stderr
-        # The drain journaled whatever was in flight and stopped cleanly.
-        served = journaled_points(tmp_path, run_id)
-        assert served < TOTAL_POINTS
-
-        proc, _ = invoke(tmp_path, resume=run_id)
-        assert proc.returncode == 0, proc.stderr
-        assert_resumed_clean(tmp_path, run_id, baseline, served=served)
+        # The drain stopped right after the third stored point.
+        assert stored_points(tmp_path) == 3
+        resume_clean(tmp_path, run_id, baseline)
 
     def test_interrupted_run_is_listed_as_resumable(self, tmp_path):
         proc, run_id = invoke(
-            tmp_path, env={"REPRO_TEST_CHAOS_SELF_SIGTERM": "1"})
+            tmp_path, env={"REPRO_TEST_CHAOS_SELF_SIGTERM": "0"})
         assert proc.returncode == 5
         from repro.experiments import list_runs
         runs = {r["run_id"]: r for r in list_runs(tmp_path / "obs")}
         assert runs[run_id]["resumable"]
         assert runs[run_id]["status"] == "interrupted"
+        assert runs[run_id]["run_seq"] == 1

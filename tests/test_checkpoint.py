@@ -1,9 +1,9 @@
-"""Checkpoint/resume: journal invariants, drain, guards, degradation.
+"""Resume and drain: campaigns resume from the result cache.
 
-Covers the write-ahead journal (checksummed lines, idempotent replay,
-torn-tail recovery), the engine's serve-without-re-execution resume
-path, graceful drain on SIGTERM/SIGINT, the RSS and disk-space guards,
-cache degrade-to-memory, PID-recycling-safe staging sweeps, and the
+Covers the engine's serve-without-re-execution resume path on a cache
+directory, graceful drain on SIGTERM/SIGINT, the report CLI's drain and
+resume through its run directory, the RSS guard, cache
+degrade-to-memory, PID-recycling-safe staging sweeps, and the
 run-manifest resume bookkeeping.
 """
 
@@ -17,16 +17,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.audit.certify import result_digest
 from repro.experiments import (
     CampaignInterrupted,
-    CheckpointJournal,
     ExperimentEngine,
+    GridExecutionError,
     GridPoint,
     expand_grid,
     graceful_drain,
     list_runs,
     point_key,
-    replay_journal,
 )
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
@@ -37,7 +37,7 @@ from repro.experiments.cache import (
     _writer_token,
     sweep_cache_dir,
 )
-from repro.experiments.checkpoint import _seal_line, render_runs_table
+from repro.experiments.checkpoint import render_runs_table
 from repro.experiments.parallel import WorkerMemoryError
 from repro.obs import RunContext, get_registry
 
@@ -62,73 +62,6 @@ def counter(name: str) -> float:
     return get_registry().counter(name).value
 
 
-# --------------------------------------------------------------------------- #
-# Journal line format and replay.
-# --------------------------------------------------------------------------- #
-
-class TestJournalReplay:
-    def test_record_and_replay_roundtrip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, run_id="r") as j:
-            j.record("k1", "duration", {"duration": 1.5})
-            j.record("k2", "failure", {"kind": "exception", "error": "boom"})
-        entries, max_seq, dropped = replay_journal(path)
-        assert dropped == 0
-        assert max_seq == 2
-        assert entries[("k1", "duration")].payload == {"duration": 1.5}
-        assert entries[("k2", "failure")].payload["error"] == "boom"
-
-    def test_replay_twice_equals_replay_once(self, tmp_path):
-        """Idempotence: a journal replayed twice gives the same state."""
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, run_id="r") as j:
-            for i in range(10):
-                j.record(f"k{i % 4}", "duration", {"duration": float(i)})
-        once = replay_journal(path)
-        twice = replay_journal(path)
-        assert once == twice
-        # Later duplicates win: k0 was last written at i=8.
-        assert once[0][("k0", "duration")].payload == {"duration": 8.0}
-
-    def test_truncated_trailing_line_dropped_and_point_reruns(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, run_id="r") as j:
-            j.record("keep", "duration", {"duration": 1.0})
-            j.record("torn", "duration", {"duration": 2.0})
-        # Simulate a torn write: chop the tail of the last line.
-        text = path.read_text()
-        path.write_text(text[: len(text) - 25])
-        entries, _, dropped = replay_journal(path)
-        assert dropped == 1
-        assert ("keep", "duration") in entries
-        assert ("torn", "duration") not in entries  # must re-run
-
-    def test_garbled_line_detected_by_checksum(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        line = _seal_line(1, {"point": "k", "mode": "duration",
-                              "payload": {"duration": 3.0}})
-        # Bit-flip inside the payload but keep the JSON well-formed.
-        path.write_text(line.replace("3.0", "9.0") + "\n")
-        entries, _, dropped = replay_journal(path)
-        assert dropped == 1
-        assert not entries
-
-    def test_foreign_garbage_lines_dropped(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text('not json at all\n{"schema": 999}\n')
-        entries, _, dropped = replay_journal(path)
-        assert dropped == 2 and not entries
-
-    def test_reopened_journal_continues_sequence(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as j:
-            j.record("a", "duration", {"duration": 1.0})
-        with CheckpointJournal(path) as j:
-            j.record("b", "duration", {"duration": 2.0})
-        _, max_seq, _ = replay_journal(path)
-        assert max_seq == 2  # monotone across reopen, no seq reuse
-
-
 class TestPointKey:
     def test_distinct_specs_distinct_keys(self):
         pts = tiny_points()
@@ -141,195 +74,275 @@ class TestPointKey:
 
 
 # --------------------------------------------------------------------------- #
-# Engine resume: serve journaled completions without re-execution.
+# Engine resume: a new engine on the same cache serves finished points.
 # --------------------------------------------------------------------------- #
 
 class TestEngineResume:
     def test_resume_serves_without_reexecution(self, tmp_path):
         pts = tiny_points()
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path, run_id="r1") as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                first = eng.run_grid(pts)
-        replayed0 = counter("checkpoint.replayed")
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            first = eng.run_grid(pts)
+        hits0 = counter("cache.replay.hits")
+        runs0 = counter("replay.runs")
         executed0 = counter("engine.points_executed")
-        with CheckpointJournal(path, run_id="r1") as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                second = eng.run_grid(pts)
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            second = eng.run_grid(pts)
         assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
         assert counter("engine.points_executed") == executed0
-        assert counter("checkpoint.replayed") == replayed0 + len(pts)
+        assert counter("replay.runs") == runs0
+        assert counter("cache.replay.hits") == hits0 + len(pts)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_half_warm_cache_executes_only_misses(self, tmp_path, jobs):
+        """Serial and pooled engines count a warm hit as served, not
+        executed: with half the grid cached, half of it runs."""
+        pts = tiny_points()
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            warm = eng.run_grid(pts[::2])
+        hits0 = counter("cache.replay.hits")
+        runs0 = counter("replay.runs")
+        executed0 = counter("engine.points_executed")
+        with ExperimentEngine(jobs=jobs, cache_dir=tmp_path) as eng:
+            results = eng.run_grid(pts)
+        assert [r.to_dict() for r in results[::2]] == [
+            r.to_dict() for r in warm]
+        cold = len(pts) - len(warm)
+        assert counter("cache.replay.hits") - hits0 == len(warm)
+        assert counter("replay.runs") - runs0 == cold
+        assert counter("engine.points_executed") - executed0 == cold
 
     def test_result_entry_serves_duration_request(self, tmp_path):
         pts = tiny_points()[:2]
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                results = eng.run_grid(pts)
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            results = eng.run_grid(pts)
+        for sidecar in (tmp_path / "replays").glob("*.dur"):
+            sidecar.unlink()  # only the result envelopes are left
         executed0 = counter("engine.points_executed")
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                durs = eng.durations(pts)
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            durs = eng.durations(pts)
         assert durs == [r.duration for r in results]
         assert counter("engine.points_executed") == executed0
 
-    def test_journal_and_cache_agree_bitwise(self, tmp_path):
-        """A journal-served result equals the cache/simulate result."""
+    def test_resumed_results_match_fresh_replay_bitwise(self, tmp_path):
+        """A result served from the cache equals a fresh replay's."""
         pts = tiny_points()[:2]
-        cache_dir = tmp_path / "cache"
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, cache_dir=cache_dir,
-                                  checkpoint=j) as eng:
-                first = eng.run_grid(pts)
-        # Fresh engine, no journal: cache (or simulation) answers.
-        with ExperimentEngine(jobs=1, cache_dir=cache_dir) as eng:
-            second = eng.run_grid(pts)
-        assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            eng.run_grid(pts)
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            served = eng.run_grid(pts)
+        with ExperimentEngine(jobs=1) as eng:
+            fresh = eng.run_grid(pts)
+        assert ([result_digest(r) for r in served]
+                == [result_digest(r) for r in fresh])
 
-    def test_degraded_resume_restores_quarantine(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, degraded=True, checkpoint=j) as eng:
-                out = eng.durations([POISON])
+    @pytest.mark.parametrize("degraded", [True, False],
+                             ids=["degraded", "strict"])
+    def test_resumed_session_retries_failed_point(self, tmp_path, degraded):
+        """Quarantine decisions are not persisted: a resumed session,
+        strict or degraded, gives a failed point a fresh attempt."""
+        with ExperimentEngine(jobs=1, degraded=True,
+                              cache_dir=tmp_path) as eng:
+            out = eng.durations([POISON])
         assert out[0] is eng.quarantine[POISON]
-        executed0 = counter("engine.points_executed")
         quarantined0 = counter("engine.quarantined")
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, degraded=True, checkpoint=j) as eng:
+        with ExperimentEngine(jobs=1, degraded=degraded,
+                              cache_dir=tmp_path) as eng:
+            if degraded:
                 out = eng.durations([POISON])
-                assert POISON in eng.quarantine
                 assert out[0].kind == "exception"
-        # Restored, not re-run: no execution, no fresh quarantine count.
-        assert counter("engine.points_executed") == executed0
-        assert counter("engine.quarantined") == quarantined0
-
-    def test_strict_engine_gives_journaled_failure_a_fresh_chance(
-            self, tmp_path):
-        from repro.experiments import GridExecutionError
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, degraded=True, checkpoint=j) as eng:
-                eng.durations([POISON])
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
+            else:
                 with pytest.raises(GridExecutionError):
                     eng.durations([POISON])
+            assert POISON in eng.quarantine
+        assert counter("engine.quarantined") == quarantined0 + 1
 
     def test_corrupt_result_payload_reruns_point(self, tmp_path):
         pts = tiny_points()[:1]
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                first = eng.run_grid(pts)
-        # Corrupt the journaled payload (well-formed line, bogus result).
-        key = point_key(pts[0])
-        path.write_text(_seal_line(1, {
-            "point": key, "mode": "result", "payload": {"result": {"x": 1}},
-        }) + "\n")
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            first = eng.run_grid(pts)
+        # Falsify the stored result; the envelope checksum catches it.
+        (entry,) = (tmp_path / "replays").glob("*.json")
+        envelope = json.loads(entry.read_text())
+        envelope["result"]["duration"] *= 2.0
+        entry.write_text(json.dumps(envelope))
         executed0 = counter("engine.points_executed")
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                second = eng.run_grid(pts)
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            second = eng.run_grid(pts)
         assert counter("engine.points_executed") == executed0 + 1
         assert second[0].to_dict() == first[0].to_dict()
+        assert list((tmp_path / "replays" / "quarantine").iterdir())
 
 
 # --------------------------------------------------------------------------- #
 # Graceful drain.
 # --------------------------------------------------------------------------- #
 
+def wait_until(condition, seconds: float = 5.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 class TestGracefulDrain:
     def test_drain_raises_campaign_interrupted_serial(self, tmp_path):
         pts = tiny_points()
-        with CheckpointJournal(tmp_path / "j.jsonl", run_id="rX") as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
+        run = RunContext(tmp_path / "obs", command="t", run_id="rX")
+        try:
+            with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
                 eng.request_drain()
                 with pytest.raises(CampaignInterrupted) as ei:
                     eng.run_grid(pts)
+        finally:
+            run.finalize(status="interrupted")
         assert ei.value.resumable
         assert ei.value.run_id == "rX"
         assert ei.value.remaining == len(pts)
 
-    def test_drain_without_journal_not_resumable(self):
-        with ExperimentEngine(jobs=1) as eng:
+    def test_drain_without_run_or_cache_not_resumable(self, tmp_path):
+        """Resuming needs both a run to reopen and a cache to serve."""
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
             eng.request_drain()
             with pytest.raises(CampaignInterrupted) as ei:
                 eng.durations(tiny_points())
         assert not ei.value.resumable
+        run = RunContext(tmp_path / "obs", command="t")
+        try:
+            with ExperimentEngine(jobs=1) as eng:
+                eng.request_drain()
+                with pytest.raises(CampaignInterrupted) as ei:
+                    eng.durations(tiny_points())
+        finally:
+            run.finalize(status="interrupted")
+        assert not ei.value.resumable
+
+    def test_sigterm_stops_unmediated_campaign_at_once(self):
+        """Nothing of a serial, unmediated campaign is in flight: the
+        first SIGTERM raises instead of waiting for the campaign to
+        consult the engine, which it may never do."""
+        previous = signal.getsignal(signal.SIGTERM)
+        with ExperimentEngine(jobs=1) as eng:
+            assert not eng.mediated
+            t0 = time.monotonic()
+            with pytest.raises(CampaignInterrupted) as ei:
+                with graceful_drain(eng):
+                    os.kill(os.getpid(), signal.SIGTERM)
+                    wait_until(lambda: False, seconds=10.0)
+            assert time.monotonic() - t0 < 5.0
+            assert eng.drain_requested
+        assert ei.value.remaining is None
+        assert not ei.value.resumable
+        assert signal.getsignal(signal.SIGTERM) is previous
 
     def test_sigterm_requests_drain_then_resume_completes(self, tmp_path):
         pts = tiny_points()
-        path = tmp_path / "j.jsonl"
-        with CheckpointJournal(path, run_id="r") as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
+        previous = signal.getsignal(signal.SIGTERM)
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            with pytest.raises(CampaignInterrupted):
                 with graceful_drain(eng):
+                    done = eng.durations(pts[:2])
                     os.kill(os.getpid(), signal.SIGTERM)
-                    deadline = time.monotonic() + 5.0
-                    while (not eng.drain_requested
-                           and time.monotonic() < deadline):
-                        time.sleep(0.01)
-                    assert eng.drain_requested
-                    with pytest.raises(CampaignInterrupted):
-                        eng.run_grid(pts)
+                    wait_until(lambda: False)
+            assert eng.drain_requested
         # The old handler is restored and the campaign resumes cleanly.
-        with CheckpointJournal(path, run_id="r") as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                assert len(eng.run_grid(pts)) == len(pts)
+        assert signal.getsignal(signal.SIGTERM) is previous
+        executed0 = counter("engine.points_executed")
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            full = eng.durations(pts)
+        assert full[:2] == done
+        assert counter("engine.points_executed") == executed0 + len(pts) - 2
 
     def test_second_signal_escalates_to_keyboardinterrupt(self):
-        with ExperimentEngine(jobs=1) as eng:
+        # A mediated engine only raises at its next scheduling step, so
+        # the first signal merely requests the drain.
+        with ExperimentEngine(jobs=1, degraded=True) as eng:
+            assert eng.mediated
             with graceful_drain(eng):
                 os.kill(os.getpid(), signal.SIGINT)
-                deadline = time.monotonic() + 5.0
-                while (not eng.drain_requested
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
+                wait_until(lambda: eng.drain_requested)
                 assert eng.drain_requested
                 with pytest.raises(KeyboardInterrupt):
                     os.kill(os.getpid(), signal.SIGINT)
-                    t0 = time.monotonic()
-                    while time.monotonic() - t0 < 5.0:
-                        time.sleep(0.01)
+                    wait_until(lambda: False)
 
     def test_drain_preserves_completed_prefix(self, tmp_path):
-        """Points journaled before the drain are served on resume."""
+        """Points stored before the drain are served on resume."""
         pts = tiny_points()
-        path = tmp_path / "j.jsonl"
-        with CheckpointJournal(path, run_id="r") as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                done = eng.durations(pts[:2])  # journaled
-                eng.request_drain()
-                with pytest.raises(CampaignInterrupted):
-                    eng.durations(pts)
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            done = eng.durations(pts[:2])  # stored
+            eng.request_drain()
+            with pytest.raises(CampaignInterrupted):
+                eng.durations(pts)
         executed0 = counter("engine.points_executed")
-        with CheckpointJournal(path, run_id="r") as j:
-            with ExperimentEngine(jobs=1, checkpoint=j) as eng:
-                full = eng.durations(pts)
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            full = eng.durations(pts)
         assert full[:2] == done
         # Only the tail had to execute.
         assert counter("engine.points_executed") == executed0 + len(pts) - 2
 
 
+def without_cache_line(report: str) -> str:
+    """The report minus its ``cache:`` summary and the blank line that
+    precedes it."""
+    lines = report.split("\n")
+    (i,) = [i for i, line in enumerate(lines) if line.startswith("cache: ")]
+    assert lines[i - 1] == ""
+    return "\n".join(lines[:i - 1] + lines[i + 1:])
+
+
+class TestReportResume:
+    ARGS = ["--nranks", "8", "--apps", "cg", "--no-bandwidth"]
+
+    def test_report_drains_then_resumes_from_run_cache(
+            self, tmp_path, monkeypatch, capsys):
+        """An observed report without --cache-dir caches in its run
+        directory: drained (exit 5) and resumed (exit 0), it prints the
+        uninterrupted report, and the cache is gone once it is ok."""
+        from repro import cli
+        from repro.experiments import report as report_mod
+
+        assert cli.main_report(self.ARGS) == 0
+        expected = capsys.readouterr().out
+        assert "cache:" not in expected
+
+        obs = tmp_path / "obs"
+        pattern_row = report_mod.pattern_row
+
+        def sigterm_at_table2(exp):
+            os.kill(os.getpid(), signal.SIGTERM)
+            return pattern_row(exp)
+
+        monkeypatch.setattr(report_mod, "pattern_row", sigterm_at_table2)
+        assert cli.main_report(self.ARGS + ["--obs-dir", str(obs)]) == 5
+        (run_id,) = [p.name for p in obs.iterdir()]
+        assert "resume with: repro-report --resume" in capsys.readouterr().err
+        assert list((obs / run_id / "cache" / "replays").glob("*.dur"))
+
+        monkeypatch.setattr(report_mod, "pattern_row", pattern_row)
+        hits0 = counter("cache.replay.hits")
+        assert cli.main_report(self.ARGS + [
+            "--obs-dir", str(obs), "--resume", run_id]) == 0
+        resumed = capsys.readouterr().out
+        assert counter("cache.replay.hits") > hits0
+        assert without_cache_line(resumed) == expected
+        assert not (obs / run_id / "cache").exists()
+        manifest = json.loads((obs / run_id / "manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["run_seq"] == 2
+
+
 # --------------------------------------------------------------------------- #
-# Resource guards: RSS watchdog and disk low-water.
+# Resource guards: RSS watchdog.
 # --------------------------------------------------------------------------- #
 
 class TestResourceGuards:
-    def test_rss_guard_converts_oom_into_journaled_failure(
-            self, tmp_path, monkeypatch):
+    def test_rss_guard_converts_oom_into_point_failure(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_FAKE_RSS_MB", "4096")
         trips0 = counter("engine.rss_guard_trips")
-        path = tmp_path / "j.jsonl"
-        with CheckpointJournal(path) as j:
-            with ExperimentEngine(jobs=1, degraded=True, checkpoint=j,
-                                  rss_limit_mb=512) as eng:
-                out = eng.durations(tiny_points()[:1])
+        with ExperimentEngine(jobs=1, degraded=True,
+                              rss_limit_mb=512) as eng:
+            out = eng.durations(tiny_points()[:1])
         assert out[0].kind == "exception"
         assert "WorkerMemoryError" in out[0].error
         assert counter("engine.rss_guard_trips") == trips0 + 1
-        entries, _, _ = replay_journal(path)
-        assert any(mode == "failure" for (_, mode) in entries)
 
     def test_rss_guard_inactive_without_limit(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_FAKE_RSS_MB", "4096")
@@ -343,26 +356,6 @@ class TestResourceGuards:
 
     def test_worker_memory_error_is_memory_error(self):
         assert issubclass(WorkerMemoryError, MemoryError)
-
-    def test_journal_degrades_on_low_disk(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_MIN_FREE_MB", str(10 ** 9))  # ~1 PB floor
-        degraded0 = counter("checkpoint.degraded")
-        with CheckpointJournal(tmp_path / "j.jsonl") as j:
-            j.record("k", "duration", {"duration": 1.0})
-            assert j.degraded
-            # Degraded appends still index in memory for this session.
-            assert j.lookup("k", "duration") is not None
-        assert counter("checkpoint.degraded") == degraded0 + 1
-        entries, _, _ = replay_journal(tmp_path / "j.jsonl")
-        assert not entries  # nothing was persisted
-
-    def test_journal_degrades_on_unwritable_path(self, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("x")
-        j = CheckpointJournal(blocker / "sub" / "j.jsonl")
-        assert j.degraded
-        j.record("k", "duration", {"duration": 1.0})  # must not raise
-        j.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -528,21 +521,24 @@ class TestManifestResume:
             RunContext(tmp_path, resume=True)
 
     def test_list_runs_reports_progress_and_resumability(self, tmp_path):
+        reg = get_registry()
+        reg.reset()
         run = RunContext(tmp_path, command="repro-report", run_id="run-x")
-        with CheckpointJournal(run.dir / "journal.jsonl", run_id="run-x") as j:
-            j.record("p1", "result", {"result": {}})
-            j.record("p2", "failure", {"kind": "exception", "error": "e"})
+        reg.counter("replay.runs").inc(5)
         run.finalize(status="interrupted")
 
+        reg.reset()
         done = RunContext(tmp_path, command="repro-report", run_id="run-y")
         done.finalize(status="ok")
 
         runs = {r["run_id"]: r for r in list_runs(tmp_path)}
         assert runs["run-x"]["resumable"]
-        assert runs["run-x"]["points"] == 2
-        assert runs["run-x"]["failures"] == 1
+        assert runs["run-x"]["replays"] == 5
+        assert runs["run-x"]["status"] == "interrupted"
         assert not runs["run-y"]["resumable"]
         table = render_runs_table(list(runs.values()))
+        assert table.splitlines()[0].split() == [
+            "run-id", "seq", "status", "replays", "resumable", "command"]
         assert "run-x" in table and "repro-report" in table
 
     def test_list_runs_empty(self, tmp_path):

@@ -10,6 +10,10 @@ bus count, unlimited buses):
   on the Table I bus count;
 * on CG/64 real, the full-audit verdict and the insight channel's
   occupancy timeline, queue peak/total and queue causes;
+* ``table2``: for each Table I application at 16 ranks, the ``repr``
+  of its measured Table II production and consumption fractions
+  (:func:`~repro.experiments.tables.pattern_row`) and of the attainable
+  overlap bound they give at 4 chunks;
 * ``figure6``: the ``repr`` of the Figure 6(b) relaxation and 6(c)
   equivalent bandwidths of the real and ideal variants on CG/16 and
   BT/16 (BT's equivalents are ``inf``).  Each is checked along four
@@ -42,7 +46,9 @@ from repro.experiments.bandwidth import (
 from repro.experiments.cache import SimResultCache, TraceCache
 from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.pipeline import VARIANTS, AppExperiment
+from repro.experiments.tables import pattern_row
 from repro.insight.channel import collect
+from repro.insight.scorecard import attainable_overlap_bound
 from repro.obs.metrics import get_registry
 from repro.perturb.scenarios import SCENARIO_KINDS, build_scenario
 
@@ -56,6 +62,8 @@ PLATFORMS = ("buses=1", "table1", "unlimited")
 #: The perturbation cases: every scenario on BT/16 real, on these
 #: platforms.
 PERTURB_PLATFORMS = ("table1", "buses=1")
+#: The rank count of the Table II entries.
+TABLE2_NRANKS = 16
 #: The audit and insight case.
 ANALYSIS_CASE = ("cg", 64, "real", "table1")
 #: The Figure 6(b)/(c) threshold cases: both searches for both
@@ -101,11 +109,14 @@ class Traces:
         self._exps: dict[tuple[str, int], AppExperiment] = {}
         self._replays: dict[tuple, tuple[str, int, int]] = {}
 
-    def trace(self, app: str, nranks: int, variant: str):
+    def experiment(self, app: str, nranks: int) -> AppExperiment:
         exp = self._exps.get((app, nranks))
         if exp is None:
             exp = self._exps[(app, nranks)] = AppExperiment(app, nranks)
-        return exp.trace(variant)
+        return exp
+
+    def trace(self, app: str, nranks: int, variant: str):
+        return self.experiment(app, nranks).trace(variant)
 
     def replay(self, app, nranks, variant, platform) -> tuple[str, int, int]:
         """``(result_digest, queue scan steps, messages)`` of one case,
@@ -129,6 +140,18 @@ class Traces:
         res = simulate(self.trace(app, nranks, variant), cfg,
                        perturb=schedule)
         return result_digest(res)
+
+    def table2(self, app: str) -> dict:
+        """``repr`` of one application's Table II row and its bound."""
+        row = pattern_row(self.experiment(app, TABLE2_NRANKS))
+        return {
+            "production": {k: repr(v)
+                           for k, v in vars(row.production).items()},
+            "consumption": {k: repr(v)
+                            for k, v in vars(row.consumption).items()},
+            "bound": repr(attainable_overlap_bound(
+                row.production, row.consumption, chunks=4)),
+        }
 
     def audit(self) -> dict:
         app, nranks, variant, platform = ANALYSIS_CASE
@@ -168,6 +191,7 @@ def build_golden(traces: Traces) -> dict:
         "perturb": {
             f"{k}/{p}": traces.perturbed(k, p) for k, p in PERTURB_CASES
         },
+        "table2": {app: traces.table2(app) for app in APPS},
         "audit": traces.audit(),
         "insight": traces.insight(),
         "figure6": {
@@ -199,6 +223,7 @@ class TestGoldenDigests:
         assert sorted(golden["perturb"]) == sorted(
             f"{k}/{p}" for k, p in PERTURB_CASES
         )
+        assert sorted(golden["table2"]) == sorted(APPS)
         assert sorted(golden["figure6"]) == sorted(
             f"{app}/{FIGURE6_NRANKS}/{kind}/{variant}"
             for app in FIGURE6_APPS for kind in SEARCHES
@@ -218,6 +243,10 @@ class TestGoldenDigests:
     def test_perturbation(self, traces, golden, kind, platform):
         assert (traces.perturbed(kind, platform)
                 == golden["perturb"][f"{kind}/{platform}"])
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_table2(self, traces, golden, app):
+        assert traces.table2(app) == golden["table2"][app]
 
     def test_full_audit(self, traces, golden):
         assert traces.audit() == golden["audit"]

@@ -35,3 +35,18 @@ class TestReportContent:
                 break
             parts = line.split()
             float(parts[1]), float(parts[2])  # real/ideal columns
+
+
+class TestModuleEntryPoint:
+    def test_module_main_is_repro_report(self, tmp_path, monkeypatch, capsys):
+        """``python -m repro.experiments.report`` parses like
+        ``repro-report`` (here ``--list-runs``, a repro-report option)
+        and exits with its code."""
+        from repro.experiments import report
+
+        monkeypatch.setattr("sys.argv", [
+            "report", "--list-runs", "--obs-dir", str(tmp_path)])
+        with pytest.raises(SystemExit) as ei:
+            report.main()
+        assert ei.value.code == 0
+        assert capsys.readouterr().out.strip() == "no runs found"
