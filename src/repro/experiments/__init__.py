@@ -14,11 +14,11 @@
 """
 
 from .bandwidth import (
-    NonMonotonePredicateError,
+    BandwidthSearch,
     bisect_bandwidth,
-    bisect_bandwidth_batched,
     equivalent_bandwidth,
     relaxation_bandwidth,
+    search_bandwidths,
 )
 from .cache import SimResultCache, TraceCache, disk_low, trace_digest
 from .calibration import bus_sensitivity, calibrate_buses, saturation_knee
@@ -49,17 +49,17 @@ from .scaling import ScalePoint, ScalingStudy, scaling_study
 from .sweeps import SweepResult, ascii_series, bandwidth_sweep, latency_sweep
 
 __all__ = [
-    "AppExperiment", "CampaignInterrupted",
+    "AppExperiment", "BandwidthSearch", "CampaignInterrupted",
     "DegradedBracketError", "ExperimentEngine",
     "GridExecutionError", "GridPoint",
-    "NonMonotonePredicateError", "PointFailure", "RetryPolicy",
+    "PointFailure", "RetryPolicy",
     "WorkerMemoryError",
     "PAPER_CONSUMPTION", "PAPER_PRODUCTION", "PatternRow",
-    "VARIANTS", "bisect_bandwidth", "bisect_bandwidth_batched",
+    "VARIANTS", "bisect_bandwidth",
     "bus_sensitivity", "calibrate_buses", "disk_low",
     "equivalent_bandwidth", "expand_grid", "figure5_series", "full_report",
     "graceful_drain", "list_runs", "pattern_row", "point_key",
-    "relaxation_bandwidth", "saturation_knee",
+    "relaxation_bandwidth", "saturation_knee", "search_bandwidths",
     "ResilienceReport", "ResilienceRow", "resilience_sweep",
     "ScalePoint", "ScalingStudy", "SimResultCache", "TraceCache",
     "scaling_study", "speedup_grid", "trace_digest",

@@ -13,38 +13,50 @@
   infinity": no bandwidth recovers the benefit, because the remaining
   cost is latency and pipeline serialization, not bytes.
 
-Both are monotone in bandwidth, so bisection on a log scale converges
-quickly; replays are memoized by the experiment object.  With a
-parallel :class:`~repro.experiments.parallel.ExperimentEngine` the
-searches run in *speculative batched* mode: each round evaluates the
-whole midpoint tree of the next few bisection levels concurrently and
-then walks it, descending several levels per round while returning the
-bitwise-identical threshold of the sequential search.
+A threshold is defined by the sequential log-scale bisection walk
+alone: the upper end of the sign-change bracket its probes reach.  A
+makespan is *not* always monotone in bandwidth — SPECFEM3D at 64 ranks
+meets its equivalent(real) target at 1225.07 MB/s, misses it at
+1240.10 and meets it again at 1247.67; the walk never probes 1240.10
+and returns 1225.07 — so no route may decide a threshold any other way.
 
-A round is sized to the pool: the deepest complete midpoint tree with
-at most ``max(3, engine.jobs)`` nodes.  On two workers that is 3 probes
-for 2 levels, 2 replay slots like the sequential search; a 7-node tree
-would take 4 slots for 3 levels.  A 1-node round would be a single
-point, which the engine replays in the parent, so a round has at least
-3.  Every round still probes both flanks of its root, which is what
-non-monotone detection needs.
+:func:`search_bandwidths` runs many searches as one campaign: every
+anchor in one grid, then rounds of one walk probe per live search,
+with speculative probes of the walks' next levels (breadth first,
+lower bandwidth first) on the workers those leave idle.  A speculative
+answer only saves a later round.  One that contradicts its walk by
+more than ``rel_tol`` is counted in ``bisect.nonmonotone``, logged and
+recorded as a run event; the threshold stands.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import logging
 import math
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, NamedTuple, Sequence
 
-from ..obs import get_registry, span as _span
+from ..obs import current_run, get_registry, span as _span
+from .parallel import (
+    DegradedBracketError,
+    ExperimentEngine,
+    GridPoint,
+    PointFailure,
+    engine_or_serial,
+)
 from .pipeline import AppExperiment
 
 __all__ = [
-    "NonMonotonePredicateError",
+    "BandwidthSearch",
     "bisect_bandwidth",
-    "bisect_bandwidth_batched",
     "equivalent_bandwidth",
     "relaxation_bandwidth",
+    "search_bandwidths",
 ]
+
+_log = logging.getLogger("repro.experiments.bandwidth")
 
 #: Search bracket (MB/s): from slower-than-ethernet to far beyond any
 #: bandwidth that can still matter; above the cap we report infinity.
@@ -52,46 +64,72 @@ BW_MIN = 0.25
 BW_MAX = 128_000.0
 
 
-def _anchor_duration(
-    exp: AppExperiment, variant: str, bandwidth: float, engine,
-) -> float:
-    """The search's anchor duration, engine-mediated when possible.
+class _Walk(NamedTuple):
+    """One sequential bisection as a value.
 
-    Routing the anchor replay through the engine gives it the probe
-    points' pool, result cache and failure handling, so a resumed
-    search serves it from the cache like any probe.  A quarantined
-    anchor cannot anchor
-    anything: raise :class:`~repro.experiments.parallel.DegradedBracketError`
-    rather than bisect against a missing number.
+    :attr:`probe` is the bandwidth the walk asks next (``None`` once it
+    has a :attr:`threshold`); :meth:`after` is the walk that answer
+    leads to, so speculation explores hypothetical answers on copies.
+    ``llo`` and ``lhi`` are the logs of the highest failing and lowest
+    satisfying bandwidth answered on the walk's path.
     """
-    if engine is None or not engine.mediated:
-        return exp.duration(variant, bandwidth_mbps=bandwidth)
-    from dataclasses import replace
 
-    from .parallel import DegradedBracketError, PointFailure
-    base = engine.point_for(exp, variant)
-    # Reuse the caller's already-traced experiment for warm/serial paths.
-    engine._experiments.setdefault(base.experiment_key(), exp)
-    point = replace(base, bandwidth_mbps=float(bandwidth))
-    dur = engine.durations([point])[0]
-    if isinstance(dur, PointFailure):
-        raise DegradedBracketError([dur])
-    return dur
+    lo: float
+    hi: float
+    tol: float
+    max_iter: int
+    stage: str = "lo"  # "lo", "hi", "mid" or "done"
+    llo: float | None = None
+    lhi: float | None = None
+    iters: int = 0
+    threshold: float | None = None
 
+    @classmethod
+    def start(cls, lo: float, hi: float, rel_tol: float,
+              max_iter: int = 60) -> "_Walk":
+        if lo <= 0 or hi <= 0:
+            raise ValueError(
+                f"bandwidth bracket must be positive, got [{lo}, {hi}]")
+        if hi < lo:
+            raise ValueError(f"empty bracket: lo={lo} > hi={hi}")
+        if rel_tol <= 0:
+            raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+        return cls(lo, hi, math.log1p(rel_tol), max_iter)
 
-class NonMonotonePredicateError(ValueError):
-    """The bisection predicate changed truth value more than once.
+    @property
+    def probe(self) -> float | None:
+        if self.stage == "mid":
+            return math.exp(0.5 * (self.llo + self.lhi))
+        return {"lo": self.lo, "hi": self.hi}.get(self.stage)
 
-    Bisection assumes ``predicate(bw)`` is monotone (False below one
-    threshold, True above it).  The batched search sees speculative
-    probes on both sides of the walked path for free, so it can detect
-    violations the sequential search silently absorbs.  Only violations
-    *wider than* ``rel_tol`` raise: a simulated duration can wobble by
-    a fraction of a percent around the threshold (discrete bus
-    scheduling, protocol switches), and within one tolerance width the
-    search cannot distinguish thresholds anyway — those are absorbed,
-    exactly like the sequential search absorbs them.
-    """
+    def after(self, ok: bool) -> "_Walk":
+        if self.stage == "lo":
+            if ok:
+                return self._replace(stage="done", lhi=math.log(self.lo),
+                                     threshold=self.lo)
+            return self._replace(stage="hi", llo=math.log(self.lo))
+        if self.stage == "hi":
+            if not ok:
+                return self._replace(stage="done", llo=math.log(self.hi),
+                                     threshold=math.inf)
+            walk = self._replace(stage="mid", lhi=math.log(self.hi))
+        else:
+            mid = 0.5 * (self.llo + self.lhi)
+            bound = {"lhi": mid} if ok else {"llo": mid}
+            walk = self._replace(iters=self.iters + 1, **bound)
+        if walk.iters >= walk.max_iter or walk.lhi - walk.llo <= walk.tol:
+            return walk._replace(stage="done", threshold=math.exp(walk.lhi))
+        return walk
+
+    def ahead(self):
+        """Probes of the next levels: breadth first, lower child first."""
+        level = [self]
+        while level:
+            level = [child for walk in level
+                     for child in (walk.after(True), walk.after(False))
+                     if child.probe is not None]
+            for child in level:
+                yield child.probe
 
 
 def bisect_bandwidth(
@@ -103,7 +141,7 @@ def bisect_bandwidth(
 ) -> float:
     """Smallest bandwidth in ``[lo, hi]`` satisfying a monotone predicate.
 
-    ``predicate(bw)`` must be False below the threshold and True above
+    ``predicate(bw)`` should be False below the threshold and True above
     it.  Returns ``inf`` when even ``hi`` fails and ``lo`` when the
     predicate already holds there (so for ``lo == hi`` the single point
     decides: ``lo`` if it satisfies, ``inf`` otherwise).  Log-scale
@@ -111,159 +149,170 @@ def bisect_bandwidth(
     ``max_iter`` halvings, whichever first; the returned value is the
     upper end of the final bracket, so it always satisfies a monotone
     predicate and overestimates the true threshold by at most
-    ``rel_tol``.
-
-    A *non-monotone* predicate is not detected here: the search just
-    follows whichever flank each midpoint probe lands on and returns
-    the upper end of some sign-change bracket — deterministic, but
-    bracket-dependent.  Use :func:`bisect_bandwidth_batched` to get
-    detection (its speculative probes cover both flanks).
+    ``rel_tol``.  A non-monotone predicate gets the upper end of the
+    sign-change bracket the walk reaches, deterministically.
     """
-    if lo <= 0 or hi <= 0:
-        raise ValueError(f"bandwidth bracket must be positive, got [{lo}, {hi}]")
-    if hi < lo:
-        raise ValueError(f"empty bracket: lo={lo} > hi={hi}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
+    walk = _Walk.start(lo, hi, rel_tol, max_iter)
     probes = get_registry().counter("bisect.probes")
-    probes.inc()
-    if predicate(lo):
-        return lo
-    probes.inc()
-    if not predicate(hi):
-        return math.inf
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(max_iter):
-        if (lhi - llo) <= math.log1p(rel_tol):
-            break
-        mid = 0.5 * (llo + lhi)
+    while (bw := walk.probe) is not None:
         probes.inc()
-        if predicate(math.exp(mid)):
-            lhi = mid
-        else:
-            llo = mid
-    return math.exp(lhi)
+        walk = walk.after(bool(predicate(bw)))
+    return walk.threshold
 
 
-def _speculation_depth(batch: int, remaining: int) -> int:
-    """Bisection levels one batch of ``2**d - 1`` probes can cover."""
-    depth = 1
-    while (1 << (depth + 1)) - 1 <= batch:
-        depth += 1
-    return max(1, min(depth, remaining))
+@dataclass(frozen=True)
+class BandwidthSearch:
+    """One Figure 6 search: ``kind`` is ``"relaxation"`` (Fig. 6(b)) or
+    ``"equivalent"`` (Fig. 6(c)) for one overlapped ``variant``."""
+
+    exp: AppExperiment
+    kind: str
+    variant: str = "real"
+    baseline_bw: float | None = None
+    slack: float = 1e-9
+    rel_tol: float = 0.01
+
+    def __post_init__(self):
+        if self.kind not in ("relaxation", "equivalent"):
+            raise ValueError(f"unknown search kind {self.kind!r}")
+
+    @property
+    def base_bw(self) -> float:
+        if self.baseline_bw is not None:
+            return self.baseline_bw
+        return self.exp.machine.bandwidth_mbps
+
+    @property
+    def anchor_variant(self) -> str:
+        """The execution whose baseline duration sets the target."""
+        return "original" if self.kind == "relaxation" else self.variant
+
+    @property
+    def probe_variant(self) -> str:
+        """The execution replayed at the probed bandwidths."""
+        return self.variant if self.kind == "relaxation" else "original"
+
+    def walk(self) -> _Walk:
+        if self.kind == "relaxation":
+            return _Walk.start(BW_MIN, self.base_bw, self.rel_tol)
+        return _Walk.start(self.base_bw * 0.999, BW_MAX, self.rel_tol)
 
 
-def bisect_bandwidth_batched(
-    predicate_many: Callable[[Sequence[float]], Sequence[bool]],
-    lo: float = BW_MIN,
-    hi: float = BW_MAX,
-    rel_tol: float = 0.01,
-    max_iter: int = 60,
-    batch: int = 7,
-) -> float:
-    """Speculative batched variant of :func:`bisect_bandwidth`.
+def search_bandwidths(
+    engine: ExperimentEngine,
+    searches: Sequence[BandwidthSearch],
+    known: Mapping[GridPoint, float | PointFailure] | None = None,
+) -> list[float | DegradedBracketError]:
+    """Run independent searches as one campaign; one result each.
 
-    ``predicate_many(bandwidths)`` evaluates the predicate at several
-    candidate bandwidths at once (the parallel engine fans them across
-    workers) and returns one bool per candidate, in order.
-
-    Each round builds the complete midpoint tree of the next ``d``
-    bisection levels (``2**d - 1`` nodes, ``d`` chosen so the tree fits
-    in ``batch`` probes), evaluates all nodes in one batch, then walks
-    the tree exactly as the sequential search would.  Because every
-    node's midpoint is computed by the same ``0.5 * (lo + hi)``
-    arithmetic on the same bracket values, the walk reproduces the
-    sequential iterate sequence exactly and the returned threshold is
-    **bitwise identical** to ``bisect_bandwidth`` with the same
-    arguments — batching only changes how many probes run per round
-    (some speculatively wasted), never the result.
-
-    Raises :class:`NonMonotonePredicateError` when the probes of one
-    round contradict monotonicity by more than ``rel_tol`` (a satisfied
-    bandwidth more than one tolerance width below a failed one);
-    narrower wobble is absorbed like the sequential search absorbs it.
+    The anchors come first, in one grid (``known`` holds durations
+    already measured through ``engine``, by point, such as the
+    report's Figure 6(a) baselines).  A result is the walk's threshold,
+    bitwise the one :func:`bisect_bandwidth` finds, or, on a degraded
+    engine, a :class:`~repro.experiments.parallel.DegradedBracketError`
+    when the anchor or a probe the walk needed failed; the other
+    searches go on.  A strict engine raises its grid's failure.
     """
-    if lo <= 0 or hi <= 0:
-        raise ValueError(f"bandwidth bracket must be positive, got [{lo}, {hi}]")
-    if hi < lo:
-        raise ValueError(f"empty bracket: lo={lo} > hi={hi}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    tol = math.log1p(rel_tol)
-    probes = get_registry().counter("bisect.probes")
-    probes.inc(2)
-    lo_ok, hi_ok = predicate_many([lo, hi])
-    if lo_ok and not hi_ok and math.log(hi) - math.log(lo) > tol:
-        raise NonMonotonePredicateError(
-            f"predicate holds at lo={lo} but not at hi={hi}"
-        )
-    if lo_ok:
-        return lo
-    if not hi_ok:
-        return math.inf
-
-    llo, lhi = math.log(lo), math.log(hi)
-    iters = 0
-    while iters < max_iter and (lhi - llo) > tol:
-        depth = _speculation_depth(batch, max_iter - iters)
-        # Speculative midpoint tree: node at `path` (tuple of "predicate
-        # held?" decisions) is the midpoint sequential bisection would
-        # probe after exactly those decisions.
-        nodes: dict[tuple[bool, ...], float] = {}
-
-        def _build(a: float, b: float, d: int, path: tuple[bool, ...]) -> None:
-            mid = 0.5 * (a + b)
-            nodes[path] = mid
-            if d > 1:
-                _build(a, mid, d - 1, path + (True,))
-                _build(mid, b, d - 1, path + (False,))
-
-        _build(llo, lhi, depth, ())
-        order = list(nodes)
-        probes.inc(len(order))
-        answers = list(predicate_many([math.exp(nodes[p]) for p in order]))
-        if len(answers) != len(order):
-            raise ValueError(
-                f"predicate_many returned {len(answers)} answers "
-                f"for {len(order)} candidates"
-            )
-        results = dict(zip(order, answers))
-
-        # Monotonicity check over everything this round observed: a
-        # True more than one tolerance width below a False is a real
-        # violation; anything narrower is sub-resolution wobble.
-        observed = sorted((mid, results[p]) for p, mid in nodes.items())
-        seen_true_at = None
-        for mid, ok in observed:
-            if ok:
-                seen_true_at = mid if seen_true_at is None else seen_true_at
-            elif seen_true_at is not None and mid - seen_true_at > tol:
-                raise NonMonotonePredicateError(
-                    f"predicate holds at {math.exp(seen_true_at):.6g} MB/s "
-                    f"but fails at {math.exp(mid):.6g} MB/s"
-                )
-
-        # Walk the tree exactly as the sequential search would.
-        path: tuple[bool, ...] = ()
-        for _ in range(depth):
-            if iters >= max_iter or (lhi - llo) <= tol:
-                break
-            mid = nodes[path]
-            if results[path]:
-                lhi = mid
-                path += (True,)
+    reg = get_registry()
+    probes = reg.counter("bisect.probes")
+    reg.counter("bisect.searches").inc(len(searches))
+    got: dict[GridPoint, float | PointFailure] = dict(known or {})
+    out: list = [None] * len(searches)
+    with _span("bisect.campaign", searches=len(searches), jobs=engine.jobs):
+        anchors = [replace(engine.point_for(s.exp, s.anchor_variant),
+                           bandwidth_mbps=float(s.base_bw)) for s in searches]
+        ask = list(dict.fromkeys(p for p in anchors if p not in got))
+        got.update(zip(ask, engine.durations(ask), strict=True))
+        live: dict[int, _Walk] = {}
+        targets: dict[int, float] = {}
+        for i, (s, anchor) in enumerate(zip(searches, anchors)):
+            if isinstance(got[anchor], PointFailure):
+                out[i] = DegradedBracketError([got[anchor]])
             else:
-                llo = mid
-                path += (False,)
-            iters += 1
-    return math.exp(lhi)
+                live[i] = s.walk()
+                targets[i] = got[anchor] * (1 + s.slack)
+        spec: dict[int, list[float]] = {i: [] for i in live}
+        bases = [engine.point_for(s.exp, s.probe_variant) for s in searches]
+
+        @functools.cache
+        def at(i: int, bw: float) -> GridPoint:
+            return replace(bases[i], bandwidth_mbps=float(bw))
+
+        while live:
+            # Walk every search along the answers it has.
+            for i in list(live):
+                walk = live[i]
+                while ((bw := walk.probe) is not None
+                       and (d := got.get(at(i, bw))) is not None):
+                    if isinstance(d, PointFailure):
+                        out[i] = DegradedBracketError([d])
+                        break
+                    walk = walk.after(d <= targets[i])
+                live[i] = walk
+                if out[i] is None and walk.probe is not None:
+                    continue
+                del live[i]
+                if out[i] is None:
+                    out[i] = walk.threshold
+                    seen = [(bw, got[at(i, bw)]) for bw in spec[i]]
+                    _report_contradictions(searches[i], walk, [
+                        (bw, d <= targets[i]) for bw, d in seen
+                        if not isinstance(d, PointFailure)
+                    ])
+            # The next round: every live walk's probe, then speculation
+            # on the workers those leave idle.
+            ask = dict.fromkeys(at(i, w.probe) for i, w in live.items())
+            ahead = [((i, bw) for bw in w.ahead()) for i, w in live.items()]
+            for level in itertools.zip_longest(*ahead):
+                for i, bw in filter(None, level):
+                    p = at(i, bw)
+                    if len(ask) < engine.jobs and p not in got and p not in ask:
+                        spec[i].append(bw)
+                        ask[p] = None
+                if len(ask) >= engine.jobs:
+                    break
+            if ask:
+                probes.inc(len(ask))
+                got.update(zip(ask, engine.durations(ask), strict=True))
+    return out
 
 
-def _round_nodes(engine) -> int:
-    """Probes per speculative round: the pool's width, at least 3."""
-    return max(3, engine.jobs)
+def _report_contradictions(search: BandwidthSearch, walk: _Walk,
+                           answers: list[tuple[float, bool]]) -> None:
+    """Count, log and record every speculative answer that contradicts
+    the walk's path answers by more than its tolerance."""
+    for bw, ok in answers:
+        lbw = math.log(bw)
+        if ok and walk.llo is not None and walk.llo - lbw > walk.tol:
+            holds_at, fails_at = bw, math.exp(walk.llo)
+        elif not ok and walk.lhi is not None and lbw - walk.lhi > walk.tol:
+            holds_at, fails_at = math.exp(walk.lhi), bw
+        else:
+            continue
+        get_registry().counter("bisect.nonmonotone").inc()
+        _log.warning(
+            "%s/%s %s(%s): makespan not monotone in bandwidth: target "
+            "met at %.6g MB/s but missed at %.6g MB/s; the walk's "
+            "threshold %.6g MB/s stands",
+            search.exp.app_name, search.exp.nranks, search.kind,
+            search.variant, holds_at, fails_at, walk.threshold,
+        )
+        run = current_run()
+        if run is not None:
+            run.record("bisect_nonmonotone", app=search.exp.app_name,
+                       kind=search.kind, variant=search.variant,
+                       holds_at=holds_at, fails_at=fails_at,
+                       threshold=walk.threshold)
+
+
+def _search(search: BandwidthSearch, engine: ExperimentEngine | None) -> float:
+    """One search as a campaign; ``engine=None`` runs it serially on the
+    caller's experiment."""
+    with engine_or_serial(engine) as engine:
+        (found,) = search_bandwidths(engine, [search])
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 def relaxation_bandwidth(
@@ -272,34 +321,16 @@ def relaxation_bandwidth(
     baseline_bw: float | None = None,
     slack: float = 1e-9,
     rel_tol: float = 0.01,
-    engine=None,
+    engine: ExperimentEngine | None = None,
 ) -> float:
     """Fig. 6(b): min bandwidth where ``variant`` matches the original
     execution at the baseline bandwidth.
 
-    Pass a :class:`~repro.experiments.parallel.ExperimentEngine` as
-    ``engine`` to probe speculative bisection rounds, sized to its
-    pool, concurrently (identical result, fewer sequential rounds).
+    Runs through ``engine`` (its pool, caches and failure handling);
+    without one, a private serial engine replays on ``exp`` itself.
     """
-    base_bw = baseline_bw if baseline_bw is not None else exp.machine.bandwidth_mbps
-    with _span("bisect.relaxation", app=exp.app_name, variant=variant):
-        get_registry().counter("bisect.searches").inc()
-        target = _anchor_duration(exp, "original", base_bw, engine)
-        threshold = target * (1 + slack)
-
-        if engine is not None:
-            predicate_many = engine.duration_predicate_many(
-                exp, variant, threshold
-            )
-            return bisect_bandwidth_batched(
-                predicate_many, hi=base_bw, rel_tol=rel_tol,
-                batch=_round_nodes(engine),
-            )
-
-        def fast_enough(bw: float) -> bool:
-            return exp.duration(variant, bandwidth_mbps=bw) <= threshold
-
-        return bisect_bandwidth(fast_enough, hi=base_bw, rel_tol=rel_tol)
+    return _search(BandwidthSearch(exp, "relaxation", variant, baseline_bw,
+                                   slack, rel_tol), engine)
 
 
 def equivalent_bandwidth(
@@ -308,31 +339,12 @@ def equivalent_bandwidth(
     baseline_bw: float | None = None,
     slack: float = 1e-9,
     rel_tol: float = 0.01,
-    engine=None,
+    engine: ExperimentEngine | None = None,
 ) -> float:
     """Fig. 6(c): bandwidth the original execution needs to match
     ``variant`` at the baseline bandwidth (``inf`` when unreachable).
 
-    ``engine`` enables speculative batched probing as in
-    :func:`relaxation_bandwidth`.
+    ``engine`` as in :func:`relaxation_bandwidth`.
     """
-    base_bw = baseline_bw if baseline_bw is not None else exp.machine.bandwidth_mbps
-    with _span("bisect.equivalent", app=exp.app_name, variant=variant):
-        get_registry().counter("bisect.searches").inc()
-        target = _anchor_duration(exp, variant, base_bw, engine)
-        threshold = target * (1 + slack)
-
-        if engine is not None:
-            predicate_many = engine.duration_predicate_many(
-                exp, "original", threshold
-            )
-            return bisect_bandwidth_batched(
-                predicate_many, lo=base_bw * 0.999, rel_tol=rel_tol,
-                batch=_round_nodes(engine),
-            )
-
-        def fast_enough(bw: float) -> bool:
-            return exp.duration("original", bandwidth_mbps=bw) <= threshold
-
-        return bisect_bandwidth(fast_enough, lo=base_bw * 0.999,
-                                rel_tol=rel_tol)
+    return _search(BandwidthSearch(exp, "equivalent", variant, baseline_bw,
+                                   slack, rel_tol), engine)

@@ -714,7 +714,7 @@ class SimResultCache(_DegradableCache):
     quarantined and re-simulated instead of crashing or — worse —
     silently returning garbage numbers.  The ``.dur`` sidecar carries
     its own checksum; a key may have a sidecar and no envelope (a
-    duration-only replay), and ``len()`` counts envelopes only.
+    duration-only replay), and ``len()`` counts keys with either.
     """
 
     #: Metric-name prefix of this cache's registry counters.
@@ -886,6 +886,9 @@ class SimResultCache(_DegradableCache):
                     return duration
             else:
                 _quarantine(path, "duration sidecar checksum/schema mismatch")
+        if not self.path_for(key).exists():
+            self._count("misses")
+            return None
         result = self.load(key)
         if result is None:
             return None
@@ -995,8 +998,8 @@ class SimResultCache(_DegradableCache):
         return n
 
     def __len__(self) -> int:
-        on_disk = (
-            sum(1 for _ in self.directory.glob("*.json"))
-            if self.directory.is_dir() else 0
-        )
-        return on_disk + len(self._mem)
+        keys = set(self._mem) | set(self._mem_durations)
+        if self.directory.is_dir():
+            keys.update(p.stem for pattern in ("*.json", "*.dur")
+                        for p in self.directory.glob(pattern))
+        return len(keys)

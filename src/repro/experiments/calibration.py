@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from .parallel import engine_or_serial
 from .pipeline import AppExperiment
 
 __all__ = ["bus_sensitivity", "calibrate_buses", "saturation_knee"]
@@ -27,11 +28,27 @@ def _bus_durations(
     buses_list: list,
     engine,
 ) -> list[float]:
-    """Durations for several bus counts, engine-fanned when available."""
-    if engine is None or not engine.mediated:
-        return [exp.duration(variant, buses=b) for b in buses_list]
-    base = engine.point_for(exp, variant)
-    return engine.durations([replace(base, buses=b) for b in buses_list])
+    """Durations for several bus counts as one engine grid; without an
+    ``engine``, a private serial one replays on ``exp`` itself."""
+    with engine_or_serial(engine) as engine:
+        base = engine.point_for(exp, variant)
+        return engine.durations([replace(base, buses=b) for b in buses_list])
+
+
+def _first_bus_count(
+    exp: AppExperiment, variant: str, max_buses: int, engine, accept,
+) -> int | None:
+    """Smallest bus count up to ``max_buses`` whose duration satisfies
+    ``accept``.  A parallel ``engine`` scans speculative batches of
+    counts concurrently; the walk over each batch is the sequential one,
+    so the answer never changes."""
+    step = engine.jobs * 2 if engine is not None and engine.jobs > 1 else 1
+    for b in range(1, max_buses + 1, step):
+        chunk = list(range(b, min(b + step, max_buses + 1)))
+        for bb, d in zip(chunk, _bus_durations(exp, variant, chunk, engine)):
+            if accept(d):
+                return bb
+    return None
 
 
 def bus_sensitivity(
@@ -65,26 +82,18 @@ def calibrate_buses(
     Scans upward (durations are monotone non-increasing in buses), so
     the result is the paper's "properly set up" bus count.  Returns
     ``None`` when even ``max_buses`` cannot reach the reference (the
-    reference was faster than the network model allows).  A parallel
-    ``engine`` scans speculative batches of counts concurrently; the
-    walk over each batch is the sequential one, so the answer never
-    changes.
+    reference was faster than the network model allows).
     """
     if reference_duration <= 0:
         raise ValueError("reference duration must be positive")
-    step = engine.jobs * 2 if engine is not None and engine.jobs > 1 else 1
-    b = 1
-    while b <= max_buses:
-        chunk = list(range(b, min(b + step, max_buses + 1)))
-        for bb, d in zip(chunk, _bus_durations(exp, variant, chunk, engine)):
-            if abs(d - reference_duration) <= tolerance * reference_duration:
-                return bb
-            if d < reference_duration * (1 - tolerance):
-                # Already faster than the reference: more buses only widen
-                # the gap; this bus count is the best (conservative) match.
-                return bb
-        b = chunk[-1] + 1
-    return None
+
+    def matches(d: float) -> bool:
+        # Already faster than the reference also matches: more buses
+        # only widen the gap; this count is the best (conservative) one.
+        return (abs(d - reference_duration) <= tolerance * reference_duration
+                or d < reference_duration * (1 - tolerance))
+
+    return _first_bus_count(exp, variant, max_buses, engine, matches)
 
 
 def saturation_knee(
@@ -100,12 +109,6 @@ def saturation_knee(
     speculative batches (same result as the sequential upward scan).
     """
     unlimited = _bus_durations(exp, variant, [None], engine)[0]
-    step = engine.jobs * 2 if engine is not None and engine.jobs > 1 else 1
-    b = 1
-    while b <= max_buses:
-        chunk = list(range(b, min(b + step, max_buses + 1)))
-        for bb, d in zip(chunk, _bus_durations(exp, variant, chunk, engine)):
-            if d <= unlimited * (1 + tolerance):
-                return bb
-        b = chunk[-1] + 1
-    return max_buses
+    knee = _first_bus_count(exp, variant, max_buses, engine,
+                            lambda d: d <= unlimited * (1 + tolerance))
+    return max_buses if knee is None else knee

@@ -17,15 +17,15 @@ module turns that grid into a schedulable unit:
 
 Replay is deterministic, so a parallel grid returns results identical
 to the serial run, point for point; scheduling only changes wall-clock.
-The engine also powers *speculative batched bisection*
-(:func:`repro.experiments.bandwidth.bisect_bandwidth_batched`): instead
-of one sequential midpoint probe per round, the whole midpoint tree of
-the next few bisection levels is evaluated concurrently, descending
-several levels per round with bitwise-identical thresholds.
+The Figure 6 bandwidth searches run on it as one campaign of
+sequential walks (:func:`repro.experiments.bandwidth.search_bandwidths`):
+the engine replays each round's probes side by side, and a threshold
+is read off its walk alone, so it is the same on every job count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -40,9 +40,9 @@ import time
 import traceback as _tb
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..dimemas.machine import MachineConfig
 from ..dimemas.replay import simulate
@@ -67,6 +67,7 @@ __all__ = [
     "PointFailure",
     "RetryPolicy",
     "WorkerMemoryError",
+    "engine_or_serial",
     "expand_grid",
     "point_key",
     "speedup_grid",
@@ -309,23 +310,14 @@ def _resolve_experiment(
     point: GridPoint,
     cache_dir: str | None,
     store: dict,
-    with_trace_cache: bool = True,
 ) -> AppExperiment:
-    """The (process-local) experiment bundle behind a grid point.
-
-    ``with_trace_cache=False`` skips the persistent trace cache: the
-    parent's ship path uses it because the dispatch store already
-    persists the packed columns — also publishing the (much larger,
-    profile-bearing) original trace would put tens of MB of encoding
-    and writing on the dispatch critical path for no campaign benefit.
-    """
+    """The (process-local) experiment bundle behind a grid point."""
     key = point.experiment_key()
     exp = store.get(key)
     if exp is None:
         trace_cache = sim_cache = None
         if cache_dir is not None:
-            if with_trace_cache:
-                trace_cache = TraceCache(Path(cache_dir) / "traces")
+            trace_cache = TraceCache(Path(cache_dir) / "traces")
             sim_cache = SimResultCache(Path(cache_dir) / "replays")
         exp = AppExperiment(
             point.app,
@@ -341,12 +333,16 @@ def _resolve_experiment(
 
 
 def _simulate_point(point: GridPoint, cache_dir: str | None, store: dict,
-                    mode: str) -> SimResult | float:
+                    mode: str, lookup: bool = True) -> SimResult | float:
     """A point's result, or in ``duration`` mode just its makespan,
     which :meth:`AppExperiment.duration` answers from the sidecar when
-    it can."""
+    it can; ``lookup=False`` replays a duration the caller has already
+    looked up and missed."""
     exp = _resolve_experiment(point, cache_dir, store)
-    run = exp.simulate if mode == "result" else exp.duration
+    if mode == "result":
+        run = exp.simulate
+    else:
+        run = exp.duration if lookup else exp.replay_duration
     return run(
         point.variant,
         bandwidth_mbps=point.bandwidth_mbps,
@@ -680,9 +676,6 @@ class ExperimentEngine:
         #: Points that exhausted their retry budget, by grid point.
         self.quarantine: dict[GridPoint, PointFailure] = {}
         self._experiments: dict = {}
-        #: Ship-path experiment bundles (no trace cache — the dispatch
-        #: store persists the columns; see :meth:`_dispatch_task`).
-        self._dispatch_experiments: dict = {}
         self._pool: ProcessPoolExecutor | None = None
         self._store: TraceStore | None = None
         self._store_tmp: tempfile.TemporaryDirectory | None = None
@@ -705,9 +698,10 @@ class ExperimentEngine:
 
     @property
     def mediated(self) -> bool:
-        """True when work should route through the engine even for one
-        serial process — a parallel pool, degraded bookkeeping, or
-        sampled re-verification all need to see every point."""
+        """True when a drain should wait for the engine's next
+        scheduling step — a pool has points in flight, or degraded
+        bookkeeping and sampled re-verification must see every point
+        settle; otherwise a signal stops the campaign at once."""
         return self.jobs > 1 or self.degraded or self.verify_sample > 0.0
 
     def _interrupted(self, remaining: int | None = None) -> CampaignInterrupted:
@@ -782,6 +776,7 @@ class ExperimentEngine:
         # Heal the in-process memo too, or the corrupt value would
         # keep answering this experiment for the rest of the run.
         exp._sims[(point.variant, cfg)] = fresh
+        exp._durations[(point.variant, cfg)] = fresh.duration
         record = {
             "app": point.app,
             "variant": point.variant,
@@ -803,15 +798,17 @@ class ExperimentEngine:
         return fresh if mode == "result" else fresh.duration
 
     def _cached_value(self, point: GridPoint, mode: str):
-        """The point's value from the persistent cache, or None.
+        """The point's value if it needs no replay, or None.
 
-        Warm hits are answered in this process without execution (a
-        duration reads only the one-line sidecar) and certified like
-        executed values when sampled; only misses cost a replay.
+        Answered in this process from the experiment's memo or the
+        persistent cache (a duration reads only the one-line sidecar)
+        and certified like executed values when sampled; only misses
+        cost a replay.
         """
-        if self.cache_dir is None:
+        try:
+            exp = _resolve_experiment(point, self.cache_dir, self._experiments)
+        except Exception:  # noqa: BLE001 - its replay attempt reports it
             return None
-        exp = _resolve_experiment(point, self.cache_dir, self._experiments)
         lookup = exp.cached_duration if mode == "duration" else exp.cached_result
         hit = lookup(
             point.variant, bandwidth_mbps=point.bandwidth_mbps,
@@ -914,17 +911,8 @@ class ExperimentEngine:
         if not store.degraded:
             t0 = time.monotonic()
             try:
-                # Prefer an experiment somebody already traced (the
-                # bracket-search seed path); otherwise build one without
-                # a trace cache — the dispatch store is the cold path's
-                # persistence, and the original trace's profile payload
-                # is orders of magnitude bigger than the columns.
-                exp = self._experiments.get(point.experiment_key())
-                if exp is None:
-                    exp = _resolve_experiment(
-                        point, self.cache_dir, self._dispatch_experiments,
-                        with_trace_cache=False,
-                    )
+                exp = _resolve_experiment(point, self.cache_dir,
+                                          self._experiments)
                 cfg = exp.platform(
                     point.bandwidth_mbps, point.buses, point.latency,
                     point.perturb,
@@ -1242,7 +1230,8 @@ class ExperimentEngine:
                 if value is None:
                     _check_rss_budget(self.rss_limit_mb)
                     value = _simulate_point(p, self.cache_dir,
-                                            self._experiments, mode)
+                                            self._experiments, mode,
+                                            lookup=False)
                     value = self._maybe_verify(p, mode, value, "serial")
                     reg.counter("engine.points_executed").inc()
                     reg.histogram("engine.point_wall_seconds").observe(
@@ -1269,14 +1258,16 @@ class ExperimentEngine:
         """Replay every grid point; results in input order.
 
         Deterministic: identical to running the same points serially.
-        In degraded mode, slots whose point kept failing hold a
-        :class:`PointFailure` instead of a :class:`SimResult`; in
-        strict mode such points raise :class:`GridExecutionError`.
+        With ``jobs > 1`` every point that misses the caches replays in
+        the pool, a lone one too.  In degraded mode, slots whose point
+        kept failing hold a :class:`PointFailure` instead of a
+        :class:`SimResult`; in strict mode such points raise
+        :class:`GridExecutionError`.
         """
         points = list(points)
         _maybe_selfkill("REPRO_TEST_SELFKILL_BEFORE_DISPATCH")
         with _span("engine.run_grid", points=len(points), jobs=self.jobs):
-            if self.jobs <= 1 or len(points) <= 1:
+            if self.jobs <= 1:
                 return self._run_serial(points, "result")
             return self._map_points(points, "result")
 
@@ -1290,19 +1281,21 @@ class ExperimentEngine:
         points = list(points)
         _maybe_selfkill("REPRO_TEST_SELFKILL_BEFORE_DISPATCH")
         with _span("engine.durations", points=len(points), jobs=self.jobs):
-            if self.jobs <= 1 or len(points) <= 1:
+            if self.jobs <= 1:
                 return self._run_serial(points, "duration")
             return self._map_points(points, "duration")
 
     # -- experiment interop -------------------------------------------------
-    def experiment(self, point: GridPoint) -> AppExperiment:
-        """In-process experiment bundle for a point (cached)."""
-        return _resolve_experiment(point, self.cache_dir, self._experiments)
+    def point_for(self, exp: AppExperiment,
+                  variant: str = "original") -> GridPoint:
+        """Grid point describing an existing experiment bundle.
 
-    @staticmethod
-    def point_for(exp: AppExperiment, variant: str = "original") -> GridPoint:
-        """Grid point describing an existing experiment bundle."""
-        return GridPoint(
+        The engine adopts ``exp`` for the point's experiment key (the
+        first bundle offered wins), so lookups, serial replays and
+        dispatch reuse its traces, memo and caches instead of building
+        their own.
+        """
+        point = GridPoint(
             app=exp.app_name,
             variant=variant,
             nranks=exp.nranks,
@@ -1310,43 +1303,21 @@ class ExperimentEngine:
             app_params=_normalize_params(exp.app_params),
             machine=exp.machine,
         )
+        self._experiments.setdefault(point.experiment_key(), exp)
+        return point
 
-    def duration_predicate_many(
-        self,
-        exp: AppExperiment,
-        variant: str,
-        threshold: float,
-    ) -> Callable[[Sequence[float]], list[bool]]:
-        """Batched bandwidth predicate for the bisection searches.
 
-        Returns ``predicate_many(bandwidths) -> [duration <= threshold]``
-        evaluated through the engine (concurrently when ``jobs > 1``;
-        directly on ``exp`` when serial, reusing its memo).
-
-        A degraded engine refuses to guess: when any probe comes back
-        as a :class:`PointFailure` the predicate raises
-        :class:`DegradedBracketError` instead of returning a bracket
-        built on missing answers.
-        """
-        base = self.point_for(exp, variant)
-        # Let the engine's warm-hit and serial paths reuse the caller's
-        # already-traced experiment instead of rebuilding it.
-        self._experiments.setdefault(base.experiment_key(), exp)
-
-        def predicate_many(bandwidths: Sequence[float]) -> list[bool]:
-            if not self.mediated:
-                return [
-                    exp.duration(variant, bandwidth_mbps=float(bw)) <= threshold
-                    for bw in bandwidths
-                ]
-            pts = [replace(base, bandwidth_mbps=float(bw)) for bw in bandwidths]
-            durs = self.durations(pts)
-            bad = [d for d in durs if isinstance(d, PointFailure)]
-            if bad:
-                raise DegradedBracketError(bad)
-            return [d <= threshold for d in durs]
-
-        return predicate_many
+@contextlib.contextmanager
+def engine_or_serial(
+    engine: ExperimentEngine | None,
+) -> Iterator[ExperimentEngine]:
+    """``engine``, or a private serial engine closed with the block: the
+    one route of every study helper called without an engine."""
+    if engine is not None:
+        yield engine
+    else:
+        with ExperimentEngine(jobs=1) as own:
+            yield own
 
 
 def speedup_grid(

@@ -4,9 +4,10 @@ One :class:`AppExperiment` owns the three traces of one application
 run (original, real-pattern overlapped, ideal-pattern overlapped —
 exactly the three traces the paper's tracer emits per run) and replays
 them on any platform variation.  Traces are built lazily and cached;
-replays are memoized per (variant, bandwidth, buses) so bandwidth
-searches stay cheap, and with a result cache a duration is answered
-from its one-line sidecar before any envelope, trace or replay.
+replays are memoized per (variant, platform) so bandwidth searches
+stay cheap.  With a result cache a duration is answered from its
+one-line sidecar before any envelope, trace or replay, and a duration
+replay publishes that sidecar alone.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ class AppExperiment:
         self.sim_cache = sim_cache
         self._traces: dict[str, TraceSet] = {}
         self._sims: dict[tuple[str, MachineConfig], SimResult] = {}
+        #: The makespan of every replay in ``_sims`` and of every
+        #: duration-only replay.
+        self._durations: dict[tuple[str, MachineConfig], float] = {}
         self._published_specs: set[str] = set()
 
     # ------------------------------------------------------------------ #
@@ -133,8 +137,6 @@ class AppExperiment:
             overrides["perturb"] = perturb
         return self.machine.with_platform(**overrides)
 
-    _platform = platform
-
     def columnar(self, variant: str = "original"):
         """The packed columnar form of a variant's trace.
 
@@ -164,7 +166,7 @@ class AppExperiment:
         perturb: object | None = None,
     ) -> SimResult:
         """Replay a variant on a (possibly modified) platform."""
-        cfg = self._platform(bandwidth_mbps, buses, latency, perturb)
+        cfg = self.platform(bandwidth_mbps, buses, latency, perturb)
         # Keyed on the *full* platform so two configs differing in any
         # machine field (ports, cpu_ratio, eager threshold, ...) never
         # alias to the same memoized result.
@@ -176,6 +178,7 @@ class AppExperiment:
                     self._sims[key] = self._cached_simulate(variant, cfg)
                 else:
                     self._sims[key] = simulate(self.trace(variant), cfg)
+            self._durations[key] = self._sims[key].duration
         return self._sims[key]
 
     def cached_result(
@@ -194,7 +197,7 @@ class AppExperiment:
         short-circuit warm grid points in the parent process instead of
         dispatching them to workers.
         """
-        cfg = self._platform(bandwidth_mbps, buses, latency, perturb)
+        cfg = self.platform(bandwidth_mbps, buses, latency, perturb)
         key = (variant, cfg)
         hit = self._sims.get(key)
         if hit is not None or self.sim_cache is None:
@@ -205,6 +208,7 @@ class AppExperiment:
         hit = self.sim_cache.load(self.sim_cache.key_for_digest(digest, cfg))
         if hit is not None:
             self._sims[key] = hit
+            self._durations[key] = hit.duration
         return hit
 
     def cached_duration(
@@ -221,12 +225,10 @@ class AppExperiment:
         is one sidecar line instead of the full result envelope, which
         is what duration-mode grid sweeps actually consume.
         """
-        cfg = self._platform(bandwidth_mbps, buses, latency, perturb)
-        hit = self._sims.get((variant, cfg))
-        if hit is not None:
-            return hit.duration
-        if self.sim_cache is None:
-            return None
+        cfg = self.platform(bandwidth_mbps, buses, latency, perturb)
+        hit = self._durations.get((variant, cfg))
+        if hit is not None or self.sim_cache is None:
+            return hit
         digest = self._known_digest(variant)
         if digest is None:
             return None
@@ -276,12 +278,37 @@ class AppExperiment:
 
         Asks :meth:`cached_duration` first, so a warm lookup reads one
         sidecar line and never loads a result envelope, builds a trace
-        or replays; a miss replays through :meth:`simulate`.
+        or replays; a miss goes to :meth:`replay_duration`.
         """
         hit = self.cached_duration(variant, **platform)
         if hit is None:
-            hit = self.simulate(variant, **platform).duration
+            hit = self.replay_duration(variant, **platform)
         return hit
+
+    def replay_duration(self, variant: str = "original", **platform) -> float:
+        """Replay a variant for its makespan after a missed lookup.
+
+        :meth:`cached_duration` looks a replay up only once the trace
+        digest is known; when it was not, the lookup happens here, once
+        the trace is built.  The makespan is memoized; with a result
+        cache only its ``.dur`` sidecar is published — nothing reads a
+        duration replay's result envelope.
+        """
+        cfg = self.platform(**platform)
+        key = None
+        if self.sim_cache is not None:
+            unknown = self._known_digest(variant) is None
+            digest = self.columnar(variant).digest  # publishes spec->digest
+            key = self.sim_cache.key_for_digest(digest, cfg)
+            hit = self.sim_cache.load_duration(key) if unknown else None
+            if hit is not None:
+                return hit
+        with _span("experiment.simulate", app=self.app_name, variant=variant):
+            duration = simulate(self.trace(variant), cfg).duration
+        if key is not None:
+            self.sim_cache.store_duration(key, duration)
+        self._durations[(variant, cfg)] = duration
+        return duration
 
     def speedups(self, **platform) -> dict[str, float]:
         """Overlap speedups vs the original execution (paper Fig. 6(a))."""

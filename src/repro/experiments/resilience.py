@@ -40,7 +40,12 @@ from dataclasses import dataclass
 from ..obs import span as _span
 from ..perturb import PerturbationSchedule
 from ..perturb.scenarios import SCENARIO_KINDS, build_scenario
-from .parallel import ExperimentEngine, GridPoint, PointFailure
+from .parallel import (
+    ExperimentEngine,
+    GridPoint,
+    PointFailure,
+    engine_or_serial,
+)
 
 __all__ = [
     "ResilienceReport",
@@ -225,10 +230,7 @@ def resilience_sweep(
             raise ValueError(
                 f"unknown scenario {kind!r} (known: {known})"
             )
-    own_engine = engine is None
-    if own_engine:
-        engine = ExperimentEngine(jobs=1)
-    try:
+    with engine_or_serial(engine) as engine:
         with _span("resilience.sweep", apps=len(apps),
                    scenarios=len(scenario_kinds)):
             def _point(app: str, variant: str,
@@ -288,9 +290,6 @@ def resilience_sweep(
                 apps=apps, scenarios=scenario_kinds, seed=seed,
                 nranks=nranks, chunks=chunks, rows=tuple(rows),
             )
-    finally:
-        if own_engine:
-            engine.close()
 
 
 # --------------------------------------------------------------------------- #

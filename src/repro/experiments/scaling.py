@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..dimemas.machine import MachineConfig
-from .pipeline import AppExperiment
+from .parallel import GridPoint, _normalize_params, engine_or_serial
 
 __all__ = ["ScalePoint", "ScalingStudy", "scaling_study"]
 
@@ -75,52 +75,29 @@ def scaling_study(
     Uses the application's Table I platform by default.  Returns one
     :class:`ScalePoint` per count (each backed by a fresh trace at that
     scale — problem size is held constant, so this is a strong-scaling
-    ladder like the paper's).  With a parallel
-    :class:`~repro.experiments.parallel.ExperimentEngine` the whole
-    (rank count x variant) ladder runs as one concurrent grid — each
-    scale is an independent trace, so this is the best-parallelizing
-    study in the harness.
+    ladder like the paper's).  The whole (rank count x variant) ladder
+    runs as one grid through ``engine`` — each scale is an independent
+    trace, so this is the best-parallelizing study in the harness;
+    without one, a private serial engine runs it.
     """
     mach = machine or MachineConfig.paper_testbed(app)
-    if engine is not None and engine.mediated:
-        from .parallel import GridPoint, _normalize_params
-        params = _normalize_params(app_params)
-        grid = [
-            GridPoint(app=app, variant=v, nranks=n,
-                      app_params=params, machine=mach)
-            for n in rank_counts
-            for v in ("original", "real", "ideal")
-        ]
-        results = engine.run_grid(grid)
-        by_point = dict(zip(grid, results))
-
-        def res(n: int, v: str) -> "object":
-            return by_point[GridPoint(app=app, variant=v, nranks=n,
-                                      app_params=params, machine=mach)]
-
-        points = []
-        for n in rank_counts:
-            orig = res(n, "original")
-            points.append(ScalePoint(
-                nranks=n,
-                duration_original=orig.duration,
-                duration_real=res(n, "real").duration,
-                duration_ideal=res(n, "ideal").duration,
-                comm_fraction=1.0 - orig.parallel_efficiency,
-            ))
-        return ScalingStudy(app=app, points=tuple(points))
-
+    params = _normalize_params(app_params)
+    grid = {
+        (n, v): GridPoint(app=app, variant=v, nranks=n,
+                          app_params=params, machine=mach)
+        for n in rank_counts
+        for v in ("original", "real", "ideal")
+    }
+    with engine_or_serial(engine) as engine:
+        res = dict(zip(grid, engine.run_grid(grid.values())))
     points = []
     for n in rank_counts:
-        exp = AppExperiment(
-            app, nranks=n, machine=mach, app_params=app_params,
-        )
-        orig = exp.simulate("original")
+        orig = res[(n, "original")]
         points.append(ScalePoint(
             nranks=n,
             duration_original=orig.duration,
-            duration_real=exp.duration("real"),
-            duration_ideal=exp.duration("ideal"),
+            duration_real=res[(n, "real")].duration,
+            duration_ideal=res[(n, "ideal")].duration,
             comm_fraction=1.0 - orig.parallel_efficiency,
         ))
     return ScalingStudy(app=app, points=tuple(points))

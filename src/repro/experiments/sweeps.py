@@ -11,11 +11,12 @@ plotting stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..obs import span as _span
+from .parallel import PointFailure, engine_or_serial
 from .pipeline import AppExperiment, VARIANTS
 
 __all__ = ["SweepResult", "ascii_series", "bandwidth_sweep", "latency_sweep"]
@@ -50,29 +51,20 @@ def _sweep(
     variants: tuple[str, ...],
     engine,
 ) -> SweepResult:
-    """Run one (variant x value) grid, engine-fanned when available."""
-    with _span("sweep", parameter=parameter, app=exp.app_name,
-               points=len(xs) * len(variants)):
-        if engine is None or not engine.mediated:
-            durations = {
-                v: tuple(exp.duration(v, **{parameter: x}) for x in xs)
-                for v in variants
-            }
-            return SweepResult(parameter, xs, durations)
-        from dataclasses import replace
-
-        from .parallel import PointFailure
+    """Run one (variant x value) grid through ``engine``; without one,
+    a private serial engine replays on ``exp`` itself."""
+    with engine_or_serial(engine) as engine, _span(
+            "sweep", parameter=parameter, app=exp.app_name,
+            points=len(xs) * len(variants)):
         points = [
             replace(engine.point_for(exp, v), **{parameter: x})
             for v in variants
             for x in xs
         ]
+        durs = engine.durations(points)
         # A degraded engine hands back PointFailure sentinels for points
         # it had to quarantine; the sweep keeps its shape with NaN holes.
-        flat = [
-            math.nan if isinstance(d, PointFailure) else d
-            for d in engine.durations(points)
-        ]
+        flat = [math.nan if isinstance(d, PointFailure) else d for d in durs]
         durations = {
             v: tuple(flat[i * len(xs):(i + 1) * len(xs)])
             for i, v in enumerate(variants)

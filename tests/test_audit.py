@@ -375,7 +375,9 @@ class TestVerifySample:
     def test_detects_quarantines_and_heals(self, tmp_path):
         point = GridPoint(app="cg", variant="original", nranks=4)
         with ExperimentEngine(cache_dir=tmp_path) as engine:
-            truth = engine.durations([point])[0]
+            # A result-mode replay stores the envelope a duration
+            # replay does not.
+            truth = engine.run_grid([point])[0].duration
 
         cache = SimResultCache(tmp_path / "replays")
         keys = [p.stem for p in (tmp_path / "replays").glob("*.json")]

@@ -9,9 +9,13 @@ and reads:
   the result envelopes;
 * warm duration lookups, through ``AppExperiment.duration`` and through
   a serial engine, read sidecars and never load an envelope;
+* a serial engine's cold duration miss replays once and publishes the
+  sidecar alone, never consulting a result envelope;
 * a search on an experiment keyed apart from the grid that published
   the trace digests ships its probes by digest and traces nothing in
   the parent;
+* a one-search campaign on two workers asks its path probe plus one
+  speculative probe per round;
 * a degraded cache keeps a sidecar-only duration in memory, where
   ``load_duration`` finds it without reaching ``load``.
 """
@@ -92,6 +96,23 @@ class TestSidecarOnlyPoints:
         with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
             assert eng.durations(points) == durs
 
+    def test_serial_cold_misses_write_only_sidecars(
+            self, tmp_path, monkeypatch):
+        points = ladder((None, 50.0, 100.0))
+        monkeypatch.setattr(SimResultCache, "load", _no_load)
+        misses0 = counter("cache.replay.misses")
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            durs = eng.durations(points)
+        replays = tmp_path / "replays"
+        assert len(list(replays.glob("*.dur"))) == len(points)
+        assert not list(replays.glob("*.json"))
+        # One lookup per point: a variant's first one once its trace,
+        # and so its digest, exists.
+        assert counter("cache.replay.misses") - misses0 == len(points)
+        exp = tiny_exp()
+        assert durs == [exp.duration(p.variant, bandwidth_mbps=p.bandwidth_mbps)
+                        for p in points]
+
     def test_degraded_store_duration_is_held_in_memory(
             self, tmp_path, monkeypatch):
         # A read-only directory, modelled at the publish call: mode bits
@@ -138,9 +159,14 @@ class TestSearchDispatchByDigest:
 
 class TestRoundSize:
     def test_rounds_are_sized_to_the_pool(self, tmp_path, monkeypatch):
-        """On two workers every speculative round is the 3-node tree of
-        two levels, never a wider one."""
+        """On two workers a one-search campaign asks its anchor, then per
+        round the walk's next probe plus one speculative probe of the
+        level below it, never a wider round, in fewer rounds than the
+        sequential walk has probes."""
+        probes = get_registry().counter("bisect.probes")
+        p0 = probes.value
         expected = relaxation_bandwidth(tiny_exp(), "real")
+        sequential = probes.value - p0
         calls = []
         with ExperimentEngine(jobs=2, cache_dir=tmp_path) as eng:
             durations = eng.durations
@@ -153,6 +179,6 @@ class TestRoundSize:
             monkeypatch.setattr(eng, "durations", recording)
             assert relaxation_bandwidth(tiny_exp(), "real",
                                         engine=eng) == expected
-        # The anchor, the bracket ends, then the rounds.
-        assert calls[:2] == [1, 2]
-        assert len(calls) > 3 and set(calls[2:]) == {3}
+        assert calls[0] == 1
+        assert set(calls[1:-1]) == {2} and calls[-1] in (1, 2)
+        assert len(calls) - 1 < sequential

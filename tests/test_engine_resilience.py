@@ -10,7 +10,12 @@ import math
 
 import pytest
 
-from repro.experiments.bandwidth import relaxation_bandwidth
+from repro.experiments.bandwidth import (
+    BandwidthSearch,
+    equivalent_bandwidth,
+    relaxation_bandwidth,
+    search_bandwidths,
+)
 from repro.experiments.parallel import (
     DegradedBracketError,
     ExperimentEngine,
@@ -195,17 +200,41 @@ class TestQuarantine:
 
 class TestDegradedConsumers:
     def test_bisection_refuses_degraded_bracket(self, monkeypatch):
-        # every worker call fails: the predicate must raise, not guess
+        # every replay fails: the search must refuse, not guess
         exp = AppExperiment("sweep3d", nranks=4, app_params=TINY)
         retry = RetryPolicy(max_attempts=1)
         with ExperimentEngine(jobs=1, retry=retry, degraded=True) as eng:
-            predicate = eng.duration_predicate_many(exp, "real", 1.0)
             monkeypatch.setattr(
                 "repro.experiments.parallel._simulate_point",
                 lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")),
             )
             with pytest.raises(DegradedBracketError):
-                predicate([10.0, 100.0])
+                relaxation_bandwidth(exp, "real", engine=eng)
+            (found,) = search_bandwidths(
+                eng, [BandwidthSearch(exp, "equivalent", "ideal")])
+        assert isinstance(found, DegradedBracketError)
+        assert "boom" in found.failures[0].describe()
+
+    def test_campaign_fails_only_the_broken_apps_searches(self):
+        """A degraded two-worker campaign in which every replay of one
+        app fails: that app's searches come back as
+        DegradedBracketError, the others with their sequential
+        thresholds."""
+        good = AppExperiment("sweep3d", nranks=4, app_params=TINY)
+        bad = AppExperiment("cg", nranks=4, app_params={"no_such_param": 1})
+        kinds = [("relaxation", "real"), ("equivalent", "ideal")]
+        searches = [BandwidthSearch(e, k, v)
+                    for e in (good, bad) for k, v in kinds]
+        fresh = AppExperiment("sweep3d", nranks=4, app_params=TINY)
+        expected = [relaxation_bandwidth(fresh, "real"),
+                    equivalent_bandwidth(fresh, "ideal")]
+        retry = RetryPolicy(max_attempts=1)
+        with ExperimentEngine(jobs=2, retry=retry, degraded=True) as eng:
+            found = search_bandwidths(eng, searches)
+        assert found[:2] == expected
+        for f in found[2:]:
+            assert isinstance(f, DegradedBracketError)
+            assert all(x.point.app == "cg" for x in f.failures)
 
     def test_relaxation_search_works_on_degraded_engine(self):
         # healthy workers: degraded mode must not change the threshold

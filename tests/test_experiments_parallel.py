@@ -1,4 +1,4 @@
-"""Tests of the parallel experiment engine and the batched bisection."""
+"""Tests of the parallel experiment engine and the search campaign."""
 
 import math
 
@@ -6,11 +6,13 @@ import pytest
 
 from repro.dimemas.machine import MachineConfig
 from repro.experiments.bandwidth import (
-    NonMonotonePredicateError,
+    BW_MAX,
+    BW_MIN,
+    BandwidthSearch,
     bisect_bandwidth,
-    bisect_bandwidth_batched,
     equivalent_bandwidth,
     relaxation_bandwidth,
+    search_bandwidths,
 )
 from repro.experiments.parallel import (
     ExperimentEngine,
@@ -19,6 +21,7 @@ from repro.experiments.parallel import (
     speedup_grid,
 )
 from repro.experiments.pipeline import AppExperiment
+from repro.obs import get_registry
 
 #: A tiny Sweep3D instance so traces build in milliseconds.
 TINY = dict(nx=8, ny=8, nz=4, mk=2, angle_block=2, iterations=1)
@@ -158,69 +161,121 @@ class TestBisectEdgeCases:
         assert bisect_bandwidth(lambda bw: True, lo=3.0) == 3.0
 
 
+class PredicateEngine(ExperimentEngine):
+    """An engine whose replays are a predicate of the bandwidth.
+
+    The anchor (the original at the baseline) takes 1.0 s; a probe
+    takes 1.0 s where ``ok(bw)`` holds and 2.0 s where it does not, so
+    a relaxation search's walk sees exactly ``ok``.  ``rounds`` records
+    the bandwidths of every grid the campaign asks for.
+    """
+
+    def __init__(self, ok, jobs: int):
+        super().__init__(jobs=jobs)
+        self.ok = ok
+        self.rounds: list[list[float]] = []
+
+    def durations(self, points):
+        points = list(points)
+        self.rounds.append([p.bandwidth_mbps for p in points])
+        return [1.0 if p.variant == "original" or self.ok(p.bandwidth_mbps)
+                else 2.0 for p in points]
+
+
+def campaign(ok, jobs, lo=BW_MIN, hi=BW_MAX, rel_tol=0.01):
+    """One relaxation search on ``[lo, hi]`` with predicate ``ok``."""
+    eng = PredicateEngine(ok, jobs)
+    search = BandwidthSearch(tiny_exp(), "relaxation", baseline_bw=hi,
+                             rel_tol=rel_tol)
+    assert search.walk().lo == lo
+    (found,) = search_bandwidths(eng, [search])
+    return found, eng
+
+
+def holey(bw):
+    """True above 5 MB/s except a hole at [25, 40] MB/s."""
+    return bw >= 5.0 and not (25.0 <= bw <= 40.0)
+
+
+def nonmonotone() -> int:
+    return get_registry().counter("bisect.nonmonotone").value
+
+
 class TestBatchedBisect:
+    """The search campaign, successor of the speculative batched
+    bisection: speculation on idle workers may only save rounds, never
+    move a threshold or raise."""
+
     @pytest.mark.parametrize("thr", [0.3, 1.0, 5.0, 123.456, 9999.0, 127999.0])
-    @pytest.mark.parametrize("batch", [1, 3, 7, 15])
-    def test_bitwise_identical_to_sequential(self, thr, batch):
+    @pytest.mark.parametrize("jobs", [1, 3, 7, 15])
+    def test_bitwise_identical_to_sequential(self, thr, jobs):
         seq = bisect_bandwidth(lambda bw: bw >= thr)
-        bat = bisect_bandwidth_batched(
-            lambda bws: [bw >= thr for bw in bws], batch=batch,
-        )
-        assert seq == bat  # exact float equality, not approx
+        found, _ = campaign(lambda bw: bw >= thr, jobs)
+        assert seq == found  # exact float equality, not approx
 
     def test_identical_under_rel_tol_variations(self):
         thr = 42.0
         for tol in (0.1, 0.01, 0.001):
             seq = bisect_bandwidth(lambda bw: bw >= thr, rel_tol=tol)
-            bat = bisect_bandwidth_batched(
-                lambda bws: [bw >= thr for bw in bws], rel_tol=tol,
-            )
-            assert seq == bat
+            for jobs in (1, 3):
+                found, _ = campaign(lambda bw: bw >= thr, jobs, rel_tol=tol)
+                assert seq == found
 
     def test_lo_equals_hi(self):
-        assert bisect_bandwidth_batched(
-            lambda bws: [True] * len(bws), lo=10.0, hi=10.0,
-        ) == 10.0
-        assert math.isinf(bisect_bandwidth_batched(
-            lambda bws: [False] * len(bws), lo=10.0, hi=10.0,
-        ))
+        assert campaign(lambda bw: True, 2, hi=BW_MIN)[0] == BW_MIN
+        assert math.isinf(campaign(lambda bw: False, 2, hi=BW_MIN)[0])
 
-    def test_non_monotone_raises(self):
-        # true above 5 MB/s except a hole at [25, 40]: the speculative
-        # tree of the first round probes both flanks of the hole
-        # (~5.6 true, ~31.6 false) and detects the violation
-        def holey_many(bws):
-            return [bw >= 5.0 and not (25.0 <= bw <= 40.0) for bw in bws]
+    def test_non_monotone_is_counted_not_raised(self):
+        """The holey predicate on one, two and three workers: every
+        route returns the sequential walk's threshold and none raises.
+        Only on three workers does a speculative probe land in the hole
+        (34.6 MB/s); that contradiction is counted."""
+        seq = bisect_bandwidth(holey)
+        for jobs, contradictions in ((1, 0), (2, 0), (3, 1)):
+            before = nonmonotone()
+            found, eng = campaign(holey, jobs)
+            assert found == seq
+            in_hole = [bw for grid in eng.rounds for bw in grid
+                       if 25.0 <= bw <= 40.0]
+            assert len(in_hole) == contradictions
+            assert nonmonotone() - before == contradictions
 
-        with pytest.raises(NonMonotonePredicateError):
-            bisect_bandwidth_batched(holey_many, lo=1.0, hi=1000.0, batch=7)
-
-    def test_non_monotone_at_bracket_raises(self):
-        def inverted(bws):
-            return [bw <= 10.0 for bw in bws]
-
-        with pytest.raises(NonMonotonePredicateError):
-            bisect_bandwidth_batched(inverted, lo=1.0, hi=1000.0)
+    def test_non_monotone_at_bracket_is_counted(self):
+        # holds at lo, fails above: the walk stops at lo; on two
+        # workers the spare probe of hi sees the failure
+        before = nonmonotone()
+        found, _ = campaign(lambda bw: bw <= 10.0, 2, hi=1000.0)
+        assert found == BW_MIN
+        assert nonmonotone() == before + 1
 
     def test_wrong_answer_count_raises(self):
+        class Short(PredicateEngine):
+            def durations(self, points):
+                return super().durations(points)[:-1]
+
+        search = BandwidthSearch(tiny_exp(), "relaxation")
         with pytest.raises(ValueError):
-            bisect_bandwidth_batched(lambda bws: [True], lo=1.0, hi=1000.0)
+            search_bandwidths(Short(lambda bw: True, 2), [search])
+
+    @pytest.mark.parametrize("jobs", [1, 2, 5])
+    def test_rounds_fill_the_pool_and_no_more(self, jobs):
+        _, eng = campaign(lambda bw: bw >= 50.0, jobs)
+        assert eng.rounds[0] == [BW_MAX]  # the anchor
+        assert all(1 <= len(grid) <= jobs for grid in eng.rounds[1:])
+        if jobs > 1:
+            assert max(len(grid) for grid in eng.rounds) == jobs
 
     def test_fewer_rounds_than_sequential_probes(self):
-        calls = {"seq": 0, "bat": 0}
+        calls = {"seq": 0}
 
         def pred(bw):
             calls["seq"] += 1
             return bw >= 50.0
 
-        def pred_many(bws):
-            calls["bat"] += 1
-            return [bw >= 50.0 for bw in bws]
-
         bisect_bandwidth(pred)
-        bisect_bandwidth_batched(pred_many, batch=7)
-        # 7-probe batches descend 3 levels per round: far fewer rounds
-        assert calls["bat"] < calls["seq"] / 2
+        _, eng = campaign(lambda bw: bw >= 50.0, 7)
+        # six spare workers descend about three levels per round
+        assert len(eng.rounds) - 1 < calls["seq"] / 2
 
 
 class TestEngineBackedSearches:
@@ -239,15 +294,18 @@ class TestEngineBackedSearches:
         assert seq == bat
 
     def test_serial_engine_reuses_experiment_memo(self):
+        """A search without an engine runs on a private serial one that
+        replays on the caller's experiment."""
         exp = tiny_exp()
-        eng = ExperimentEngine(jobs=1)
-        pred = eng.duration_predicate_many(
-            exp, "real", exp.duration("original"),
-        )
-        before = len(exp._sims)
-        pred([100.0, 200.0])
-        # serial predicate goes through the experiment's own memo
-        assert len(exp._sims) >= before + 2
+        probes = get_registry().counter("bisect.probes")
+        runs = get_registry().counter("replay.runs")
+        p0 = probes.value
+        first = relaxation_bandwidth(exp)
+        # the anchor and every probe landed in the experiment's memo
+        assert len(exp._durations) == probes.value - p0 + 1
+        r0 = runs.value
+        assert relaxation_bandwidth(exp) == first
+        assert runs.value == r0  # answered from that memo
 
 
 class TestEngineWiredHelpers:

@@ -37,6 +37,23 @@ class TestReportContent:
             float(parts[1]), float(parts[2])  # real/ideal columns
 
 
+class TestBandwidthColumnsOnEveryJobCount:
+    def test_serial_and_pooled_reports_are_byte_identical(self):
+        """The Figure 6 searches run as one campaign on either route, and
+        every threshold is its sequential walk's, so the whole report
+        prints the same text."""
+        serial, pooled = (
+            full_report(nranks=8, apps=("cg", "bt"), jobs=jobs)
+            for jobs in (1, 2)
+        )
+        assert serial == pooled
+        rows = serial.split("== Figure 6: overlap benefits ==\n")[1]
+        header, cg, bt = rows.splitlines()[:3]
+        assert "equivBW(ideal)" in header
+        for row in (cg, bt):
+            assert len(row.split()) == 7 and "FAILED" not in row
+
+
 class TestModuleEntryPoint:
     def test_module_main_is_repro_report(self, tmp_path, monkeypatch, capsys):
         """``python -m repro.experiments.report`` parses like
