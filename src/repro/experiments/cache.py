@@ -26,11 +26,16 @@ costs one-time:
   Duration lookups read the sidecar first and fall back to the
   envelope only when the sidecar is missing or bad.
 
-Both caches publish atomically (write to a per-process unique temp
-name, then :meth:`~pathlib.Path.replace`), so concurrent workers of the
-parallel experiment engine can share one cache directory: when two
-processes build the same key, both writes succeed and the last rename
-wins with identical content.
+Every cache publishes atomically, in the caller's thread: it writes
+to a per-process unique staging name, then renames it into place with
+:meth:`~pathlib.Path.replace`.  An entry is on disk when the call
+returns, and concurrent workers of the parallel experiment engine can
+share one cache directory: when two processes build the same key, both
+writes succeed and the last rename wins with identical content.  A
+trace entry is streamed into its staging file
+(:meth:`~repro.trace.columnar.ColumnarTrace.write`), each access
+profile straight from its array, so a publish holds no second copy of
+the profiles.  A publish that fails removes its staging file.
 
 Both caches are also **self-healing**: every entry is published with a
 schema version and a content checksum, and anything that fails to load
@@ -62,12 +67,11 @@ import logging
 import os
 import shutil
 import signal
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable
 
 from .. import __version__
 from ..dimemas.machine import MachineConfig
@@ -166,28 +170,41 @@ def _writer_token() -> str:
     return f"{pid}-{_proc_start_ticks(pid) or 0}"
 
 
-#: Per-process staging serial: two publisher threads of the same
-#: process writing the same entry must not share a staging file, or
-#: one thread's rename deletes the file out from under the other.
+#: Per-process staging serial: every publish stages under a name of
+#: its own, so two publishes of one entry by this process (from two
+#: threads of an embedding program, say) never write one staging file.
 _stage_seq = itertools.count()
 
+#: What :func:`_stage_and_publish` writes: text, bytes, or a writer
+#: that streams the entry into a binary file.
+_Payload = str | bytes | Callable[[BinaryIO], object]
 
-def _stage_and_publish(path: Path, data: str | bytes) -> None:
-    """Atomically publish ``data`` (text or bytes) at ``path``.
+
+def _stage_and_publish(path: Path, data: _Payload) -> None:
+    """Atomically publish ``data`` at ``path``.
 
     The staging name embeds the writer identity (PID + process start
-    time) plus a per-process serial, so concurrent writers — in other
-    processes *or* other threads of this one — never clobber each
-    other's half-written file; the final rename is atomic within a
-    filesystem.
+    time) plus a per-process serial, so concurrent writers never
+    clobber each other's half-written file; the final rename is atomic
+    within a filesystem.  A write or rename that raises removes the
+    staging file before the error propagates: its writer is alive, so
+    no orphan sweep would.
     """
     tmp = path.with_name(
         f"{path.name}.{_writer_token()}-{next(_stage_seq)}.tmp")
-    if isinstance(data, bytes):
-        tmp.write_bytes(data)
-    else:
-        tmp.write_text(data)
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as f:
+            if callable(data):
+                data(f)
+            else:
+                f.write(data.encode() if isinstance(data, str) else data)
+        tmp.replace(path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass  # never created
+        raise
 
 
 #: Points this process has stored (counted only while the chaos hook
@@ -424,7 +441,7 @@ class _DegradableCache:
         )
         get_registry().counter("cache.degraded").inc()
 
-    def _publish(self, path: Path, data: str | bytes) -> bool:
+    def _publish(self, path: Path, data: _Payload) -> bool:
         """Best-effort atomic publish; False when running in-memory."""
         if self.degraded:
             return False
@@ -458,7 +475,9 @@ class TraceCache(_DegradableCache):
     whose container carries its own magic, schema version, and payload
     checksums; an entry that is truncated, corrupted, or from another
     schema version fails :func:`~repro.trace.columnar.decode` and is
-    quarantined and rebuilt instead of crashing the run.
+    quarantined and rebuilt instead of crashing the run.  A miss is
+    built and streamed to disk, access profiles included, in the
+    caller's thread before :meth:`load_or_build` returns.
     """
 
     #: Metric-name prefix of this cache's registry counters.
@@ -473,11 +492,6 @@ class TraceCache(_DegradableCache):
         self.hits = 0
         self.misses = 0
         self.rebuilt = 0
-        #: Traces built but not yet published by a background thread;
-        #: reads consult this first so publication latency is invisible.
-        self._pending: dict[str, TraceSet] = {}
-        self._pending_lock = threading.Lock()
-        self._publishers: list[threading.Thread] = []
 
     def _count(self, what: str) -> None:
         setattr(self, what, getattr(self, what) + 1)
@@ -509,11 +523,10 @@ class TraceCache(_DegradableCache):
 
         A bad entry — decode failure, checksum mismatch, stale schema —
         is quarantined and rebuilt; it never propagates to the caller.
+        A built trace is on disk, profiles included, when this returns
+        (or held in memory if the cache has degraded).
         """
         hit = self._mem.get(key)
-        if hit is None:
-            with self._pending_lock:
-                hit = self._pending.get(key)
         if hit is not None:
             self._count("hits")
             return hit
@@ -527,56 +540,18 @@ class TraceCache(_DegradableCache):
         self._count("misses")
         with _span("cache.trace.build", key=key):
             trace = builder()
-        self._publish_async(key, path, trace)
+        col = _columnar_from_traceset(trace, with_profiles=True)
+        if not self._publish(path, col.write):
+            self._mem[key] = trace
         return trace
 
-    def _publish_async(self, key: str, path: Path, trace: TraceSet) -> None:
-        """Publish in a background thread; the encode of a large trace
-        (profiles dominate: tens of MB for hundreds of KB of records)
-        and its disk write would otherwise sit on the caller's critical
-        path — during parallel dispatch, serially in the parent.  Reads
-        are served from :attr:`_pending` until the file lands, and
-        :meth:`flush` joins stragglers before anything enumerates the
-        directory.  Threads are non-daemon, so process exit (and the
-        interpreter's thread join) always completes a started publish.
-        """
-        if self.degraded:
-            self._mem[key] = trace
-            return
-        with self._pending_lock:
-            self._pending[key] = trace
-            self._publishers = [t for t in self._publishers if t.is_alive()]
-            worker = threading.Thread(
-                target=self._publish_one, args=(key, path, trace),
-                name="trace-cache-publish",
-            )
-            self._publishers.append(worker)
-        worker.start()
-
-    def _publish_one(self, key: str, path: Path, trace: TraceSet) -> None:
-        try:
-            data = _columnar_from_traceset(trace, with_profiles=True).encode()
-            ok = self._publish(path, data)
-        except Exception as exc:  # noqa: BLE001 - must not die silently
-            _log.warning("background trace publish failed for %s: %s",
-                         key, exc)
-            ok = False
-        if not ok:
-            self._mem[key] = trace
-        with self._pending_lock:
-            self._pending.pop(key, None)
-
     def flush(self) -> None:
-        """Block until every in-flight background publish has landed."""
-        with self._pending_lock:
-            threads = [t for t in self._publishers if t.is_alive()]
-            self._publishers = threads
-        for t in threads:
-            t.join()
+        """No-op: :meth:`load_or_build` publishes before it returns, so
+        nothing is ever pending.  Kept for callers that still call it.
+        """
 
     def clear(self) -> int:
         """Delete all cached traces; returns how many were removed."""
-        self.flush()
         n = len(self._mem)
         self._mem.clear()
         if self.directory.is_dir():
@@ -586,7 +561,6 @@ class TraceCache(_DegradableCache):
         return n
 
     def __len__(self) -> int:
-        self.flush()
         on_disk = (
             sum(1 for _ in self.directory.glob("*.rct"))
             if self.directory.is_dir() else 0
@@ -640,7 +614,7 @@ class TraceStore(_DegradableCache):
         self._lru[digest] = col
         while len(self._lru) > self.LRU_MAX:
             self._lru.popitem(last=False)
-        if not self._publish(self.path_for(digest), col.encode()):
+        if not self._publish(self.path_for(digest), col.write):
             self._mem[digest] = col
         return digest
 

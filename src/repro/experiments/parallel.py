@@ -824,9 +824,6 @@ class ExperimentEngine:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        for exp in self._experiments.values():
-            if exp.cache is not None:
-                exp.cache.flush()  # land async publishes before teardown
         self._store = None
         if self._store_tmp is not None:
             try:

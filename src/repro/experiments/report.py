@@ -274,7 +274,6 @@ def _full_report(
     # A blank line terminates the Figure 6 table (consumers parse rows
     # until the first blank line), then the cross-process cache totals.
     if trace_cache is not None:
-        trace_cache.flush()  # land background publishes before returning
         print(file=out)
         print(_cache_summary_line(cache_before), file=out)
     if engine.verify_sample > 0.0:

@@ -47,12 +47,14 @@ caches keyed by it never miss on presentation-only differences.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import struct
 import sys
 import weakref
 import zlib
 from array import array
+from typing import BinaryIO
 
 import numpy as np
 
@@ -311,35 +313,47 @@ class ColumnarTrace:
     # ------------------------------------------------------------------ #
     def encode(self) -> bytes:
         """Serialize to the versioned, checksummed binary form."""
+        buf = io.BytesIO()
+        self.write(buf)
+        return buf.getvalue()
+
+    def write(self, out: BinaryIO) -> None:
+        """Stream :meth:`encode`'s bytes into the binary file ``out``.
+
+        Access profiles are most of a traced application's bytes (tens
+        of MB against hundreds of KB of records), so each profile array
+        is written from its own buffer and the profile section's length
+        and CRC-32 are computed over those views: writing an entry
+        copies no profile.
+        """
         core = self._build_core()
         sha = hashlib.sha256(_VERSION_SALT + core).digest()
         meta_json = json.dumps(
             self.meta, sort_keys=True, default=str
         ).encode("utf-8")
-        parts = [
+        prof = []
+        for rank, rc in enumerate(self.ranks):
+            for idx, kind, istart, iend, times in rc.profiles:
+                t = np.ascontiguousarray(times, dtype="<f8")
+                prof.append(struct.pack(
+                    "<IIBddQ", rank, idx, kind, istart, iend, t.shape[0],
+                ))
+                prof.append(memoryview(t).cast("B"))
+        out.writelines([
             MAGIC, struct.pack("<I", VERSION),
             struct.pack("<Q", len(core)), core, sha,
             struct.pack("<I", len(meta_json)), meta_json,
             struct.pack("<I", zlib.crc32(meta_json)),
-        ]
-        has_profiles = any(rc.profiles for rc in self.ranks)
-        parts.append(struct.pack("<B", 1 if has_profiles else 0))
-        if has_profiles:
-            prof_parts = []
-            count = 0
-            for rank, rc in enumerate(self.ranks):
-                for idx, kind, istart, iend, times in rc.profiles:
-                    t = np.ascontiguousarray(times, dtype="<f8")
-                    prof_parts.append(struct.pack(
-                        "<IIBddQ", rank, idx, kind, istart, iend, t.shape[0],
-                    ))
-                    prof_parts.append(t.tobytes())
-                    count += 1
-            payload = struct.pack("<I", count) + b"".join(prof_parts)
-            parts.append(struct.pack("<Q", len(payload)))
-            parts.append(payload)
-            parts.append(struct.pack("<I", zlib.crc32(payload)))
-        return b"".join(parts)
+            struct.pack("<B", 1 if prof else 0),
+        ])
+        if prof:
+            prof.insert(0, struct.pack("<I", len(prof) // 2))
+            crc = 0
+            for part in prof:
+                crc = zlib.crc32(part, crc)
+            out.write(struct.pack("<Q", sum(map(len, prof))))
+            out.writelines(prof)
+            out.write(struct.pack("<I", crc))
 
     # ------------------------------------------------------------------ #
     # Back to record objects.

@@ -43,7 +43,6 @@ class TestTraceCacheHealing:
         cache = TraceCache(tmp_path)
         key = cache.key(app="pipeline", nranks=4)
         cache.load_or_build(key, lambda: trace)
-        cache.flush()  # publication is asynchronous; land it before damage
         return cache, key, cache.path_for(key)
 
     @pytest.mark.parametrize("damage", [
@@ -60,7 +59,6 @@ class TestTraceCacheHealing:
 
         fresh = TraceCache(tmp_path)
         rebuilt = fresh.load_or_build(key, lambda: trace)
-        fresh.flush()
         assert dim.dumps(rebuilt) == good
         assert fresh.rebuilt == 1 and fresh.misses == 1
         assert len(quarantined(tmp_path)) == 1
@@ -74,7 +72,6 @@ class TestTraceCacheHealing:
         for _ in range(3):
             path.write_text("garbage\n")
             cache.load_or_build(key, lambda: trace)
-            cache.flush()
         # three distinct corpses, none clobbered
         assert len(quarantined(tmp_path)) == 3
 
@@ -176,7 +173,6 @@ class TestConcurrentHealing:
         cache = TraceCache(tmp_path)
         key = cache.key(app="pipeline", nranks=4)
         cache.load_or_build(key, lambda: trace)
-        cache.flush()
         cache.path_for(key).write_text("corrupted beyond repair\n")
 
         ctx = multiprocessing.get_context("fork")

@@ -9,6 +9,7 @@ run-manifest resume bookkeeping.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -40,6 +41,7 @@ from repro.experiments.cache import (
 from repro.experiments.checkpoint import render_runs_table
 from repro.experiments.parallel import WorkerMemoryError
 from repro.obs import RunContext, get_registry
+from repro.trace.columnar import ColumnarTrace, from_traceset
 
 #: A tiny Sweep3D instance so traces build in milliseconds.
 TINY = dict(nx=8, ny=8, nz=4, mk=2, angle_block=2, iterations=1)
@@ -410,11 +412,32 @@ class TestCacheDegrade:
             return exp.trace("original")
 
         t1 = cache.load_or_build("k", builder)
-        cache.flush()  # publication (and hence the degrade) is async
         assert cache.degraded
         t2 = cache.load_or_build("k", builder)
         assert len(built) == 1  # second call was a memory hit
         assert t1 is t2
+
+    def test_failed_publish_leaves_no_staging_file(self, tmp_path,
+                                                   monkeypatch):
+        """The disk fills halfway through a trace entry: the staging
+        file is removed (its writer lives on, so no sweep would) and
+        the cache degrades to memory."""
+        from repro.experiments.pipeline import AppExperiment
+        trace = AppExperiment("sweep3d", nranks=4,
+                              app_params=TINY).trace("original")
+        entry = from_traceset(trace).encode()
+
+        def enospc_midway(col, out):
+            out.write(entry[:len(entry) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ColumnarTrace, "write", enospc_midway)
+        cache = TraceCache(tmp_path / "traces")
+        assert cache.load_or_build("k", lambda: trace) is trace
+        assert cache.degraded
+        assert list(cache.directory.iterdir()) == []
+        assert cache.load_or_build(
+            "k", lambda: pytest.fail("should be held in memory")) is trace
 
     def test_disk_low_floor_degrades_publish(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_MIN_FREE_MB", str(10 ** 9))
@@ -476,8 +499,8 @@ class TestWriterIdentity:
             cache_mod._stage_and_publish(tmp_path / "out.json", "{}")
         finally:
             Path.replace = orig_replace
-        # <name>.<pid>-<ticks>-<serial>.tmp — the serial keeps sibling
-        # publisher threads off each other's staging file
+        # <name>.<pid>-<ticks>-<serial>.tmp — the serial gives every
+        # publish of this process a staging file of its own
         assert seen
         prefix = f"out.json.{_writer_token()}-"
         assert seen[0].startswith(prefix) and seen[0].endswith(".tmp")

@@ -2,6 +2,10 @@
 
 import dataclasses
 import multiprocessing
+import threading
+import tracemalloc
+
+import pytest
 
 from repro.experiments.cache import SimResultCache, TraceCache, trace_digest
 from repro.experiments.pipeline import AppExperiment
@@ -9,6 +13,7 @@ from repro.dimemas.machine import MachineConfig
 from repro.dimemas.replay import simulate
 from repro.perturb import BandwidthWindow, PerturbationSchedule
 from repro.trace import dim
+from repro.trace.columnar import decode, from_traceset
 
 
 class TestTraceCache:
@@ -42,6 +47,51 @@ class TestTraceCache:
     def test_creates_directory(self, tmp_path):
         cache = TraceCache(tmp_path / "deep" / "nested")
         assert cache.directory.is_dir()
+
+
+@pytest.fixture(scope="module")
+def profiled_trace():
+    """CG at 4 ranks: ~18 MB of access profiles on ~30 KB of records."""
+    return AppExperiment("cg", nranks=4).trace("original")
+
+
+def profile_bytes(trace) -> int:
+    return sum(times.nbytes for rc in from_traceset(trace).ranks
+               for *_, times in rc.profiles)
+
+
+class TestSynchronousPublish:
+    """``load_or_build`` publishes in the caller's thread, streaming."""
+
+    def test_entry_on_disk_when_call_returns(self, tmp_path, monkeypatch,
+                                             profiled_trace):
+        started = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        cache = TraceCache(tmp_path)
+        key = cache.key(app="cg", nranks=4)
+        cache.load_or_build(key, lambda: profiled_trace)
+        assert started == []
+        col = decode(cache.path_for(key).read_bytes())
+        assert any(rc.profiles for rc in col.ranks)
+        assert col.encode() == from_traceset(profiled_trace).encode()
+
+    def test_publish_copies_no_profile(self, tmp_path, profiled_trace):
+        cache = TraceCache(tmp_path)
+        key = cache.key(app="cg", nranks=4)
+        tracemalloc.start()
+        try:
+            cache.load_or_build(key, lambda: profiled_trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cache.path_for(key).exists()
+        assert peak < profile_bytes(profiled_trace) / 4
 
 
 class TestExperimentIntegration:

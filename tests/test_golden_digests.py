@@ -23,7 +23,11 @@ bus count, unlimited buses):
   engine on it.  The 64-rank ones are checked through one two-worker
   campaign over the six applications; SPECFEM3D/64's makespan is not
   monotone near its equivalent(real) threshold, so a route that
-  decided a threshold from anything but the walk would show here.
+  decided a threshold from anything but the walk would show here;
+* ``rct``: the SHA-256 of the ``.rct`` entry, access profiles
+  included, that :class:`~repro.experiments.cache.TraceCache` writes
+  for the CG/16 and BT/16 originals — the byte lock of the columnar
+  format, which keeps existing cache directories readable.
 
 A change that is meant to leave behaviour alone must keep every entry
 identical.  If a change legitimately alters replay results, regenerate
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -57,6 +62,7 @@ from repro.insight.channel import collect
 from repro.insight.scorecard import attainable_overlap_bound
 from repro.obs.metrics import get_registry
 from repro.perturb.scenarios import SCENARIO_KINDS, build_scenario
+from repro.trace.columnar import from_traceset
 
 GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
 
@@ -77,6 +83,8 @@ ANALYSIS_CASE = ("cg", 64, "real", "table1")
 FIGURE6_CASES = {16: ("cg", "bt"), 64: APPS}
 SEARCHES = {"relaxation": relaxation_bandwidth,
             "equivalent": equivalent_bandwidth}
+#: The originals whose trace-cache entry is locked byte for byte.
+RCT_CASES = (("cg", 16), ("bt", 16))
 
 
 def machine(app: str, platform: str) -> MachineConfig:
@@ -165,6 +173,14 @@ class Traces:
                        machine(app, platform), audit=acfg)
         return {"digest": result_digest(res), "report": acfg.report.to_dict()}
 
+    def rct_entry(self, app: str, nranks: int, directory: Path) -> bytes:
+        """The ``.rct`` bytes a trace cache in ``directory`` writes for
+        an original trace."""
+        cache = TraceCache(directory)
+        key = cache.key(app=app, nranks=nranks, params={})
+        cache.load_or_build(key, lambda: self.trace(app, nranks, "original"))
+        return cache.path_for(key).read_bytes()
+
     def insight(self) -> str:
         app, nranks, variant, platform = ANALYSIS_CASE
         _res, col = collect(self.trace(app, nranks, variant),
@@ -189,6 +205,13 @@ def figure6(exp: AppExperiment, engine=None) -> dict[str, str]:
 
 
 def build_golden(traces: Traces) -> dict:
+    with tempfile.TemporaryDirectory() as scratch:
+        rct = {
+            f"{app}/{n}": hashlib.sha256(
+                traces.rct_entry(app, n, Path(scratch) / f"{app}-{n}")
+            ).hexdigest()
+            for app, n in RCT_CASES
+        }
     return {
         "replay": {
             case_id(*c): traces.replay(*c)[0] for c in REPLAY_CASES
@@ -203,6 +226,7 @@ def build_golden(traces: Traces) -> dict:
             k: v for n, apps in FIGURE6_CASES.items() for app in apps
             for k, v in figure6(traces.experiment(app, n)).items()
         },
+        "rct": rct,
     }
 
 
@@ -234,6 +258,9 @@ class TestGoldenDigests:
             for n, apps in FIGURE6_CASES.items() for app in apps
             for kind in SEARCHES for variant in ("real", "ideal")
         )
+        assert sorted(golden["rct"]) == sorted(
+            f"{app}/{n}" for app, n in RCT_CASES
+        )
 
     @pytest.mark.parametrize(
         "case", REPLAY_CASES, ids=[case_id(*c) for c in REPLAY_CASES],
@@ -259,6 +286,16 @@ class TestGoldenDigests:
     def test_insight_channel(self, traces, golden):
         assert traces.insight() == golden["insight"]
 
+    @pytest.mark.parametrize("app,nranks", RCT_CASES,
+                             ids=[f"{a}/{n}" for a, n in RCT_CASES])
+    def test_trace_cache_entry_bytes(self, traces, golden, tmp_path,
+                                     app, nranks):
+        data = traces.rct_entry(app, nranks, tmp_path)
+        assert (hashlib.sha256(data).hexdigest()
+                == golden["rct"][f"{app}/{nranks}"])
+        col = from_traceset(traces.trace(app, nranks, "original"))
+        assert col.encode() == data
+
 
 class TestFigure6Thresholds:
     """The bandwidth searches give the locked thresholds on every route."""
@@ -281,7 +318,6 @@ class TestFigure6Thresholds:
             exp = cached_exp()
             with ExperimentEngine(jobs=jobs, cache_dir=tmp_path) as engine:
                 assert figure6(exp, engine=engine) == expected, route
-            exp.cache.flush()
 
     def test_paper_scale_campaign(self, traces, golden):
         """All 24 searches at 64 ranks, as one two-worker campaign."""
