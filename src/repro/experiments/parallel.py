@@ -336,11 +336,11 @@ def _simulate_point(point: GridPoint, cache_dir: str | None, store: dict,
                     mode: str, lookup: bool = True) -> SimResult | float:
     """A point's result, or in ``duration`` mode just its makespan,
     which :meth:`AppExperiment.duration` answers from the sidecar when
-    it can; ``lookup=False`` replays a duration the caller has already
+    it can; ``lookup=False`` replays a point the caller has already
     looked up and missed."""
     exp = _resolve_experiment(point, cache_dir, store)
     if mode == "result":
-        run = exp.simulate
+        run = exp.simulate if lookup else exp.replay_result
     else:
         run = exp.duration if lookup else exp.replay_duration
     return run(
@@ -476,24 +476,25 @@ def _maybe_fault_for_tests() -> None:
         time.sleep(600.0)
 
 
-def _run_shipped(digest: str, cfg: MachineConfig, mode: str):
+def _run_shipped(digest: str, cfg: MachineConfig, mode: str, lookup: bool):
     """Replay a dispatch-store trace on ``cfg`` (the zero-copy path).
 
-    The worker never sees record objects: a warm point answers from the
-    shared result cache by digest, a cold one decodes the packed trace
-    straight into a replay plan.  A duration-mode replay publishes only
-    the ``.dur`` sidecar: nobody reads its result envelope, whose
-    serialization would cost as much as the replay.  A digest the store
-    cannot produce (corruption was quarantined, or the parent's store
-    degraded after dispatch) raises — the parent retries the point by
-    spec.
+    The worker never sees record objects: with ``lookup`` (set when the
+    parent could not look the point up, its digest unknown then) a warm
+    point answers from the shared result cache by digest; a cold one
+    decodes the packed trace straight into a replay plan.  A
+    duration-mode replay publishes only the ``.dur`` sidecar: nobody
+    reads its result envelope, whose serialization would cost as much
+    as the replay.  A digest the store cannot produce (corruption was
+    quarantined, or the parent's store degraded after dispatch) raises
+    — the parent retries the point by spec.
     """
     sim_cache = _worker_sim_cache()
     key = (
         SimResultCache.key_for_digest(digest, cfg)
         if sim_cache is not None else None
     )
-    if sim_cache is not None:
+    if sim_cache is not None and lookup:
         load = sim_cache.load if mode == "result" else sim_cache.load_duration
         hit = load(key)
         if hit is not None:
@@ -516,11 +517,11 @@ def _run_shipped(digest: str, cfg: MachineConfig, mode: str):
 
 
 def _run_task(task: tuple, mode: str):
-    """Execute one dispatched task: ``("ship", digest, cfg)`` replays a
-    pre-published packed trace; ``("spec", point)`` rebuilds everything
-    from the grid-point spec (fallback and retry path)."""
+    """Execute one dispatched task: ``("ship", digest, cfg, lookup)``
+    replays a pre-published packed trace; ``("spec", point)`` rebuilds
+    everything from the grid-point spec (fallback and retry path)."""
     if task[0] == "ship":
-        return _run_shipped(task[1], task[2], mode)
+        return _run_shipped(task[1], task[2], mode, task[3])
     return _simulate_point(task[1], _WORKER["cache_dir"],
                            _WORKER["experiments"], mode)
 
@@ -818,6 +819,19 @@ class ExperimentEngine:
             return None
         return self._maybe_verify(point, mode, hit, "cache")
 
+    def _replay_identity(self, point: GridPoint) -> tuple[object, bool]:
+        """A missed point's replay — experiment, variant and platform —
+        and whether its trace digest is unknown, which kept
+        :meth:`_cached_value` from looking it up in the result cache."""
+        try:
+            exp = _resolve_experiment(point, self.cache_dir, self._experiments)
+        except Exception:  # noqa: BLE001 - its replay attempt reports it
+            return point, True
+        cfg = exp.platform(point.bandwidth_mbps, point.buses, point.latency,
+                           point.perturb)
+        return ((point.experiment_key(), point.variant, cfg),
+                exp._known_digest(point.variant) is None)
+
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
         """Shut down the worker pool and dispatch store (idempotent)."""
@@ -890,7 +904,7 @@ class ExperimentEngine:
             self._store = TraceStore(root)
         return self._store
 
-    def _dispatch_task(self, point: GridPoint) -> tuple:
+    def _dispatch_task(self, point: GridPoint, lookup: bool) -> tuple:
         """Prepare a point's pool task: ship-by-digest when possible.
 
         The zero-copy path: hand workers just ``(digest, platform)`` —
@@ -901,7 +915,8 @@ class ExperimentEngine:
         and publishes its packed encoding.  Any preparation trouble —
         unknown app, degraded store — falls back to shipping the spec,
         where the worker reproduces (and properly attributes) the
-        failure itself.
+        failure itself.  ``lookup`` asks the worker to look a shipped
+        point up in the result cache first.
         """
         reg = get_registry()
         store = self._dispatch_store()
@@ -924,7 +939,7 @@ class ExperimentEngine:
                     time.monotonic() - t0
                 )
                 reg.counter("engine.dispatch.ship_points").inc()
-                return ("ship", digest, cfg)
+                return ("ship", digest, cfg, lookup)
         reg.counter("engine.dispatch.spec_points").inc()
         return ("spec", point)
 
@@ -934,7 +949,11 @@ class ExperimentEngine:
 
         Warm hits are resolved directly in the parent
         (:meth:`_cached_value`), and only actual misses pay worker
-        dispatch.  The misses are sorted by experiment identity
+        dispatch, once per distinct replay: points that name one
+        platform two ways (bandwidth ``None`` and the baseline's own)
+        share one.  A worker looks a point up in the result cache only
+        when the parent could not, so every replay is looked up once.
+        The misses are sorted by experiment identity
         and grouped into batches, so one worker tends to replay all
         platform variations of the same trace and per-task pool
         overhead amortizes across a batch; results come back in the
@@ -944,7 +963,16 @@ class ExperimentEngine:
         points surface per :attr:`degraded` (sentinel or raise).
         """
         out = [self._cached_value(p, mode) for p in points]
-        miss = [i for i, value in enumerate(out) if value is None]
+        first: dict = {}
+        same: dict[int, int] = {}
+        lookup: set[int] = set()
+        for i, value in enumerate(out):
+            if value is None:
+                replay, unknown = self._replay_identity(points[i])
+                same[i] = first.setdefault(replay, i)
+                if unknown:
+                    lookup.add(i)
+        miss = list(first.values())
         if not miss:
             return out
         if self._drain.is_set():
@@ -982,7 +1010,7 @@ class ExperimentEngine:
             size = max(1, min(16, -(-len(g) // per_group)))
             batches.extend(g[j:j + size] for j in range(0, len(g), size))
         failures: list[PointFailure] = []
-        self._run_resilient(mode, batches, out, failures)
+        self._run_resilient(mode, batches, lookup, out, failures)
         if failures and not self.degraded:
             raise GridExecutionError(failures)
         if self.verify_sample > 0.0:
@@ -991,19 +1019,23 @@ class ExperimentEngine:
             # an independent parent-side re-replay.
             for i in miss:
                 out[i] = self._maybe_verify(points[i], mode, out[i], "worker")
+        for i, rep in same.items():
+            out[i] = out[rep]
         return out
 
     def _run_resilient(
         self,
         mode: str,
         batches: list[list[tuple[int, GridPoint]]],
+        lookup: set[int],
         out: list,
         failures: list[PointFailure],
     ) -> None:
         """Submit every batch of ``(slot, point)`` entries and babysit.
 
         First attempts ride the prepared dispatch tasks (ship-by-digest
-        where possible); every retry re-dispatches its point by spec, so
+        where possible, looked up in workers for the slots in
+        ``lookup``); every retry re-dispatches its point by spec, so
         even dispatch-store damage can only cost one attempt.  Failures
         inside a batch are per-entry (a sibling's exception never wastes
         a finished replay); three whole-batch failure shapes are also
@@ -1089,7 +1121,7 @@ class ExperimentEngine:
             if self._drain.is_set():
                 break
             for slot, point in entries:
-                prepared[slot] = self._dispatch_task(point)
+                prepared[slot] = self._dispatch_task(point, slot in lookup)
             submit(entries, 1)
 
         all_slots = [slot for entries in batches for slot, _ in entries]

@@ -165,21 +165,17 @@ class AppExperiment:
         latency: float | None = None,
         perturb: object | None = None,
     ) -> SimResult:
-        """Replay a variant on a (possibly modified) platform."""
-        cfg = self.platform(bandwidth_mbps, buses, latency, perturb)
-        # Keyed on the *full* platform so two configs differing in any
-        # machine field (ports, cpu_ratio, eager threshold, ...) never
-        # alias to the same memoized result.
-        key = (variant, cfg)
-        if key not in self._sims:
-            with _span("experiment.simulate", app=self.app_name,
-                       variant=variant):
-                if self.sim_cache is not None:
-                    self._sims[key] = self._cached_simulate(variant, cfg)
-                else:
-                    self._sims[key] = simulate(self.trace(variant), cfg)
-            self._durations[key] = self._sims[key].duration
-        return self._sims[key]
+        """Replay a variant on a (possibly modified) platform.
+
+        Asks :meth:`cached_result` first; a miss goes to
+        :meth:`replay_result`.
+        """
+        platform = dict(bandwidth_mbps=bandwidth_mbps, buses=buses,
+                        latency=latency, perturb=perturb)
+        hit = self.cached_result(variant, **platform)
+        if hit is None:
+            hit = self.replay_result(variant, **platform)
+        return hit
 
     def cached_result(
         self,
@@ -258,21 +254,6 @@ class AppExperiment:
             chunks=self.chunks, params=self.app_params, variant=variant,
         )
 
-    def _cached_simulate(self, variant: str, cfg: MachineConfig) -> SimResult:
-        """Replay through the persistent result cache.
-
-        The spec->digest index lets a warm hit skip trace building and
-        transformation entirely: spec key -> trace digest -> result
-        key -> one JSON read.
-        """
-        digest = None if variant in self._traces else self._known_digest(variant)
-        if digest is not None:
-            hit = self.sim_cache.load(self.sim_cache.key_for_digest(digest, cfg))
-            if hit is not None:
-                return hit
-        self.columnar(variant)  # publishes the spec->digest entry
-        return self.sim_cache.load_or_simulate(self.trace(variant), cfg)
-
     def duration(self, variant: str = "original", **platform) -> float:
         """Simulated makespan of a variant (seconds).
 
@@ -285,30 +266,57 @@ class AppExperiment:
             hit = self.replay_duration(variant, **platform)
         return hit
 
+    def replay_result(self, variant: str = "original",
+                      **platform) -> SimResult:
+        """Replay a variant for its full result after a missed lookup.
+
+        The result is memoized, keyed on the *full* platform so two
+        configs differing in any machine field never alias; with a
+        result cache it is published as envelope and sidecar.
+        """
+        cfg = self.platform(**platform)
+        result = self._replay(variant, cfg, full=True)
+        self._sims[(variant, cfg)] = result
+        self._durations[(variant, cfg)] = result.duration
+        return result
+
     def replay_duration(self, variant: str = "original", **platform) -> float:
         """Replay a variant for its makespan after a missed lookup.
 
-        :meth:`cached_duration` looks a replay up only once the trace
-        digest is known; when it was not, the lookup happens here, once
-        the trace is built.  The makespan is memoized; with a result
-        cache only its ``.dur`` sidecar is published — nothing reads a
-        duration replay's result envelope.
+        The makespan is memoized; with a result cache only its ``.dur``
+        sidecar is published — nothing reads a duration replay's result
+        envelope.
         """
         cfg = self.platform(**platform)
+        duration = self._replay(variant, cfg, full=False)
+        self._durations[(variant, cfg)] = duration
+        return duration
+
+    def _replay(self, variant: str, cfg: MachineConfig, full: bool):
+        """The result (``full``) or makespan of a replay whose lookup missed.
+
+        :meth:`cached_result` and :meth:`cached_duration` look a replay
+        up only once the trace digest is known; when it was not, the
+        lookup happens here, once the trace is built, so every replay
+        is looked up exactly once.
+        """
         key = None
         if self.sim_cache is not None:
             unknown = self._known_digest(variant) is None
             digest = self.columnar(variant).digest  # publishes spec->digest
             key = self.sim_cache.key_for_digest(digest, cfg)
-            hit = self.sim_cache.load_duration(key) if unknown else None
+            load = self.sim_cache.load if full else self.sim_cache.load_duration
+            hit = load(key) if unknown else None
             if hit is not None:
                 return hit
         with _span("experiment.simulate", app=self.app_name, variant=variant):
-            duration = simulate(self.trace(variant), cfg).duration
+            result = simulate(self.trace(variant), cfg)
         if key is not None:
-            self.sim_cache.store_duration(key, duration)
-        self._durations[(variant, cfg)] = duration
-        return duration
+            if full:
+                self.sim_cache.store(key, result)
+            else:
+                self.sim_cache.store_duration(key, result.duration)
+        return result if full else result.duration
 
     def speedups(self, **platform) -> dict[str, float]:
         """Overlap speedups vs the original execution (paper Fig. 6(a))."""

@@ -17,7 +17,11 @@ and reads:
 * a one-search campaign on two workers asks its path probe plus one
   speculative probe per round;
 * a degraded cache keeps a sidecar-only duration in memory, where
-  ``load_duration`` finds it without reaching ``load``.
+  ``load_duration`` finds it without reaching ``load``;
+* on a cold cache every replay is looked up once, by the parent when
+  it knows the trace digest and otherwise by whoever replays it, and a
+  grid that names one platform two ways replays it once, on every job
+  count and in both modes.
 """
 
 from __future__ import annotations
@@ -129,6 +133,24 @@ class TestSidecarOnlyPoints:
         assert cache.load(key) is None  # no result behind the duration
         monkeypatch.setattr(SimResultCache, "load", _no_load)
         assert cache.load_duration(key) == 1.25
+
+
+class TestOneLookupPerPoint:
+    @pytest.mark.parametrize("jobs", (1, 2))
+    @pytest.mark.parametrize("mode", ("durations", "run_grid"))
+    def test_one_miss_per_executed_point(self, tmp_path, mode, jobs):
+        baseline = tiny_exp().machine.bandwidth_mbps
+        misses0 = counter("cache.replay.misses")
+        executed0 = counter("engine.points_executed")
+        with ExperimentEngine(jobs=jobs, cache_dir=tmp_path) as eng:
+            run = getattr(eng, mode)
+            # Digests unknown; None and the baseline are one platform.
+            run(ladder((None, baseline)))
+            # Digests known to the parent.
+            run(ladder((50.0, 100.0)))
+        executed = counter("engine.points_executed") - executed0
+        assert executed == 3 * len(VARIANTS)
+        assert counter("cache.replay.misses") - misses0 == executed
 
 
 class TestSearchDispatchByDigest:

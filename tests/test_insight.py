@@ -167,7 +167,8 @@ class TestNonPerturbation:
         spread bounds the hook cost together with machine noise
         (test_obs_fastpath pattern; best-of-5 with a generous 50%
         tolerance — shared CI runners are noisy, and the tight
-        measurement lives in bench_replay.py's ``insight`` row)."""
+        measurement lives in pipebench ``explain-bt-64``'s
+        ``insight.overhead``)."""
         trace = get_app("cg").trace(nranks=4).trace
         machine = MachineConfig(bandwidth_mbps=250.0)
         simulate(trace, machine)  # warm plan memo

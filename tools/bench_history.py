@@ -1,30 +1,26 @@
-"""Rolling benchmark history: append BENCH_*.json runs to HISTORY.jsonl.
+"""Rolling benchmark history: pipebench result lines in HISTORY.jsonl.
 
-Each benchmark script writes its latest results to a ``BENCH_*.json``
-snapshot that is committed and overwritten in place — good for "what
-is the current number", useless for "when did this regress".  This
-module keeps the longitudinal record: :func:`append_history` stamps a
-benchmark document with the git revision and a UTC timestamp and
-appends it as one line to ``benchmarks/perf/HISTORY.jsonl``.
+``pipebench/run.py`` prints one JSON result line per run: correctness,
+then every metric ``BENCHMARK.json`` declares.  This module keeps the
+longitudinal record of those lines: :func:`append_history` stamps one
+with the git revision and a UTC timestamp and appends it as one line to
+``benchmarks/perf/HISTORY.jsonl``.
 
-Used two ways::
+Save a run's last stdout line in a file named after the bench
+(``fig6-cg-64.json``); the file stem names the bench.  Then::
 
-    # from a bench script (they call this automatically):
-    from bench_history import append_history
-    append_history(doc, bench="replay")
-
-    # standalone, to log an existing snapshot:
-    python tools/bench_history.py benchmarks/perf/BENCH_replay.json
-
-    # before logging a saved pipebench result line, compare it with
-    # the last entry of the same bench (named by the file stem):
+    # compare it with the last history entry of the same bench:
     python tools/bench_history.py --compare fig6-cg-64.json
+
+    # and log it:
+    python tools/bench_history.py fig6-cg-64.json
 
 ``--compare`` prints each end-to-end metric that ``BENCHMARK.json``
 declares next to the bench's last history entry, with the relative
 change and the metric's bound, and exits 1 when any metric is worse by
 more than its bound.  A bench with no history has nothing to compare
-and passes.
+and passes.  Wall-clock numbers compare only on one host: take the
+history entry and the new line on the same machine.
 
 Lines are self-contained JSON objects, so the history is greppable and
 trivially loadable::
@@ -45,7 +41,7 @@ from pathlib import Path
 __all__ = ["append_history", "compare_history", "git_sha"]
 
 ROOT = Path(__file__).resolve().parent.parent
-#: Default history file, next to the BENCH_*.json snapshots.
+#: Default history file.
 HISTORY_PATH = ROOT / "benchmarks" / "perf" / "HISTORY.jsonl"
 #: The benchmark declaration: end-to-end metrics and their bounds.
 BENCHMARK_PATH = ROOT / "BENCHMARK.json"
@@ -71,10 +67,10 @@ def append_history(
 ) -> Path:
     """Append one benchmark run to the history file; returns its path.
 
-    ``doc`` is the full ``BENCH_*.json`` document; ``bench`` names the
-    benchmark (``"replay"``, ``"grid"``, ...).  The line wraps the doc
-    with provenance — git sha and UTC timestamp — so regressions can
-    be bisected without relying on file mtimes.
+    ``doc`` is a pipebench result line; ``bench`` names its workload
+    (``"fig6-cg-64"``, ...).  The line wraps the doc with provenance —
+    git sha and UTC timestamp — so regressions can be bisected without
+    relying on file mtimes.
     """
     path = Path(history_path) if history_path is not None else HISTORY_PATH
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -88,11 +84,6 @@ def append_history(
     with path.open("a") as fh:
         fh.write(json.dumps(line, sort_keys=True) + "\n")
     return path
-
-
-def _bench_name(path: Path) -> str:
-    """BENCH_replay.json -> "replay"; fig6-cg-64.json -> "fig6-cg-64"."""
-    return path.stem.replace("BENCH_", "").lower() or path.stem
 
 
 def compare_history(doc: dict, bench: str) -> tuple[list[str], bool]:
@@ -146,17 +137,14 @@ def main(argv: list[str] | None = None) -> int:
         worse = False
         for snapshot in args[1:]:
             p = Path(snapshot)
-            lines, bad = compare_history(json.loads(p.read_text()),
-                                         _bench_name(p))
+            lines, bad = compare_history(json.loads(p.read_text()), p.stem)
             print("\n".join(lines))
             worse |= bad
         return 1 if worse else 0
     for snapshot in args:
         p = Path(snapshot)
-        doc = json.loads(p.read_text())
-        name = _bench_name(p)
-        out = append_history(doc, bench=name)
-        print(f"appended {p.name} ({name}) -> {out}", file=sys.stderr)
+        out = append_history(json.loads(p.read_text()), bench=p.stem)
+        print(f"appended {p.name} ({p.stem}) -> {out}", file=sys.stderr)
     return 0
 
 
