@@ -6,11 +6,11 @@ nondeterministic worker result) corrupts every overlap figure
 downstream.  This package is the correctness backbone that checks the
 engine's *output* rather than trusting it:
 
-* :class:`InvariantAuditor` — runtime/post-hoc invariant checks hooked
-  into the replay (:mod:`repro.dimemas.replay`) and the network model
-  (:mod:`repro.dimemas.network`): clock monotonicity, non-negative
-  durations, bus/port occupancy within :class:`MachineConfig` capacity,
-  request lifecycle, byte conservation, end-of-run quiescence.
+* :class:`InvariantAuditor` — post-hoc invariant checks over a
+  drained replay (:mod:`repro.dimemas.replay`) and its replay log:
+  clock monotonicity, non-negative durations, bus/port occupancy
+  within :class:`MachineConfig` capacity, request lifecycle, byte
+  conservation, end-of-run quiescence.
   Levels ``off``/``basic``/``full`` (``--audit`` / ``$REPRO_AUDIT``);
   violations aggregate into an :class:`IntegrityReport` and, with
   ``strict=True``, raise :class:`IntegrityError`.

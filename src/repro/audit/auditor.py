@@ -2,31 +2,26 @@
 
 Design constraint: :func:`~repro.dimemas.replay.simulate` is the inner
 loop of every experiment, so the audit machinery must cost nothing
-when off and stay cheap at ``basic``.  Almost every invariant is
-therefore checked *post hoc* on state the replay materializes anyway
-(state intervals, transfer slots, the request map, the network's
-resource counters) — zero instructions added to the dispatch loop.
-The only live hooks are:
+when off and stay cheap at ``basic``.  Every invariant is therefore
+checked *post hoc*, once the event loop drains, on state the replay
+materializes anyway (state intervals, transfer slots, the request map,
+the network's resource counters) and on the replay log (see
+:mod:`repro.dimemas.replay`), from which bus and port occupancy is
+recounted.
 
-* one ``is None`` branch per *started transfer* in the network (the
-  occupancy check must see the counters mid-flight, not just at the
-  end), and
-* ring-buffer capture of block/resume/transfer events at ``full``
-  level, attached only to the (rare) blocking paths of the rank
-  runner — never to the per-record hot loop.
-
-Violations carry the last-K-events causal ring of every involved rank
-(``full`` level), aggregate into an :class:`IntegrityReport`, and are
-emitted as ``audit.*`` metrics/events through :mod:`repro.obs`.
+At ``full`` level each violation carries the last
+:data:`CONTEXT_LINES` log lines of every involved rank before it.
+Violations aggregate into an :class:`IntegrityReport` and are emitted
+as ``audit.*`` metrics/events through :mod:`repro.obs`.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 
 from ..dimemas.postmortem import ReplayError
+from ..dimemas.replay import LOG_FIELDS, log_entries
 from ..obs import current_run, get_registry
 
 __all__ = [
@@ -45,8 +40,8 @@ AUDIT_LEVELS = ("off", "basic", "full")
 #: Interval/clock comparisons tolerate accumulated float rounding.
 _EPS = 1e-9
 
-#: Causal ring depth (events kept per rank at ``full`` level).
-_DEFAULT_RING = 16
+#: Log lines of causal context per involved rank (``full`` level).
+CONTEXT_LINES = 16
 
 
 def resolve_level(level: "str | AuditConfig | None" = None) -> str:
@@ -75,8 +70,6 @@ class AuditConfig:
     level: str = "basic"
     #: Raise :class:`IntegrityError` when any violation is found.
     strict: bool = False
-    #: Causal ring depth per rank (``full`` level only).
-    ring: int = _DEFAULT_RING
     #: The last replay's report (output parameter).
     report: "IntegrityReport | None" = None
 
@@ -101,7 +94,7 @@ class Violation:
     ranks: tuple[int, ...] = ()
     #: Simulated time the violation refers to (None = whole-run).
     time: float | None = None
-    #: Last-K causal events per involved rank (``full`` level).
+    #: The last log lines per involved rank (``full`` level).
     context: dict[int, list[str]] = field(default_factory=dict)
 
     def render(self) -> str:
@@ -181,13 +174,36 @@ class IntegrityReport:
         }
 
 
-class InvariantAuditor:
-    """Collects invariant checks around one :class:`_Simulation`.
+def _capacity(cfg) -> tuple[float, int, int]:
+    """A platform's buses, output ports and input ports per rank."""
+    buses = float(cfg.buses) if cfg.buses is not None else float("inf")
+    return buses, cfg.output_ports, cfg.input_ports
 
-    Attach with ``network.auditor = auditor`` (live occupancy checks)
-    and pass to the rank runners (ring capture at ``full``); call
-    :meth:`finish` once the event loop drains to run the post-hoc
-    checks and build the report.
+
+def _context_line(entry, rank: int) -> str | None:
+    """The causal-context line a replay-log entry gives ``rank``."""
+    kind, t, who = entry[0], entry[1], entry[2]  # who: rank or transfer
+    if kind == "block" and who == rank:
+        text = f"block ({entry[4]}) at record {entry[3]}"
+    elif kind == "resume" and who == rank:
+        text = f"resume from {entry[4]} at record {entry[3]}"
+    elif kind == "start" and who.src == rank:
+        text = f"xfer start -> {who.dst} ({who.size}B)"
+    elif kind == "start" and who.dst == rank:
+        text = f"xfer start <- {who.src} ({who.size}B)"
+    elif kind == "release" and who.dst == rank:
+        text = f"xfer injected <- {who.src} ({who.size}B)"
+    else:
+        return None
+    return f"t={t:.9g} {text}"
+
+
+class InvariantAuditor:
+    """Checks the invariants of one finished :class:`_Simulation`.
+
+    :meth:`finish` runs once the event loop drains: it recounts
+    occupancy from the replay log, runs the other checks, and builds
+    the report.
     """
 
     def __init__(self, config: AuditConfig):
@@ -196,25 +212,27 @@ class InvariantAuditor:
         self.full = config.level == "full"
         self.violations: list[Violation] = []
         self._checks: list[str] = []
-        self._rings: dict[int, deque] = {}
-        self._ring_len = max(1, int(config.ring))
-        #: Network capacities captured at attach time.
-        self._cap_buses: float = float("inf")
-        self._cap_in = 1
-        self._cap_out = 1
+        self._log: list = []
 
-    # -- event ring (full level) ------------------------------------------
-    def note(self, rank: int, t: float, text: str) -> None:
-        """Append one causal event to ``rank``'s ring buffer."""
-        ring = self._rings.get(rank)
-        if ring is None:
-            ring = self._rings[rank] = deque(maxlen=self._ring_len)
-        ring.append(f"t={t:.9g} {text}")
-
-    def _context(self, ranks: tuple[int, ...]) -> dict[int, list[str]]:
-        return {
-            r: list(self._rings[r]) for r in ranks if r in self._rings
-        }
+    def _context(self, ranks: tuple[int, ...],
+                 end: int) -> dict[int, list[str]]:
+        """The last :data:`CONTEXT_LINES` lines of each of ``ranks``
+        in the log before item ``end`` (``full`` level)."""
+        if not self.full:
+            return {}
+        context: dict[int, list[str]] = {}
+        log = self._log
+        for rank in ranks:
+            lines = []
+            for j in range(end - LOG_FIELDS, -1, -LOG_FIELDS):
+                line = _context_line(log[j:j + LOG_FIELDS], rank)
+                if line is not None:
+                    lines.append(line)
+                    if len(lines) == CONTEXT_LINES:
+                        break
+            if lines:
+                context[rank] = lines[::-1]
+        return context
 
     def _add(
         self,
@@ -222,94 +240,78 @@ class InvariantAuditor:
         message: str,
         ranks: tuple[int, ...] = (),
         time: float | None = None,
+        at: int | None = None,
     ) -> None:
+        """Record a violation; its context ends at log item ``at``
+        (the end of the log by default)."""
         self.violations.append(Violation(
             code=code, message=message, ranks=ranks, time=time,
-            context=self._context(ranks),
+            context=self._context(ranks, len(self._log) if at is None
+                                  else at),
         ))
 
-    # -- live network hooks -------------------------------------------------
-    def attach_network(self, network) -> None:
-        """Record the capacity the occupancy check enforces."""
-        cfg = network.cfg
-        self._cap_buses = (
-            float(cfg.buses) if cfg.buses is not None else float("inf")
-        )
-        self._cap_in = cfg.input_ports
-        self._cap_out = cfg.output_ports
-        network.auditor = self
-
-    def check_occupancy(self, network, transfer) -> None:
-        """Called by the network right after a transfer takes resources.
-
-        Free-resource counters dipping below zero mean more concurrent
-        occupancy than the machine has buses/ports — the congestion
-        model's core promise.
-        """
-        t = network.loop.now
-        if network._free_buses < 0:
-            self._add(
-                "network.occupancy",
-                f"bus occupancy exceeds capacity "
-                f"({self._cap_buses:g} buses configured)",
-                (transfer.src, transfer.dst), t,
-            )
-        if network._free_out[transfer.src] < 0:
-            self._add(
-                "network.occupancy",
-                f"output-port occupancy of rank {transfer.src} exceeds "
-                f"capacity ({self._cap_out} port(s))",
-                (transfer.src,), t,
-            )
-        if network._free_in[transfer.dst] < 0:
-            self._add(
-                "network.occupancy",
-                f"input-port occupancy of rank {transfer.dst} exceeds "
-                f"capacity ({self._cap_in} port(s))",
-                (transfer.dst,), t,
-            )
-        if self.full:
-            self.note(
-                transfer.src, t,
-                f"xfer start -> {transfer.dst} ({transfer.size}B)",
-            )
-            self.note(
-                transfer.dst, t,
-                f"xfer start <- {transfer.src} ({transfer.size}B)",
-            )
-
-    def check_release(self, network, transfer) -> None:
-        """Called after a transfer releases its resources.
-
-        A free counter climbing above capacity means a double release —
-        the symmetric bug to over-subscription.
-        """
-        t = network.loop.now
-        if network._free_buses > self._cap_buses:
-            self._add(
-                "network.occupancy",
-                "bus released more often than acquired",
-                (transfer.src, transfer.dst), t,
-            )
-        if network._free_out[transfer.src] > self._cap_out:
-            self._add(
-                "network.occupancy",
-                f"output port of rank {transfer.src} released more often "
-                "than acquired",
-                (transfer.src,), t,
-            )
-        if network._free_in[transfer.dst] > self._cap_in:
-            self._add(
-                "network.occupancy",
-                f"input port of rank {transfer.dst} released more often "
-                "than acquired",
-                (transfer.dst,), t,
-            )
-        if self.full:
-            self.note(
-                transfer.dst, t,
-                f"xfer injected <- {transfer.src} ({transfer.size}B)",
-            )
+    def _check_occupancy(self, sim) -> None:
+        """Recount bus and port occupancy from the log's starts and
+        releases: over capacity breaks the congestion model's core
+        promise, a free count above capacity is a double release."""
+        self._checks.append("network.occupancy")
+        cap_buses, cap_out, cap_in = _capacity(sim.cfg)
+        free_buses = cap_buses
+        free_out = [cap_out] * sim.nranks
+        free_in = [cap_in] * sim.nranks
+        for i, (kind, t, tr, _a, _b) in enumerate(log_entries(self._log)):
+            at = i * LOG_FIELDS  # where a violation's context ends
+            if kind == "start":
+                src, dst = tr.src, tr.dst
+                free_buses -= 1
+                free_out[src] -= 1
+                free_in[dst] -= 1
+                if free_buses < 0:
+                    self._add(
+                        "network.occupancy",
+                        f"bus occupancy exceeds capacity "
+                        f"({cap_buses:g} buses configured)",
+                        (src, dst), t, at,
+                    )
+                if free_out[src] < 0:
+                    self._add(
+                        "network.occupancy",
+                        f"output-port occupancy of rank {src} exceeds "
+                        f"capacity ({cap_out} port(s))",
+                        (src,), t, at,
+                    )
+                if free_in[dst] < 0:
+                    self._add(
+                        "network.occupancy",
+                        f"input-port occupancy of rank {dst} exceeds "
+                        f"capacity ({cap_in} port(s))",
+                        (dst,), t, at,
+                    )
+            elif kind == "release":
+                src, dst = tr.src, tr.dst
+                free_buses += 1
+                free_out[src] += 1
+                free_in[dst] += 1
+                if free_buses > cap_buses:
+                    self._add(
+                        "network.occupancy",
+                        "bus released more often than acquired",
+                        (src, dst), t, at,
+                    )
+                if free_out[src] > cap_out:
+                    self._add(
+                        "network.occupancy",
+                        f"output port of rank {src} released more often "
+                        "than acquired",
+                        (src,), t, at,
+                    )
+                if free_in[dst] > cap_in:
+                    self._add(
+                        "network.occupancy",
+                        f"input port of rank {dst} released more often "
+                        "than acquired",
+                        (dst,), t, at,
+                    )
 
     # -- post-hoc checks ------------------------------------------------------
     def _check_clocks(self, result) -> None:
@@ -399,15 +401,14 @@ class InvariantAuditor:
         every waited request completed (arrived) by end of run."""
         self._checks.append("request.lifecycle")
         plan = sim.plan
-        for rank in range(sim.nranks):
+        by_rank: list[dict[int, tuple]] = [{} for _ in range(sim.nranks)]
+        for (rank, req), entry in sim.req_map.items():
+            by_rank[rank][req] = entry
+        for rank, posted in enumerate(by_rank):
             counts: dict[int, int] = {}
             for reqs in plan.waits[rank].values():
                 for req in reqs:
                     counts[req] = counts.get(req, 0) + 1
-            posted = {
-                req: entry for (r, req), entry in sim.req_map.items()
-                if r == rank
-            }
             for req, n in counts.items():
                 if n > 1:
                     self._add(
@@ -439,6 +440,7 @@ class InvariantAuditor:
         network resources returned to capacity."""
         self._checks.append("quiescence")
         net = sim.network
+        cap_buses, cap_out, cap_in = _capacity(sim.cfg)
         if sim.loop.pending:
             self._add(
                 "quiescence",
@@ -467,25 +469,25 @@ class InvariantAuditor:
                 "quiescence",
                 f"{net._active} transfer(s) still hold network resources",
             )
-        if net._free_buses != self._cap_buses:
+        if net._free_buses != cap_buses:
             self._add(
                 "network.occupancy",
                 f"bus pool ended at {net._free_buses:g} free of "
-                f"{self._cap_buses:g} (resource leak)",
+                f"{cap_buses:g} (resource leak)",
             )
         for rank in range(sim.nranks):
-            if net._free_out[rank] != self._cap_out:
+            if net._free_out[rank] != cap_out:
                 self._add(
                     "network.occupancy",
                     f"output ports of rank {rank} ended at "
-                    f"{net._free_out[rank]} free of {self._cap_out}",
+                    f"{net._free_out[rank]} free of {cap_out}",
                     (rank,),
                 )
-            if net._free_in[rank] != self._cap_in:
+            if net._free_in[rank] != cap_in:
                 self._add(
                     "network.occupancy",
                     f"input ports of rank {rank} ended at "
-                    f"{net._free_in[rank]} free of {self._cap_in}",
+                    f"{net._free_in[rank]} free of {cap_in}",
                     (rank,),
                 )
 
@@ -512,7 +514,8 @@ class InvariantAuditor:
         Also rolls the outcome into the ``audit.*`` metrics and, when a
         run manifest is active, records an ``audit_violations`` event.
         """
-        self._checks.append("network.occupancy")  # live hook ran throughout
+        self._log = sim.log
+        self._check_occupancy(sim)
         self._check_clocks(result)
         self._check_transfers(sim)
         self._check_requests(sim)

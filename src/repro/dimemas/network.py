@@ -146,16 +146,9 @@ class Network:
         #: for one to start (algorithmic cost, rolled up per replay as
         #: the ``replay.queue_scan_steps`` metric).
         self.scan_steps = 0
-        #: Optional :class:`repro.audit.InvariantAuditor` — when set,
-        #: occupancy is cross-checked against capacity at every
-        #: acquire/release (one ``is None`` branch per started transfer,
-        #: nothing on the zero-byte/SMP bypass paths).
-        self.auditor = None
-        #: Optional :class:`repro.insight.InsightCollector` — when set,
-        #: the network reports why each transfer queued and how bus
-        #: occupancy evolved.  Same cost contract as the auditor hook:
-        #: one ``is None`` branch per started/queued transfer only.
-        self.insight = None
+        #: The replay log (see :mod:`repro.dimemas.replay`), or None;
+        #: the zero-byte/SMP bypass paths append nothing.
+        self.log: list | None = None
         #: Hoisted platform constants — read once per transfer in the
         #: replay inner loop instead of walking ``cfg`` attributes.
         self._latency = cfg.latency
@@ -212,11 +205,9 @@ class Network:
         self._queue[seq] = transfer
         self._out_wait[transfer.src][seq] = transfer
         self._in_wait[transfer.dst][seq] = transfer
-        if self.insight is not None:
-            self.insight.note_queued(
-                self.loop.now, transfer, self._queue_cause(transfer),
-                len(self._queue),
-            )
+        if self.log is not None:
+            self.log.extend(("queued", self.loop.now, transfer,
+                             self._queue_cause(transfer), len(self._queue)))
 
     # ------------------------------------------------------------------ #
     def _queue_cause(self, t: Transfer) -> str:
@@ -288,13 +279,11 @@ class Network:
         self._active = active
         if active > self.peak_active:
             self.peak_active = active
-        if self.auditor is not None:
-            self.auditor.check_occupancy(self, t)
         loop = self.loop
         now = loop.now
         t.start_time = now
-        if self.insight is not None:
-            self.insight.note_start(now, active, len(self._queue))
+        if self.log is not None:
+            self.log.extend(("start", now, t, active, len(self._queue)))
         finish, held = self._injection_end(t, now)
         self.busy_seconds += held
         loop.at(finish, lambda: self._finish_injection(t))
@@ -316,12 +305,11 @@ class Network:
         self._free_out[t.src] += 1
         self._free_in[t.dst] += 1
         self._active -= 1
-        if self.auditor is not None:
-            self.auditor.check_release(self, t)
         loop = self.loop
         now = loop.now
-        if self.insight is not None:
-            self.insight.note_release(now, self._active, len(self._queue))
+        if self.log is not None:
+            self.log.extend(("release", now, t, self._active,
+                             len(self._queue)))
         t._fire_injected(now)
         loop.at(self._arrival(t, now), lambda: t._fire_arrived(loop.now))
         if self._queue:
@@ -343,10 +331,9 @@ class PerturbedNetwork(Network):
     Everything is a pure function of ``loop.now`` and the schedule —
     no RNG, no wall clock — so perturbed replays stay bitwise
     deterministic.  Whenever a transfer takes longer than it would
-    have on the pristine platform, the excess seconds are reported to
-    the insight channel (:meth:`InsightCollector.note_perturbed`) so
-    wait-cause attribution can carve out exactly the slice of blocked
-    time the fault caused.
+    have on the pristine platform, the excess seconds go to the replay
+    log as an ``excess`` entry, so wait-cause attribution can carve out
+    exactly the slice of blocked time the fault caused.
     """
 
     def __init__(self, loop: EventLoop, nranks: int, cfg: MachineConfig,
@@ -372,8 +359,6 @@ class PerturbedNetwork(Network):
         )
         #: Outage ends with a pending wake-up already scheduled.
         self._woken: set[float] = set()
-        #: Total extra seconds the schedule injected (diagnostics).
-        self.perturb_excess_seconds = 0.0
 
     # -- schedule lookups ---------------------------------------------- #
     def _extra_latency(self, t: float) -> float:
@@ -390,9 +375,8 @@ class PerturbedNetwork(Network):
         return None
 
     def _note_excess(self, t: Transfer, seconds: float) -> None:
-        self.perturb_excess_seconds += seconds
-        if self.insight is not None:
-            self.insight.note_perturbed(t, seconds)
+        if self.log is not None:
+            self.log.extend(("excess", self.loop.now, t, seconds, None))
 
     # -- wire-time integration ----------------------------------------- #
     def _integrate(self, start: float, occupancy: float) -> float:

@@ -55,13 +55,30 @@ reuses the existing plan instead of re-matching from scratch.
 or a :class:`~repro.trace.columnar.ColumnarTrace` — workers fed the
 compact encoding replay it directly, no record objects ever built —
 and both paths produce bitwise-identical results.
+
+Replay log
+----------
+
+When :func:`simulate` gets ``audit`` or ``insight``, ``_Simulation.log``
+is a list the network and the rank runners append to in execution
+order, and the auditor and the wait attribution read it once the loop
+drains.  Otherwise it is None, which costs one ``is None`` branch per
+block, resume, queueing, start and release.  The list is flat,
+:data:`LOG_FIELDS` items per entry, so a long log adds no objects for
+the cyclic GC to track; :func:`log_entries` regroups them:
+
+* ``("queued", t, transfer, cause, queue_length)``;
+* ``("start" or "release", t, transfer, active, queued)``, the counts
+  taken after the change;
+* ``("excess", t, transfer, seconds, None)``: perturbation delay;
+* ``("block" or "resume", t, rank, record_index, state_label)``.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..obs import get_registry, is_enabled as _obs_enabled, span as _span
 from ..core.matching import match_columnar
@@ -97,10 +114,20 @@ __all__ = [
     "PerturbationStall",
     "ReplayError",
     "SimulationTimeout",
+    "LOG_FIELDS",
+    "log_entries",
     "simulate",
 ]
 
 _EPS = 1e-15
+
+#: Items per replay-log entry (module docstring).
+LOG_FIELDS = 5
+
+
+def log_entries(log: list) -> Iterator[tuple]:
+    """The entries of a replay log, in order."""
+    return zip(*[iter(log)] * LOG_FIELDS)
 
 
 class _CollectiveSync:
@@ -146,7 +173,7 @@ class _RankRunner:
         "sim", "rank", "ops", "durs", "events_at", "waits_at", "colls_at",
         "sizes", "rvs", "send_tr", "recv_tr", "n",
         "idx", "now", "finished", "states", "events", "cpu_ratio",
-        "_block_label", "_block_start", "_aud", "_ins", "_block_trs",
+        "_block_label", "_block_start", "log",
     )
 
     def __init__(self, sim: "_Simulation", rank: int):
@@ -184,16 +211,7 @@ class _RankRunner:
         self.events: list[tuple[float, str, int]] = []
         self._block_label: str | None = None
         self._block_start = 0.0
-        # Causal ring capture only at ``full`` audit level; the common
-        # unaudited replay keeps this None (one dead branch on the
-        # blocking paths, nothing in the record dispatch loop).
-        aud = sim.auditor
-        self._aud = aud if aud is not None and aud.full else None
-        # Analysis-event channel (``repro.insight``): None in the common
-        # unattributed replay — same cost contract as ``_aud``, one dead
-        # branch on the blocking paths only.
-        self._ins = sim.insight
-        self._block_trs: tuple = ()
+        self.log = sim.log
 
     # -- state bookkeeping ---------------------------------------------------
     def _push_state(self, label: str, t0: float, t1: float) -> None:
@@ -208,30 +226,18 @@ class _RankRunner:
     def _block(self, label: str) -> None:
         self._block_label = label
         self._block_start = self.now
-        if self._aud is not None:
-            self._aud.note(
-                self.rank, self.now, f"block ({label}) at record {self.idx}"
-            )
+        if self.log is not None:
+            self.log.extend(("block", self.now, self.rank, self.idx, label))
 
     def _resume(self, t: float) -> None:
         """Completion callback: close the blocked state and continue."""
-        if self._aud is not None:
-            self._aud.note(
-                self.rank, t,
-                f"resume from {self._block_label} at record {self.idx}",
-            )
+        if self.log is not None:
+            self.log.extend(("resume", t, self.rank, self.idx,
+                             self._block_label))
         if t < self.now:
             t = self.now
         if self._block_label is not None:
             self._push_state(self._block_label, self._block_start, t)
-            if self._ins is not None:
-                # Mirror _push_state's epsilon skip inside record_wait
-                # so attributed wait time sums to recorded blocked time.
-                self._ins.record_wait(
-                    self.rank, self._block_label, self._block_start, t,
-                    self._block_trs,
-                )
-                self._block_trs = ()
             self._block_label = None
         self.now = t
         self.idx += 1
@@ -310,8 +316,6 @@ class _RankRunner:
                     self.idx = idx + 1
                     continue
                 self._block("Send")
-                if self._ins is not None:
-                    self._block_trs = (tr,)
                 tr.on_arrived(self._resume)
                 return
 
@@ -338,8 +342,6 @@ class _RankRunner:
                     self.idx = idx + 1
                     continue
                 self._block("Waiting a message")
-                if self._ins is not None:
-                    self._block_trs = (tr,)
                 tr.on_arrived(self._resume)
                 return
 
@@ -351,12 +353,6 @@ class _RankRunner:
                 dangling = False
                 req_map = sim.req_map
                 rank = self.rank
-                # Attribution needs every transfer the Wait inspects —
-                # already-arrived ones included, since the latest
-                # arrival (pending or not) defines the resume time.
-                seen: list[Transfer] | None = (
-                    [] if self._ins is not None else None
-                )
                 for req in self.waits_at[idx]:
                     entry = req_map.get((rank, req))
                     if entry is None:
@@ -367,8 +363,6 @@ class _RankRunner:
                     kind, tr = entry
                     if kind == "send" and not tr.rendezvous:
                         continue
-                    if seen is not None:
-                        seen.append(tr)
                     if tr.arrived:
                         if tr.arrival_time > latest:
                             latest = tr.arrival_time
@@ -382,8 +376,6 @@ class _RankRunner:
                     self.idx = idx + 1
                     continue
                 self._block("Wait/WaitAll")
-                if seen is not None:
-                    self._block_trs = tuple(seen)
                 remaining = len(pend)
                 acc = [latest]
 
@@ -605,8 +597,7 @@ class _Simulation:
         self,
         trace: "TraceSet | ColumnarTrace",
         cfg: MachineConfig,
-        auditor: "InvariantAuditor | None" = None,
-        insight=None,
+        logged: bool = False,
         pert=None,
     ):
         plan = _plan_for(trace)
@@ -626,12 +617,9 @@ class _Simulation:
             else PerturbedNetwork(self.loop, col.nranks, cfg, pert)
         )
         self.coll = _CollectiveSync(col.nranks, cfg, self.loop)
-        self.auditor = auditor
-        if auditor is not None:
-            auditor.attach_network(self.network)
-        self.insight = insight
-        if insight is not None:
-            self.network.insight = insight
+        #: The replay log (module docstring).
+        self.log: list | None = [] if logged else None
+        self.network.log = self.log
 
         #: Per-rank, per-record-index transfer slots (None = unmatched
         #: or not a point-to-point record).  Flat list indexing here is
@@ -663,6 +651,24 @@ class _Simulation:
                 req_map[(dst, rreq)] = ("recv", tr)
 
         self.runners = [_RankRunner(self, r) for r in range(col.nranks)]
+
+    def blocked_on(self, rank: int, idx: int) -> tuple[Transfer, ...]:
+        """The transfers record ``idx`` of ``rank`` waited for when it
+        blocked, arrived ones included: a Send's or Recv's own, a
+        Wait's requests except buffered eager sends, none for a
+        collective."""
+        op = self.plan.ops[rank][idx]
+        if op == _OP_SEND:
+            return (self.send_tr[rank][idx],)
+        if op == _OP_RECV:
+            return (self.recv_tr[rank][idx],)
+        out = []
+        for req in self.plan.waits[rank].get(idx, ()):
+            entry = self.req_map.get((rank, req))
+            if entry is not None and (entry[0] != "send"
+                                      or entry[1].rendezvous):
+                out.append(entry[1])
+        return tuple(out)
 
 
 def simulate(
@@ -699,12 +705,12 @@ def simulate(
     :class:`~repro.audit.IntegrityError`; otherwise the report lands on
     ``audit.report``.
 
-    ``insight`` attaches a :class:`repro.insight.InsightCollector`: the
-    replay reports every wait interval (with the transfers it blocked
-    on) and the network reports queueing causes and bus occupancy.
-    Attribution never perturbs the simulation — an attributed replay is
-    bitwise-identical to a plain one — and the ``insight=None`` default
-    costs one dead branch on the blocking paths only.
+    ``insight`` takes a :class:`repro.insight.InsightCollector`, which
+    is filled from the replay log once the loop drains: every wait
+    interval with the transfers it blocked on, queueing causes and bus
+    occupancy.  Attribution never perturbs the simulation — an
+    attributed replay is bitwise-identical to a plain one — and with
+    neither ``audit`` nor ``insight`` the replay keeps no log.
 
     ``perturb`` applies a :class:`repro.perturb.PerturbationSchedule`
     (degraded bandwidth/latency windows, outages, CPU noise,
@@ -738,7 +744,8 @@ def simulate(
     t_begin = time.perf_counter()
     sp = _span("replay.simulate", nranks=trace.nranks)
     with sp:
-        sim = _Simulation(trace, cfg, auditor, insight, pert)
+        logged = auditor is not None or insight is not None
+        sim = _Simulation(trace, cfg, logged=logged, pert=pert)
         for runner in sim.runners:
             sim.loop.at(0.0, runner.advance)
         budget_events = max_events if max_events is not None else cfg.max_events
@@ -797,6 +804,8 @@ def simulate(
                 "events_executed": sim.loop.executed,
             },
         )
+        if insight is not None:
+            insight.read_log(sim)
         if auditor is not None:
             report = auditor.finish(sim, result)
             if acfg.strict and not report.ok:

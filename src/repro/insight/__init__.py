@@ -7,11 +7,12 @@ this package answers "where did the simulated time go, and which
 resource ate the overlap benefit":
 
 * :mod:`~repro.insight.channel` — the analysis-event channel: a
-  collector the replay and network feed wait intervals and resource
-  occupancy transitions into.  Off by default; the disabled path is
-  one dormant ``is None`` branch per *blocking record*, nothing in the
-  per-event dispatch loop (same contract as ``repro.obs.spans`` and
-  the invariant auditor).
+  collector filled with wait intervals and resource occupancy
+  transitions by one fold over the replay log, the log the invariant
+  auditor reads too.  Off by default; without it (and without an
+  audit) the replay keeps no log, and the disabled path is one
+  ``is None`` branch per blocking, queueing, start and release,
+  nothing in the per-record dispatch loop.
 * :mod:`~repro.insight.attribution` — classifies every recorded wait
   interval by root cause (late sender, rendezvous dependency chain,
   bus/port contention, in-flight transfer, collective sync) and folds

@@ -1,19 +1,18 @@
 """The analysis-event channel: raw material of wait-state attribution.
 
 One :class:`InsightCollector` rides along one :func:`simulate` call.
-The replay driver reports every *wait interval* — the span between a
-rank blocking on a communication record and the completion that
-released it, together with the transfers it was blocked on — and the
-network reports *resource transitions*: why a transfer queued (bus
-pool exhausted, source injection port busy, destination endpoint port
-busy) and how bus occupancy evolved over simulated time.
+Once the event loop drains, one fold over the replay log (see
+:mod:`repro.dimemas.replay`) fills it with every *wait interval* — the
+span between a rank blocking on a communication record and the
+completion that released it, together with the transfers it was
+blocked on — and with the network's *resource transitions*: why a
+transfer queued and how bus occupancy evolved over simulated time.
 
 Cost model (the ``repro.obs.spans`` contract, enforced by
-``tests/test_insight.py``): collection is off by default — ``simulate``
-takes ``insight=None`` and every hook sits behind one ``is None``
-branch on the *blocking* paths only, never in the per-event dispatch
-loop — and an attributed replay produces bitwise-identical results,
-because the collector only observes; it never schedules.
+``tests/test_insight.py``): collection is off by default, and with
+neither ``insight`` nor ``audit`` the replay keeps no log; an
+attributed replay produces bitwise-identical results, because the log
+only observes; it never schedules.
 
 Classification of the raw intervals into root causes happens post-hoc
 in :mod:`repro.insight.attribution`, once every transfer's timing
@@ -26,7 +25,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dimemas.machine import MachineConfig
-    from ..dimemas.network import Transfer
     from ..dimemas.results import SimResult
 
 __all__ = ["InsightCollector", "collect"]
@@ -38,10 +36,10 @@ _EPS = 1e-15
 
 
 class InsightCollector:
-    """Accumulates the analysis events of one replay.
+    """The analysis events of one replay, read from its replay log.
 
-    Attributes are plain lists/dicts so the hooks cost appends only;
-    nothing here reads the clock or touches the event loop.
+    Attributes are plain lists/dicts; nothing here reads the clock or
+    touches the event loop.
     """
 
     __slots__ = ("waits", "queue_cause", "occupancy", "queued_peak",
@@ -55,7 +53,8 @@ class InsightCollector:
         self.waits: list[tuple[int, str, float, float, tuple]] = []
         #: ``id(transfer) -> cause`` recorded when the network queued a
         #: transfer instead of starting it: ``"bus_contention"``,
-        #: ``"injection_port"``, or ``"endpoint_port"``.
+        #: ``"injection_port"``, ``"endpoint_port"``, or
+        #: ``"perturbation"`` (an outage forbade starts).
         self.queue_cause: dict[int, str] = {}
         #: Bus-occupancy timeline: ``(t, active_transfers, queued)``
         #: transitions appended at every transfer start and release.
@@ -66,40 +65,42 @@ class InsightCollector:
         self.queued_total = 0
         #: ``id(transfer) -> seconds`` a platform perturbation added to
         #: that transfer beyond its pristine wire time (degraded
-        #: bandwidth, stalled/restarted outages, latency spikes).
-        #: Filled by :class:`~repro.dimemas.network.PerturbedNetwork`;
-        #: empty on an unperturbed replay.
+        #: bandwidth, stalled/restarted outages, latency spikes), summed
+        #: over the transfer's ``excess`` log entries (wire excess at
+        #: start, latency excess at delivery).  Empty on an unperturbed
+        #: replay.
         self.perturb_excess: dict[int, float] = {}
 
-    # -- replay-side hook ------------------------------------------------- #
-    def record_wait(self, rank: int, label: str, t0: float, t1: float,
-                    transfers: "tuple[Transfer, ...] | None") -> None:
-        """One blocked interval closed by ``_resume`` on ``rank``."""
-        if t1 <= t0 + _EPS:
-            return
-        self.waits.append((rank, label, t0, t1, transfers or ()))
+    def read_log(self, sim) -> None:
+        """Fill the fields from ``sim``'s drained replay log.
 
-    # -- network-side hooks ------------------------------------------------ #
-    def note_queued(self, t: float, transfer: "Transfer", cause: str,
-                    queued: int) -> None:
-        """``transfer`` could not start at ``t``; ``cause`` blocked it."""
-        self.queue_cause[id(transfer)] = cause
-        self.queued_total += 1
-        if queued > self.queued_peak:
-            self.queued_peak = queued
+        Waits are kept in resume order (attribution sums floats in this
+        order).  A wait interval runs from the block to the resume,
+        clamped the way the replay clamps its state timeline.
+        """
+        from ..dimemas.replay import log_entries
 
-    def note_perturbed(self, transfer: "Transfer", seconds: float) -> None:
-        """``transfer`` took ``seconds`` longer than on the pristine
-        platform (may fire more than once per transfer — wire excess at
-        start, latency excess at delivery; contributions accumulate)."""
-        key = id(transfer)
-        self.perturb_excess[key] = self.perturb_excess.get(key, 0.0) + seconds
-
-    def note_start(self, t: float, active: int, queued: int) -> None:
-        self.occupancy.append((t, active, queued))
-
-    def note_release(self, t: float, active: int, queued: int) -> None:
-        self.occupancy.append((t, active, queued))
+        blocked_at: dict[int, float] = {}
+        for kind, t, a, b, c in log_entries(sim.log):
+            if kind == "start" or kind == "release":
+                self.occupancy.append((t, b, c))  # active, queued
+            elif kind == "block":
+                blocked_at[a] = t
+            elif kind == "resume":
+                rank, idx, label = a, b, c
+                t0 = blocked_at[rank]
+                if t > t0 + _EPS:
+                    self.waits.append(
+                        (rank, label, t0, t, sim.blocked_on(rank, idx))
+                    )
+            elif kind == "queued":
+                self.queue_cause[id(a)] = b
+                self.queued_total += 1
+                self.queued_peak = max(self.queued_peak, c)
+            else:  # "excess"
+                self.perturb_excess[id(a)] = (
+                    self.perturb_excess.get(id(a), 0.0) + b
+                )
 
     # -- summaries --------------------------------------------------------- #
     def occupancy_profile(self, bins: int = 64,

@@ -10,6 +10,14 @@ bus count, unlimited buses):
   on the Table I bus count;
 * on CG/64 real, the full-audit verdict and the insight channel's
   occupancy timeline, queue peak/total and queue causes;
+* ``analysis``: what the audit and the wait attribution read from a
+  replay, each as a digest.  The attribution (``to_dict()`` and the
+  segment list) of CG/64 real and of BT/16 real under the
+  ``outage-stall`` and ``latency-spike`` scenarios, on the Table I bus
+  count; the full-level audit report of the ``outage-stall`` replay;
+  and the full-level report, context lines included, of CG/16 real on
+  one bus replayed through a network that ignores the bus pool, so
+  the occupancy check fires;
 * ``table2``: for each Table I application at 16 ranks, the ``repr``
   of its measured Table II production and consumption fractions
   (:func:`~repro.experiments.tables.pattern_row`) and of the attainable
@@ -38,16 +46,21 @@ with::
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.audit.auditor import AuditConfig
 from repro.audit.certify import result_digest
 from repro.dimemas import PAPER_BUSES, MachineConfig, simulate
+from repro.dimemas import replay as replay_module
+from repro.dimemas.network import Network
 from repro.experiments.bandwidth import (
     BandwidthSearch,
     equivalent_bandwidth,
@@ -58,6 +71,7 @@ from repro.experiments.cache import SimResultCache, TraceCache
 from repro.experiments.parallel import ExperimentEngine
 from repro.experiments.pipeline import VARIANTS, AppExperiment
 from repro.experiments.tables import pattern_row
+from repro.insight.attribution import attribute
 from repro.insight.channel import collect
 from repro.insight.scorecard import attainable_overlap_bound
 from repro.obs.metrics import get_registry
@@ -85,6 +99,25 @@ SEARCHES = {"relaxation": relaxation_bandwidth,
             "equivalent": equivalent_bandwidth}
 #: The originals whose trace-cache entry is locked byte for byte.
 RCT_CASES = (("cg", 16), ("bt", 16))
+#: The ``analysis`` cases: ``(kind, app, nranks, variant, platform,
+#: condition)``, the condition being a perturbation scenario (seed 0),
+#: ``"bus-blind"`` (see :class:`BusBlindNetwork`) or None.
+ANALYSIS_CASES = (
+    ("attribution", "cg", 64, "real", "table1", None),
+    ("attribution", "bt", 16, "real", "table1", "outage-stall"),
+    ("attribution", "bt", 16, "real", "table1", "latency-spike"),
+    ("audit", "bt", 16, "real", "table1", "outage-stall"),
+    ("audit", "cg", 16, "real", "buses=1", "bus-blind"),
+)
+
+
+class BusBlindNetwork(Network):
+    """Arbitrates ports only, so more transfers hold a bus than the
+    platform has: every over-subscribed start is a violation the
+    full-level occupancy check must report."""
+
+    def _resources_free(self, t) -> bool:
+        return self._free_out[t.src] >= 1 and self._free_in[t.dst] >= 1
 
 
 def machine(app: str, platform: str) -> MachineConfig:
@@ -98,6 +131,12 @@ def machine(app: str, platform: str) -> MachineConfig:
 
 def case_id(app: str, nranks: int, variant: str, platform: str) -> str:
     return f"{app}/{nranks}/{variant}/{platform}"
+
+
+def analysis_id(case: tuple) -> str:
+    kind, app, nranks, variant, platform, condition = case
+    tail = f"/{condition}" if condition else ""
+    return f"{kind}/{case_id(app, nranks, variant, platform)}{tail}"
 
 
 REPLAY_CASES = [
@@ -145,14 +184,42 @@ class Traces:
         return self._replays[key]
 
     # -- the non-replay entries ------------------------------------------ #
-    def perturbed(self, kind: str, platform: str) -> str:
-        app, nranks, variant = "bt", 16, "real"
+    def schedule(self, app: str, nranks: int, kind: str, platform: str):
+        """Scenario ``kind`` scaled to the original's makespan."""
         cfg = machine(app, platform)
         horizon = simulate(self.trace(app, nranks, "original"), cfg).duration
-        schedule = build_scenario(kind, horizon, seed=0)
-        res = simulate(self.trace(app, nranks, variant), cfg,
-                       perturb=schedule)
+        return build_scenario(kind, horizon, seed=0)
+
+    def perturbed(self, kind: str, platform: str) -> str:
+        app, nranks, variant = "bt", 16, "real"
+        res = simulate(self.trace(app, nranks, variant),
+                       machine(app, platform),
+                       perturb=self.schedule(app, nranks, kind, platform))
         return result_digest(res)
+
+    def analysis(self, case: tuple) -> dict:
+        """One ``analysis`` case: the attribution tables and segments,
+        or the full-level audit report."""
+        kind, app, nranks, variant, platform, condition = case
+        perturb, network = None, contextlib.nullcontext()
+        if condition == "bus-blind":
+            network = mock.patch.object(replay_module, "Network",
+                                        BusBlindNetwork)
+        elif condition is not None:
+            perturb = self.schedule(app, nranks, condition, platform)
+        args = (self.trace(app, nranks, variant), machine(app, platform))
+        with network:
+            if kind == "attribution":
+                res, col = collect(*args, perturb=perturb)
+                att = attribute(res, col)
+                return {
+                    "attribution": att.to_dict(),
+                    "segments": [dataclasses.astuple(s)
+                                 for s in att.segments],
+                }
+            acfg = AuditConfig(level="full")
+            simulate(*args, audit=acfg, perturb=perturb)
+            return acfg.report.to_dict()
 
     def table2(self, app: str) -> dict:
         """``repr`` of one application's Table II row and its bound."""
@@ -222,6 +289,8 @@ def build_golden(traces: Traces) -> dict:
         "table2": {app: traces.table2(app) for app in APPS},
         "audit": traces.audit(),
         "insight": traces.insight(),
+        "analysis": {analysis_id(c): _sha(traces.analysis(c))
+                     for c in ANALYSIS_CASES},
         "figure6": {
             k: v for n, apps in FIGURE6_CASES.items() for app in apps
             for k, v in figure6(traces.experiment(app, n)).items()
@@ -261,6 +330,9 @@ class TestGoldenDigests:
         assert sorted(golden["rct"]) == sorted(
             f"{app}/{n}" for app, n in RCT_CASES
         )
+        assert sorted(golden["analysis"]) == sorted(
+            analysis_id(c) for c in ANALYSIS_CASES
+        )
 
     @pytest.mark.parametrize(
         "case", REPLAY_CASES, ids=[case_id(*c) for c in REPLAY_CASES],
@@ -285,6 +357,21 @@ class TestGoldenDigests:
 
     def test_insight_channel(self, traces, golden):
         assert traces.insight() == golden["insight"]
+
+    @pytest.mark.parametrize("case", ANALYSIS_CASES, ids=analysis_id)
+    def test_analysis(self, traces, golden, case):
+        assert (_sha(traces.analysis(case))
+                == golden["analysis"][analysis_id(case)])
+
+    def test_occupancy_check_fires(self, traces):
+        """Over-subscribing the bus pool is reported, the same way on
+        every run."""
+        case = ("audit", "cg", 16, "real", "buses=1", "bus-blind")
+        first = traces.analysis(case)
+        codes = [v["code"] for v in first["violations"]]
+        assert codes.count("network.occupancy") == 607
+        assert all(v["context"] for v in first["violations"])
+        assert traces.analysis(case) == first
 
     @pytest.mark.parametrize("app,nranks", RCT_CASES,
                              ids=[f"{a}/{n}" for a, n in RCT_CASES])

@@ -7,7 +7,8 @@ Four contracts are pinned here:
   traces and on every paper application skeleton;
 * **Non-perturbation** — an attributed replay is bitwise-identical to
   a plain one, and the ``insight=None`` default stays within noise of
-  the uninstrumented path (the ``test_obs_fastpath`` pattern);
+  the uninstrumented path (the ``test_obs_fastpath`` pattern); one
+  replay that both audits and attributes gives what each gives alone;
 * **Paper §V ranking** — the attainable-overlap bound orders the pool
   the way the paper's Table II discussion does (CG pattern-friendly,
   Sweep3D pattern-hostile), and Sweep3D's residual waits are
@@ -160,6 +161,44 @@ class TestNonPerturbation:
         assert plain.rank_end == attributed.rank_end
         assert plain.states == attributed.states
         assert plain.messages == attributed.messages
+
+    def test_audit_and_insight_share_one_replay(self):
+        """A replay that both audits and attributes gives the audit
+        report of an audit-only replay, the collector of an
+        insight-only one, and the result of a plain one."""
+        from repro.audit import AuditConfig, result_digest
+        from repro.experiments import AppExperiment
+        from repro.perturb.scenarios import build_scenario
+
+        exp = AppExperiment("cg", nranks=8)
+        trace = exp.trace("real")
+        machine = MachineConfig.paper_testbed("cg")
+        horizon = simulate(exp.trace("original"), machine).duration
+        sched = build_scenario("outage-stall", horizon, seed=0)
+
+        def fields(col: InsightCollector) -> dict:
+            # Transfers compare by value; the id-keyed maps by their
+            # values in insertion order.
+            return {
+                "waits": col.waits,
+                "occupancy": col.occupancy,
+                "queued": (col.queued_peak, col.queued_total),
+                "queue_cause": list(col.queue_cause.values()),
+                "perturb_excess": list(col.perturb_excess.values()),
+            }
+
+        both_audit, both_col = AuditConfig(level="full"), InsightCollector()
+        both = simulate(trace, machine, audit=both_audit, insight=both_col,
+                        perturb=sched)
+        audit_only = AuditConfig(level="full")
+        simulate(trace, machine, audit=audit_only, perturb=sched)
+        _res, insight_only = collect(trace, machine, perturb=sched)
+        plain = simulate(trace, machine, perturb=sched)
+
+        assert both_audit.report.to_dict() == audit_only.report.to_dict()
+        assert fields(both_col) == fields(insight_only)
+        assert both_col.perturb_excess and both_col.queue_cause
+        assert result_digest(both) == result_digest(plain)
 
     def test_disabled_path_within_noise(self):
         """insight=None replays run at the plain-replay speed: both

@@ -4,7 +4,8 @@
 release can unblock.  These tests drive it and a reference arbiter that
 restarts a FIFO scan at the queue head after every start (the obvious
 reading of Dimemas' queueing rule) with the same random traffic, and
-require the same starts, in the same order, at the same times.
+require the same replay log: the same queued, start and release
+entries, in the same order, at the same times.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from repro.dimemas.engine import EventLoop
 from repro.dimemas.machine import MachineConfig
 from repro.dimemas.network import Network, Transfer
-from repro.insight.channel import InsightCollector
+from repro.dimemas.replay import log_entries
 
 NRANKS = 5
 
@@ -37,35 +38,13 @@ class RescanNetwork(Network):
     """Network arbitrated by a full rescan on every submit and release."""
 
     def _admit(self, transfer):
-        if not self._queue and self._resources_free(transfer):
-            self._start(transfer)
-            return
-        seq = next(self._seqs)
-        self._queue[seq] = transfer
-        self._out_wait[transfer.src][seq] = transfer
-        self._in_wait[transfer.dst][seq] = transfer
+        # The newcomer joins the tail of the FIFO, so the scan reaches
+        # it only once nothing queued ahead of it can start.
         _rescan(self)
-        if self.insight is not None and transfer.start_time is None:
-            self.insight.note_queued(
-                self.loop.now, transfer, self._queue_cause(transfer),
-                len(self._queue),
-            )
+        super()._admit(transfer)
 
     def _wake(self, released):
         _rescan(self)
-
-
-class _StartLog:
-    """Stands in for the auditor to record every start and release."""
-
-    def __init__(self):
-        self.log = []
-
-    def check_occupancy(self, net, t):
-        self.log.append(("start", t.tag, net.loop.now, len(net._queue)))
-
-    def check_release(self, net, t):
-        self.log.append(("release", t.tag, net.loop.now))
 
 
 def arbitrate(cls, traffic, **platform):
@@ -74,21 +53,20 @@ def arbitrate(cls, traffic, **platform):
     loop = EventLoop()
     cfg = MachineConfig(bandwidth_mbps=100.0, latency=10e-6, **platform)
     net = cls(loop, NRANKS, cfg)
-    net.auditor, net.insight = _StartLog(), InsightCollector()
+    net.log = []
     transfers = []
     for i, (slot, src, dst, size) in enumerate(traffic):
         tr = Transfer(src=src, dst=dst, size=size, tag=i)
         transfers.append(tr)
         loop.at(slot * 5e-6, lambda tr=tr: net.submit(tr))
     loop.run()
-    ins = net.insight
     return net, {
-        "log": net.auditor.log,
+        # Every queued, start and release entry, its transfer named by
+        # its tag.
+        "log": [(kind, t, tr.tag, *rest)
+                for kind, t, tr, *rest in log_entries(net.log)],
         "times": [(t.start_time, t.inject_time, t.arrival_time)
                   for t in transfers],
-        "occupancy": ins.occupancy,
-        "queued": (ins.queued_peak, ins.queued_total,
-                   list(ins.queue_cause.values())),
     }
 
 
