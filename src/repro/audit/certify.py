@@ -22,6 +22,7 @@ import hashlib
 import json
 from collections import defaultdict
 
+from ..core.matching import match_columnar
 from .auditor import AuditConfig, IntegrityReport, Violation, resolve_level
 
 __all__ = ["certify_trace", "divergence", "result_digest"]
@@ -92,48 +93,35 @@ def divergence(baseline, other) -> list[Violation]:
     return out
 
 
-def _matching_violations(trace) -> list[Violation]:
+def _matching_violations(col) -> list[Violation]:
     """Endpoint-attributed point-to-point matching checks.
 
     :func:`repro.trace.validate.validate` reports count mismatches as
     *global* issues (no rank); for certification we want the fault
     pinned to the endpoints of the broken key, so both endpoints are
-    ranked here — the perturbed rank is always one of the two.
+    ranked here — the perturbed rank is always one of the two.  Reads
+    the trace's one :func:`~repro.core.matching.match_columnar` result.
     """
-    from ..trace.records import IRecv, ISend, Recv, Send
-
-    sends: dict[tuple, list[int]] = defaultdict(list)
-    recvs: dict[tuple, list[int]] = defaultdict(list)
-    for proc in trace:
-        for rec in proc.records:
-            if isinstance(rec, (Send, ISend)):
-                key = (proc.rank, rec.peer, rec.context, rec.channel,
-                       rec.tag, rec.sub)
-                sends[key].append(rec.size)
-            elif isinstance(rec, (Recv, IRecv)):
-                key = (rec.peer, proc.rank, rec.context, rec.channel,
-                       rec.tag, rec.sub)
-                recvs[key].append(rec.size)
     out: list[Violation] = []
-    for key in sorted(set(sends) | set(recvs)):
+    for key, sends, recvs, pairs in match_columnar(col).by_key():
         src, dst = key[0], key[1]
-        s, r = sends.get(key, []), recvs.get(key, [])
-        if len(s) != len(r):
+        if sends != recvs:
             out.append(Violation(
                 code="match.cardinality",
                 message=(
                     f"key src={src} dst={dst} tag={key[4]}: "
-                    f"{len(s)} send(s) vs {len(r)} recv(s)"
+                    f"{sends} send(s) vs {recvs} recv(s)"
                 ),
                 ranks=(src, dst),
             ))
-        for i, (ssize, rsize) in enumerate(zip(s, r)):
-            if ssize != rsize:
+        for i, p in enumerate(pairs):
+            rsize = col.ranks[dst].size[p.recv_index]
+            if p.size != rsize:
                 out.append(Violation(
                     code="match.size",
                     message=(
                         f"key src={src} dst={dst} tag={key[4]} pair {i}: "
-                        f"send {ssize} byte(s) vs recv {rsize}"
+                        f"send {p.size} byte(s) vs recv {rsize}"
                     ),
                     ranks=(src, dst),
                 ))
@@ -166,28 +154,21 @@ def certify_trace(
     """
     from ..dimemas.machine import MachineConfig
     from ..dimemas.replay import DeadlockError, SimulationTimeout, simulate
+    from ..trace.columnar import columnar_of
     from ..trace.validate import validate
 
     level = resolve_level(level)
     cfg = machine or MachineConfig()
-    record_form = trace
-    if not hasattr(trace, "__iter__") or not hasattr(trace, "meta"):
-        record_form = None
-    if record_form is None and hasattr(trace, "to_traceset"):
-        record_form = trace.to_traceset()
+    col = columnar_of(trace)
 
     violations: list[Violation] = []
     checks = ["validate.structure", "match"]
-    nranks = trace.nranks
-
-    if record_form is not None:
-        report = validate(record_form)
-        for issue in report.issues:
-            ranks = (issue.rank,) if issue.rank is not None else ()
-            violations.append(Violation(
-                code="validate.structure", message=str(issue), ranks=ranks,
-            ))
-        violations.extend(_matching_violations(record_form))
+    for issue in validate(col).issues:
+        ranks = (issue.rank,) if issue.rank is not None else ()
+        violations.append(Violation(
+            code="validate.structure", message=str(issue), ranks=ranks,
+        ))
+    violations.extend(_matching_violations(col))
 
     audit = AuditConfig(
         level=level if level != "off" else "basic", strict=False,
@@ -233,16 +214,10 @@ def certify_trace(
             checks.append("determinism.divergence")
             violations.extend(divergence(baseline, result))
 
-    digest = None
-    try:
-        from ..trace.columnar import columnar_of
-        digest = columnar_of(trace).digest
-    except (TypeError, ValueError):
-        pass
     return IntegrityReport(
         level=level,
-        nranks=nranks,
+        nranks=col.nranks,
         checks=tuple(dict.fromkeys(checks)),
         violations=violations,
-        trace_digest=digest,
+        trace_digest=col.digest,
     )

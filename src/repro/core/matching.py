@@ -1,27 +1,43 @@
-"""Static send/receive matching over recorded traces.
+"""Static send/receive matching: the one pairing rule of the pipeline.
 
 The overlap transformation rewrites *both* endpoints of every message
 (the sender's chunked transmissions must agree with the receiver's
 chunked receptions), so it first needs to know which receive record
-each send record pairs with.  Matching replays MPI's non-overtaking
-rule offline: records with the same key ``(src, dst, channel, tag,
-sub)`` match in record order — the same discipline the runtime matcher
-(:mod:`repro.smpi.matching`) and the replay simulator use, so all
-three stages agree on pairings.
+each send record pairs with — and tracer validation, certification,
+:func:`~repro.trace.filters.repair` and the replay simulator must agree
+with it.  All of them ask :func:`match_columnar`, which replays MPI's
+non-overtaking rule offline: records with the same key ``(src, dst,
+context, channel, tag, sub)`` match in record order, the discipline the
+runtime matcher (:mod:`repro.smpi.matching`) applies while tracing.
+
+The walk reads the int columns of a
+:class:`~repro.trace.columnar.ColumnarTrace`, and its :class:`Matching`
+is kept on that trace the way its content digest is: a trace is paired
+once, however many stages ask.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Iterator, NamedTuple
 
-from ..trace.records import IRecv, ISend, Recv, Send, TraceSet
+from ..trace.columnar import (
+    OP_IRECV,
+    OP_ISEND,
+    OP_RECV,
+    OP_SEND,
+    ColumnarTrace,
+    columnar_of,
+)
+from ..trace.records import TraceSet
 
 __all__ = [
+    "Matching",
     "MessagePair",
     "match_columnar",
     "match_messages",
-    "match_messages_lenient",
     "UnmatchedMessageError",
 ]
 
@@ -54,83 +70,72 @@ class MessagePair:
                 self.sub)
 
 
+class Matching(NamedTuple):
+    """The pairing of one trace (shared by every caller: read-only).
+
+    ``pairs`` holds every matched message ordered by ``(src,
+    send_index)``; ``counts`` maps every matching key, in sorted order,
+    to its ``(sends, recvs)`` record counts.  A key whose counts differ
+    left its surplus records unpaired.
+    """
+
+    pairs: tuple[MessagePair, ...]
+    counts: dict[tuple, tuple[int, int]]
+
+    def leftovers(self) -> list[str]:
+        """One description per key with mismatched send/receive counts."""
+        return [
+            f"src={k[0]} dst={k[1]} context={k[2]} channel={k[3]} "
+            f"tag={k[4]} sub={k[5]}: {s} send(s) vs {r} recv(s)"
+            for k, (s, r) in self.counts.items() if s != r
+        ]
+
+    def by_key(self) -> Iterator[tuple[tuple, int, int, list[MessagePair]]]:
+        """``(key, sends, recvs, the key's pairs in record order)`` per key,
+        in key order."""
+        # Stable: within a key, pairs keep their record order.
+        pairs = sorted(self.pairs, key=attrgetter("key"))
+        start = 0
+        for key, (sends, recvs) in self.counts.items():
+            stop = start + min(sends, recvs)
+            yield key, sends, recvs, pairs[start:stop]
+            start = stop
+
+
 def match_messages(trace: TraceSet, strict: bool = True) -> list[MessagePair]:
     """Pair every send record with its receive record.
 
+    The front of :func:`match_columnar` for the transformation stage.
     Returns pairs ordered by (src, send_index).  With ``strict=True``
     (default) raises :class:`UnmatchedMessageError` if any record is
     left unpaired; otherwise unpaired records are silently dropped
     (useful for partial traces).
     """
-    pairs, leftovers = match_messages_lenient(trace)
+    matching = match_columnar(columnar_of(trace))
+    leftovers = matching.leftovers()
     if leftovers and strict:
         raise UnmatchedMessageError(
             "unmatched point-to-point records:\n" + "\n".join(leftovers[:10])
         )
-    return pairs
+    return list(matching.pairs)
 
 
-def match_messages_lenient(trace: TraceSet) -> tuple[list[MessagePair], list[str]]:
-    """Pair what can be paired; describe what cannot.
+def match_columnar(col: ColumnarTrace) -> Matching:
+    """The :class:`Matching` of a packed columnar trace, paired once.
 
-    Returns ``(pairs, leftovers)`` where ``leftovers`` lists every
-    matching key with mismatched send/receive counts.  The replay
-    simulator uses this on malformed traces so a dropped or corrupted
-    record surfaces as a *diagnosable deadlock* (the orphaned endpoint
-    blocks forever and the post-mortem names it) instead of an abort
-    before the replay even starts.
+    A malformed trace keeps the pairs it has: the replay then diagnoses
+    the orphaned endpoint as a deadlock instead of aborting before it
+    starts, and validation reports the key's counts.
     """
-    sends: dict[tuple, deque] = defaultdict(deque)
-    recvs: dict[tuple, deque] = defaultdict(deque)
-
-    for proc in trace:
-        for i, rec in enumerate(proc.records):
-            if isinstance(rec, (Send, ISend)):
-                key = (proc.rank, rec.peer, rec.context, rec.channel,
-                       rec.tag, rec.sub)
-                sends[key].append((i, rec))
-            elif isinstance(rec, (Recv, IRecv)):
-                key = (rec.peer, proc.rank, rec.context, rec.channel,
-                       rec.tag, rec.sub)
-                recvs[key].append((i, rec))
-
-    pairs: list[MessagePair] = []
-    leftovers: list[str] = []
-    for key in sorted(set(sends) | set(recvs)):
-        s, r = sends.get(key, deque()), recvs.get(key, deque())
-        for (si, srec), (ri, _rrec) in zip(s, r):
-            pairs.append(
-                MessagePair(
-                    src=key[0], send_index=si, dst=key[1], recv_index=ri,
-                    size=srec.size, context=key[2], channel=key[3],
-                    tag=key[4], sub=key[5],
-                )
-            )
-        if len(s) != len(r):
-            leftovers.append(
-                f"src={key[0]} dst={key[1]} context={key[2]} channel={key[3]} "
-                f"tag={key[4]} sub={key[5]}: {len(s)} send(s) vs {len(r)} recv(s)"
-            )
-
-    pairs.sort(key=lambda p: (p.src, p.send_index))
-    return pairs, leftovers
+    if col._matching is None:
+        col._matching = _pair(col)
+    return col._matching
 
 
-def match_columnar(col) -> tuple[list[MessagePair], list[str]]:
-    """:func:`match_messages_lenient` over a packed columnar trace.
-
-    Walks the int columns of a
-    :class:`~repro.trace.columnar.ColumnarTrace` directly — no record
-    objects, no attribute dispatch — and produces the *identical*
-    ``(pairs, leftovers)`` output: same :class:`MessagePair` values in
-    the same order, same leftover description strings.  This is the
-    matcher of the replay hot path; the record-object variants above
-    remain the matchers of the transformation stage.
-    """
-    from ..trace.columnar import OP_IRECV, OP_ISEND, OP_RECV, OP_SEND
-
-    sends: dict[tuple, deque] = defaultdict(deque)
-    recvs: dict[tuple, deque] = defaultdict(deque)
+def _pair(col: ColumnarTrace) -> Matching:
+    """Group send and receive records by matching key; pair in order."""
+    sends: dict[tuple, list] = defaultdict(list)
+    recvs: dict[tuple, list] = defaultdict(list)
 
     for rank, rc in enumerate(col.ranks):
         op = rc.op
@@ -146,10 +151,11 @@ def match_columnar(col) -> tuple[list[MessagePair], list[str]]:
                 recvs[key].append(i)
 
     pairs: list[MessagePair] = []
-    leftovers: list[str] = []
-    empty: deque = deque()
-    for key in sorted(set(sends) | set(recvs)):
+    counts: dict[tuple, tuple[int, int]] = {}
+    empty: list = []
+    for key in sorted(sends.keys() | recvs.keys()):
         s, r = sends.get(key, empty), recvs.get(key, empty)
+        counts[key] = (len(s), len(r))
         for (si, ssize), ri in zip(s, r):
             pairs.append(
                 MessagePair(
@@ -158,11 +164,6 @@ def match_columnar(col) -> tuple[list[MessagePair], list[str]]:
                     tag=key[4], sub=key[5],
                 )
             )
-        if len(s) != len(r):
-            leftovers.append(
-                f"src={key[0]} dst={key[1]} context={key[2]} channel={key[3]} "
-                f"tag={key[4]} sub={key[5]}: {len(s)} send(s) vs {len(r)} recv(s)"
-            )
 
     pairs.sort(key=lambda p: (p.src, p.send_index))
-    return pairs, leftovers
+    return Matching(tuple(pairs), counts)

@@ -79,7 +79,8 @@ from .chunking import (
     chunk_ready_times,
     plan_chunks,
 )
-from .matching import MessagePair, match_messages
+from ..trace.columnar import columnar_of
+from .matching import MessagePair, match_columnar, match_messages
 
 __all__ = [
     "OverlapConfig",
@@ -296,38 +297,23 @@ def _buffer_lifecycle(trace: TraceSet):
 
 
 def _stream_neighbors(trace: TraceSet):
-    """For every p2p record: the time of the previous same-key send /
-    next same-key receive, plus the index of the next same-key send or
-    receive record (used for wait anchoring)."""
-    prev_send_time: dict[tuple[int, int], float] = {}
+    """Per matching key, each message's successor on that key: for every
+    send ``(rank, index)`` the index of the next send (None at the
+    stream's end), for every receive the virtual time of the next
+    receive (the rank's end at the tail)."""
     next_send_index: dict[tuple[int, int], int | None] = {}
     next_recv_time: dict[tuple[int, int], float] = {}
-    next_recv_index: dict[tuple[int, int], int | None] = {}
-
-    for proc in trace:
-        starts = proc.virtual_starts()
-        last_send: dict[tuple, tuple[int, float]] = {}
-        last_recv: dict[tuple, int] = {}
-        for i, rec in enumerate(proc.records):
-            t = starts[i]
-            if isinstance(rec, (Send, ISend)):
-                key = (rec.peer, rec.context, rec.channel, rec.tag, rec.sub)
-                prev = last_send.get(key)
-                prev_send_time[(proc.rank, i)] = prev[1] if prev else 0.0
-                if prev:
-                    next_send_index[(proc.rank, prev[0])] = i
-                next_send_index[(proc.rank, i)] = None
-                last_send[key] = (i, t)
-            elif isinstance(rec, (Recv, IRecv)):
-                key = (rec.peer, rec.context, rec.channel, rec.tag, rec.sub)
-                prev = last_recv.get(key)
-                if prev is not None:
-                    next_recv_time[(proc.rank, prev)] = t
-                    next_recv_index[(proc.rank, prev)] = i
-                next_recv_time[(proc.rank, i)] = proc.virtual_duration
-                next_recv_index[(proc.rank, i)] = None
-                last_recv[key] = i
-    return prev_send_time, next_send_index, next_recv_time, next_recv_index
+    by_key = match_columnar(columnar_of(trace)).by_key()
+    for (src, dst, *_), _, _, pairs in by_key:
+        starts = trace[dst].virtual_starts()
+        for p, nxt in zip(pairs, pairs[1:] + [None]):
+            if nxt is None:
+                next_send_index[(src, p.send_index)] = None
+                next_recv_time[(dst, p.recv_index)] = trace[dst].virtual_duration
+            else:
+                next_send_index[(src, p.send_index)] = nxt.send_index
+                next_recv_time[(dst, p.recv_index)] = starts[nxt.recv_index]
+    return next_send_index, next_recv_time
 
 
 # --------------------------------------------------------------------------- #
@@ -364,7 +350,7 @@ def overlap_transform(
     pairs = match_messages(trace)
     stats.messages_total = len(pairs)
 
-    prev_send_t, next_send_i, next_recv_t, next_recv_i = _stream_neighbors(trace)
+    next_send_i, next_recv_t = _stream_neighbors(trace)
     regions = _compute_regions(trace)
     lifecycle = _buffer_lifecycle(trace)
 

@@ -402,14 +402,15 @@ class _RankRunner:
             self.finished = True
 
 
-def _coalesce_columnar(col: ColumnarTrace) -> ColumnarTrace:
-    """Columns with maximal CpuBursts (copy only when needed).
+def _coalesce_columnar(col: ColumnarTrace) -> tuple[ColumnarTrace, list]:
+    """Columns with maximal CpuBursts (copy only when needed), and per
+    rank the new index of every old record.
 
     Build-time coalescing (:meth:`ProcessTrace.append_coalesced`) keeps
     tracer output burst-maximal, but transformed traces can reacquire
     adjacency (e.g. a Wait dropped between two burst pieces).  Scans
-    first so the common already-coalesced case costs no copy; rank
-    blocks without adjacent bursts are shared with the input.
+    first so the common already-coalesced case costs no copy (and maps
+    every index to itself).
     """
     needs_work = False
     for rc in col.ranks:
@@ -424,12 +425,14 @@ def _coalesce_columnar(col: ColumnarTrace) -> ColumnarTrace:
         if needs_work:
             break
     if not needs_work:
-        return col
+        return col, [range(rc.n) for rc in col.ranks]
 
     ranks = []
+    renumber = []
     for rc in col.ranks:
         op = rc.op
         merged = RankColumns()
+        new_index: list[int] = []
         cols_in = [rc.instr, rc.peer, rc.tag, rc.size, rc.channel, rc.sub,
                    rc.elements, rc.context, rc.req, rc.aux]
         cols_out = [merged.instr, merged.peer, merged.tag, merged.size,
@@ -447,6 +450,7 @@ def _coalesce_columnar(col: ColumnarTrace) -> ColumnarTrace:
                     nxt = rc.instr[j]
                     instr = instr + nxt if instr >= 0 and nxt >= 0 else -1
                     j += 1
+                new_index.extend([len(merged.op)] * (j - i))
                 merged.op.append(_OP_CPU)
                 merged.rv.append(-1)
                 merged.dur.append(dur)
@@ -455,6 +459,7 @@ def _coalesce_columnar(col: ColumnarTrace) -> ColumnarTrace:
                     cols_out[k].append(cols_in[k][i])
                 i = j
             else:
+                new_index.append(len(merged.op))
                 merged.op.append(op[i])
                 merged.rv.append(rc.rv[i])
                 merged.dur.append(rc.dur[i])
@@ -468,7 +473,8 @@ def _coalesce_columnar(col: ColumnarTrace) -> ColumnarTrace:
         merged.events = rc.events
         merged.colls = rc.colls
         ranks.append(merged)
-    return ColumnarTrace(ranks, col.names, col.collops, meta=col.meta)
+        renumber.append(new_index)
+    return ColumnarTrace(ranks, col.names, col.collops, meta=col.meta), renumber
 
 
 class _ReplayPlan:
@@ -484,12 +490,13 @@ class _ReplayPlan:
 
     __slots__ = (
         "digest", "col", "ops", "durs", "events", "waits", "colls",
-        "pairs", "unmatched", "pair_specs", "_rdv_cache",
+        "unmatched", "pair_specs", "_rdv_cache",
     )
 
     def __init__(self, col: ColumnarTrace):
         self.digest = col.digest
-        col = _coalesce_columnar(col)
+        matching = match_columnar(col)
+        col, renumber = _coalesce_columnar(col)
         self.col = col
         #: Plain per-rank lists: the dispatch loop indexes these.
         self.ops = [list(rc.op) for rc in col.ranks]
@@ -526,17 +533,18 @@ class _ReplayPlan:
         #: (empty for well-formed traces).  Malformed traces keep their
         #: pairs so the replay can diagnose the resulting stall instead
         #: of aborting before it starts.
-        self.pairs, self.unmatched = match_columnar(col)
+        self.unmatched = matching.leftovers()
         #: Flattened pair prototypes for :class:`_Simulation`: one
         #: tuple ``(src, dst, si, ri, size, tag, rv, send_req,
-        #: recv_req)`` per matched message, with the request ids
+        #: recv_req)`` per matched message, with the record indices
+        #: renumbered into the coalesced columns and the request ids
         #: pre-resolved (None unless the endpoint is ISend/IRecv).
         #: The per-platform init loop then touches no columns at all.
         specs = []
         ranks = col.ranks
-        for pair in self.pairs:
+        for pair in matching.pairs:
             src, dst = pair.src, pair.dst
-            si, ri = pair.send_index, pair.recv_index
+            si, ri = renumber[src][pair.send_index], renumber[dst][pair.recv_index]
             src_rc, dst_rc = ranks[src], ranks[dst]
             specs.append((
                 src, dst, si, ri, pair.size, pair.tag, src_rc.rv[si],

@@ -226,10 +226,14 @@ class ColumnarTrace:
     Carries the per-rank :class:`RankColumns`, the interned event /
     collective-op name tables, and the trace-level ``meta`` dict.  The
     :attr:`digest` is the content address used by plan caches, result
-    caches and the worker dispatch store.
+    caches and the worker dispatch store.  Like the digest, the trace's
+    send/receive pairing is computed once, by
+    :func:`repro.core.matching.match_columnar`, and kept here.
     """
 
-    __slots__ = ("ranks", "names", "collops", "meta", "_core", "_digest")
+    __slots__ = (
+        "ranks", "names", "collops", "meta", "_core", "_digest", "_matching",
+    )
 
     def __init__(
         self,
@@ -244,6 +248,7 @@ class ColumnarTrace:
         self.meta: dict = dict(meta or {})
         self._core: bytes | None = None
         self._digest: str | None = None
+        self._matching = None
 
     @property
     def nranks(self) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import replace as dc_replace
 
+from ..core.matching import match_columnar
+from .columnar import columnar_of
 from .records import (
     CpuBurst,
     Event,
@@ -67,7 +69,8 @@ def merge_bursts(trace: TraceSet, min_gap: float = 0.0) -> TraceSet:
 def repair(trace: TraceSet) -> TraceSet:
     """Restore structural invariants after an arbitrary cut.
 
-    * drops sends/receives whose partner is missing (global matching);
+    * keeps exactly the sends/receives the matcher pairs
+      (:func:`repro.core.matching.match_columnar`);
     * drops non-blocking records whose Wait was cut, and strips waited
       requests whose posting was cut;
     * drops collective records that not all ranks retain.
@@ -83,43 +86,26 @@ def repair(trace: TraceSet) -> TraceSet:
 
 
 def _repair_once(trace: TraceSet) -> TraceSet:
-    # Pass 1: count sends/recvs per key and collectives per seq.
-    sends: dict[tuple, int] = defaultdict(int)
-    recvs: dict[tuple, int] = defaultdict(int)
+    paired: list[set[int]] = [set() for _ in range(trace.nranks)]
+    for p in match_columnar(columnar_of(trace)).pairs:
+        paired[p.src].add(p.send_index)
+        paired[p.dst].add(p.recv_index)
     coll_count: dict[int, int] = defaultdict(int)
     for proc in trace:
         for rec in proc:
-            if isinstance(rec, (Send, ISend)):
-                sends[(proc.rank, rec.peer, rec.channel, rec.tag, rec.sub)] += 1
-            elif isinstance(rec, (Recv, IRecv)):
-                recvs[(rec.peer, proc.rank, rec.channel, rec.tag, rec.sub)] += 1
-            elif isinstance(rec, GlobalOp):
+            if isinstance(rec, GlobalOp):
                 coll_count[rec.seq] += 1
-
     keep_coll = {seq for seq, n in coll_count.items() if n == trace.nranks}
 
     procs = []
     for proc in trace:
-        # Per-key quota of keepable records (min of both sides, FIFO).
-        quota: dict[tuple, int] = {}
         posted: set[int] = set()
         out: list[Record] = []
-        for rec in proc:
-            if isinstance(rec, (Send, ISend)):
-                key = (proc.rank, rec.peer, rec.channel, rec.tag, rec.sub)
-                quota.setdefault(key, min(sends[key], recvs.get(key, 0)))
-                if quota[key] <= 0:
+        for i, rec in enumerate(proc):
+            if isinstance(rec, (Send, ISend, Recv, IRecv)):
+                if i not in paired[proc.rank]:
                     continue
-                quota[key] -= 1
-                if isinstance(rec, ISend):
-                    posted.add(rec.request)
-            elif isinstance(rec, (Recv, IRecv)):
-                key = (rec.peer, proc.rank, rec.channel, rec.tag, rec.sub)
-                quota.setdefault(key, min(sends.get(key, 0), recvs[key]))
-                if quota[key] <= 0:
-                    continue
-                quota[key] -= 1
-                if isinstance(rec, IRecv):
+                if isinstance(rec, (ISend, IRecv)):
                     posted.add(rec.request)
             elif isinstance(rec, Wait):
                 kept = tuple(q for q in rec.requests if q in posted)

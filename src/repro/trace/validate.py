@@ -10,20 +10,24 @@ transformation validate their outputs in tests.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .records import (
-    CpuBurst,
-    Event,
-    GlobalOp,
-    IRecv,
-    ISend,
-    Recv,
-    Send,
-    TraceSet,
-    Wait,
+from ..core.matching import match_columnar
+from .columnar import (
+    OP_COLL,
+    OP_CPU,
+    OP_IRECV,
+    OP_ISEND,
+    OP_RECV,
+    OP_SEND,
+    OP_WAIT,
+    ColumnarTrace,
+    columnar_of,
 )
+from .records import TraceSet
+
+_PTP_OPS = (OP_SEND, OP_ISEND, OP_RECV, OP_IRECV)
 
 __all__ = ["ValidationError", "ValidationIssue", "ValidationReport", "validate"]
 
@@ -91,21 +95,23 @@ class ValidationReport:
         return self.ok
 
 
-def _matching_key(rank_from: int, rank_to: int, rec) -> tuple:
-    return (rank_from, rank_to, rec.context, rec.channel, rec.tag, rec.sub)
+def validate(
+    trace: "TraceSet | ColumnarTrace", strict: bool = False,
+) -> ValidationReport:
+    """Validate a :class:`~repro.trace.records.TraceSet` or its columns.
 
-
-def validate(trace: TraceSet, strict: bool = False) -> ValidationReport:
-    """Validate a :class:`~repro.trace.records.TraceSet`.
-
-    Checks performed:
+    The checks read :func:`~repro.trace.columnar.columnar_of` the trace
+    (a :class:`ColumnarTrace` as it is).  Those columns are memoized per
+    TraceSet, so a trace edited in place after its first validation or
+    replay is validated through a copy (:meth:`TraceSet.copy`).  Checks:
 
     * request discipline per rank (unique ids; waits reference posted,
       not-yet-waited requests; no dangling requests at process end);
     * global point-to-point matching: for every key
-      ``(src, dst, channel, tag, sub)`` the send and receive sequences
-      have equal length and pairwise-equal sizes (FIFO matching,
-      mirroring both MPI ordering semantics and the replay matcher);
+      ``(src, dst, context, channel, tag, sub)`` the send and receive
+      sequences have equal length and pairwise-equal sizes — the
+      pairing of :func:`repro.core.matching.match_columnar`, which the
+      transformation and the replay use too;
     * collective alignment: every rank observes the same ordered
       sequence of ``(op, root, seq)`` GlobalOp records;
     * burst sanity: finite, non-negative durations.
@@ -113,102 +119,65 @@ def validate(trace: TraceSet, strict: bool = False) -> ValidationReport:
     With ``strict=True`` raises :class:`ValidationError` listing the
     first issues instead of returning a failing report.
     """
+    col = columnar_of(trace)
+    nranks = col.nranks
     report = ValidationReport()
-
-    sends: dict[tuple, deque] = defaultdict(deque)
-    recvs: dict[tuple, deque] = defaultdict(deque)
     collectives: list[list[tuple]] = []
 
-    for proc in trace:
+    def flag(rank: int, i: int, msg: str) -> None:
+        report.add(f"rank={rank} record={i}: {msg}", rank=rank, record=i)
+
+    for rank, rc in enumerate(col.ranks):
         posted: set[int] = set()
         completed: set[int] = set()
         coll_seq: list[tuple] = []
-        for i, rec in enumerate(proc):
-            where = f"rank={proc.rank} record={i}"
-            if isinstance(rec, CpuBurst):
-                if rec.duration < 0:
-                    report.add(
-                        f"{where}: negative burst duration {rec.duration}",
-                        rank=proc.rank, record=i,
-                    )
-            elif isinstance(rec, (Send, ISend)):
-                sends[_matching_key(proc.rank, rec.peer, rec)].append(
-                    (proc.rank, i, rec.size)
-                )
-                if rec.peer >= trace.nranks:
-                    report.add(
-                        f"{where}: send to out-of-range rank {rec.peer}",
-                        rank=proc.rank, record=i,
-                    )
-                if isinstance(rec, ISend):
-                    if rec.request in posted or rec.request in completed:
-                        report.add(
-                            f"{where}: duplicate request id {rec.request}",
-                            rank=proc.rank, record=i,
-                        )
-                    posted.add(rec.request)
-            elif isinstance(rec, (Recv, IRecv)):
-                recvs[_matching_key(rec.peer, proc.rank, rec)].append(
-                    (proc.rank, i, rec.size)
-                )
-                if rec.peer >= trace.nranks:
-                    report.add(
-                        f"{where}: recv from out-of-range rank {rec.peer}",
-                        rank=proc.rank, record=i,
-                    )
-                if isinstance(rec, IRecv):
-                    if rec.request in posted or rec.request in completed:
-                        report.add(
-                            f"{where}: duplicate request id {rec.request}",
-                            rank=proc.rank, record=i,
-                        )
-                    posted.add(rec.request)
-            elif isinstance(rec, Wait):
-                for req in rec.requests:
-                    if req in completed:
-                        report.add(
-                            f"{where}: request {req} waited twice",
-                            rank=proc.rank, record=i,
-                        )
-                    elif req not in posted:
-                        report.add(
-                            f"{where}: wait on unknown request {req}",
-                            rank=proc.rank, record=i,
-                        )
+        op, peer, req, aux = rc.op, rc.peer, rc.req, rc.aux
+        for i in range(rc.n):
+            o = op[i]
+            if o == OP_CPU:
+                if rc.dur[i] < 0:
+                    flag(rank, i, f"negative burst duration {rc.dur[i]}")
+            elif o in _PTP_OPS:
+                if peer[i] >= nranks:
+                    way = "send to" if o in (OP_SEND, OP_ISEND) else "recv from"
+                    flag(rank, i, f"{way} out-of-range rank {peer[i]}")
+                if o == OP_ISEND or o == OP_IRECV:
+                    if req[i] in posted or req[i] in completed:
+                        flag(rank, i, f"duplicate request id {req[i]}")
+                    posted.add(req[i])
+            elif o == OP_WAIT:
+                for q in rc.waits[aux[i]]:
+                    if q in completed:
+                        flag(rank, i, f"request {q} waited twice")
+                    elif q not in posted:
+                        flag(rank, i, f"wait on unknown request {q}")
                     else:
-                        posted.discard(req)
-                        completed.add(req)
-            elif isinstance(rec, GlobalOp):
-                coll_seq.append((rec.context, rec.op, rec.root, rec.seq, rec.members))
-            elif isinstance(rec, Event):
-                pass
-            else:  # pragma: no cover - defensive
-                report.add(
-                    f"{where}: unknown record type {type(rec).__name__}",
-                    rank=proc.rank, record=i,
-                )
+                        posted.discard(q)
+                        completed.add(q)
+            elif o == OP_COLL:
+                c_op, root, _, _, seq, context, members = rc.colls[aux[i]]
+                coll_seq.append((context, c_op, root, seq, members))
         if posted:
             report.add(
-                f"rank={proc.rank}: {len(posted)} request(s) never waited: "
+                f"rank={rank}: {len(posted)} request(s) never waited: "
                 f"{sorted(posted)[:8]}",
-                rank=proc.rank,
+                rank=rank,
             )
         collectives.append(coll_seq)
 
     # Point-to-point matching.
-    for key in sorted(set(sends) | set(recvs)):
-        s, r = sends.get(key, deque()), recvs.get(key, deque())
-        if len(s) != len(r):
-            report.add(
-                f"global: key {key}: {len(s)} send(s) vs {len(r)} recv(s)"
-            )
-        for (srank, srec, ssize), (rrank, rrec, rsize) in zip(s, r):
-            if ssize != rsize:
+    for key, sends, recvs, pairs in match_columnar(col).by_key():
+        if sends != recvs:
+            report.add(f"global: key {key}: {sends} send(s) vs {recvs} recv(s)")
+        for p in pairs:
+            rsize = col.ranks[p.dst].size[p.recv_index]
+            if p.size != rsize:
                 report.add(
                     f"global: size mismatch on key {key}: "
-                    f"rank={srank} record={srec} sends {ssize} bytes, "
-                    f"rank={rrank} record={rrec} expects {rsize}",
-                    rank=srank, record=srec,
+                    f"rank={p.src} record={p.send_index} sends {p.size} "
+                    f"bytes, rank={p.dst} record={p.recv_index} expects "
+                    f"{rsize}",
+                    rank=p.src, record=p.send_index,
                 )
 
     # Collective alignment, per communicator context: every rank that
@@ -231,7 +200,7 @@ def validate(trace: TraceSet, strict: bool = False) -> ValidationReport:
                 )
         declared = {m for ops in by_rank.values() for (_, _, _, m) in ops}
         for m in declared:
-            expected = m if m > 0 else trace.nranks
+            expected = m if m > 0 else nranks
             if len(participants) != expected:
                 report.add(
                     f"global: context {ctx}: {len(participants)} "

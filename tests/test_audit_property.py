@@ -8,12 +8,14 @@ Two contracts, explored with hypothesis instead of hand-picked cases:
 * every seeded fault injector produces a mutant whose certification
   yields at least one violation attributed to the perturbed rank
   (``reorder`` swaps can be semantically benign, which
-  :func:`hypothesis.assume` skips past).
+  :func:`hypothesis.assume` skips past), and certifying the mutant's
+  decoded columns gives the same report without rebuilding records.
 """
 
 from __future__ import annotations
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from repro.audit.auditor import AuditConfig
 from repro.audit.certify import certify_trace
 from repro.dimemas.machine import MachineConfig
 from repro.dimemas.replay import simulate
+from repro.trace.columnar import ColumnarTrace, decode, from_traceset
 from repro.tracer import run_traced
 from tests.conftest import make_pipeline_app
 
@@ -145,3 +148,9 @@ def test_injected_fault_yields_attributed_violation(kind, seed):
         f"{fault.describe()} not attributed; got "
         f"{[v.render() for v in report.violations]}"
     )
+    col = decode(from_traceset(mutant).encode())
+    with mock.patch.object(ColumnarTrace, "to_traceset",
+                           side_effect=AssertionError("records rebuilt")):
+        columnar = certify_trace(col, machine=MACHINE, level="full",
+                                 baseline=baseline)
+    assert columnar.to_dict() == report.to_dict()

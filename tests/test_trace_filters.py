@@ -83,6 +83,27 @@ class TestRepair:
         assert validate(out).ok
         assert out.total_records() == pipeline_trace.total_records()
 
+    def test_drops_context_mismatched_endpoints(self):
+        # A send on one communicator and a receive on another share
+        # (src, dst, channel, tag, sub) but never match: both go.
+        ts = TraceSet([
+            ProcessTrace(0, [Send(peer=1, tag=0, size=8, context=0),
+                             Send(peer=1, tag=1, size=8)]),
+            ProcessTrace(1, [Recv(peer=0, tag=0, size=8, context=1),
+                             Recv(peer=0, tag=1, size=8)]),
+        ])
+        out = repair(ts)
+        assert validate(out).ok
+        assert [(type(r), r.tag) for p in out for r in p] == [
+            (Send, 1), (Recv, 1)]
+
+    def test_keeps_matched_self_message(self):
+        ts = TraceSet([ProcessTrace(0, [
+            Send(peer=0, tag=0, size=8), Recv(peer=0, tag=0, size=8)])])
+        assert validate(ts).ok
+        out = repair(ts)
+        assert [type(r) for r in out[0]] == [Send, Recv]
+
 
 class TestSliceIterations:
     def test_slice_validates_and_replays(self, pipeline_trace):
