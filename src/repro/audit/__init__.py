@@ -17,9 +17,8 @@ engine's *output* rather than trusting it:
 * :func:`result_digest` / :func:`certify_trace` / :func:`divergence` —
   determinism certification: content digests over
   :class:`~repro.dimemas.results.SimResult`, double-replay comparison,
-  and per-rank attribution of timeline divergence (how the
-  ``--verify-sample`` engine option and ``repro-verify`` decide that a
-  cached or worker-returned result is *the* result).
+  and per-rank attribution of timeline divergence (how
+  ``repro-verify`` decides that a trace replays to one result).
 * :class:`IngestLimits` — resource caps for the trace parsers
   (``$REPRO_MAX_TRACE_MB`` and friends), so a hostile or corrupt input
   is a typed parse error, never an allocation bomb.

@@ -592,7 +592,7 @@ def main_resilience(argv: list[str] | None = None) -> int:
                          "schedule digest; re-runs are nearly free)")
     ap.add_argument("--degraded", action="store_true",
                     help="report n/a cells instead of aborting when "
-                         "replays keep failing")
+                         "replays fail")
     ap.add_argument("--json", metavar="FILE",
                     help="write the machine-readable report "
                          "(docs/schema/repro-resilience.schema.json)")
@@ -678,12 +678,7 @@ def main_report(argv: list[str] | None = None) -> int:
                          "<run-dir>/cache, deleted once the run finishes ok")
     ap.add_argument("--degraded", action="store_true",
                     help="report FAILED rows instead of aborting when "
-                         "replays keep failing")
-    ap.add_argument("--verify-sample", type=float, default=None, metavar="P",
-                    help="determinism spot-check: re-replay this fraction "
-                         "(0..1) of cached and worker-returned grid points "
-                         "in-process; digest mismatches are quarantined "
-                         "and re-executed (default: $REPRO_VERIFY_SAMPLE)")
+                         "replays fail")
     ap.add_argument("--explain", action="store_true",
                     help="append per-app overlap explanations (wait-state "
                          "attribution scorecards and verdicts)")
@@ -727,7 +722,6 @@ def main_report(argv: list[str] | None = None) -> int:
                           include_bandwidth=not args.no_bandwidth,
                           jobs=args.jobs, cache_dir=cache_dir,
                           degraded=args.degraded,
-                          verify_sample=args.verify_sample,
                           explain=args.explain,
                           **kwargs))
         if own_cache:

@@ -20,7 +20,7 @@ from .bandwidth import (
     relaxation_bandwidth,
     search_bandwidths,
 )
-from .cache import SimResultCache, TraceCache, disk_low, trace_digest
+from .cache import SimResultCache, TraceCache, trace_digest
 from .calibration import bus_sensitivity, calibrate_buses, saturation_knee
 from .checkpoint import CampaignInterrupted, graceful_drain, list_runs
 from .parallel import (
@@ -29,8 +29,6 @@ from .parallel import (
     GridExecutionError,
     GridPoint,
     PointFailure,
-    RetryPolicy,
-    WorkerMemoryError,
     expand_grid,
     point_key,
     speedup_grid,
@@ -52,11 +50,10 @@ __all__ = [
     "AppExperiment", "BandwidthSearch", "CampaignInterrupted",
     "DegradedBracketError", "ExperimentEngine",
     "GridExecutionError", "GridPoint",
-    "PointFailure", "RetryPolicy",
-    "WorkerMemoryError",
+    "PointFailure",
     "PAPER_CONSUMPTION", "PAPER_PRODUCTION", "PatternRow",
     "VARIANTS", "bisect_bandwidth",
-    "bus_sensitivity", "calibrate_buses", "disk_low",
+    "bus_sensitivity", "calibrate_buses",
     "equivalent_bandwidth", "expand_grid", "figure5_series", "full_report",
     "graceful_drain", "list_runs", "pattern_row", "point_key",
     "relaxation_bandwidth", "saturation_knee", "search_bandwidths",

@@ -37,18 +37,17 @@ trace entry is streamed into its staging file
 profile straight from its array, so a publish holds no second copy of
 the profiles.  A publish that fails removes its staging file.
 
-Both caches are also **self-healing**: every entry is published with a
-schema version and a content checksum, and anything that fails to load
-— truncated by a killed writer, bit-flipped on disk, or written by an
-older schema — is *quarantined* (moved into a ``quarantine/``
-subdirectory for inspection, with a logged reason) and transparently
-rebuilt.  Orphaned ``*.tmp`` staging files left behind by dead writers
-are swept when a cache directory is opened (writer identity is PID
-*plus* process start time, so a recycled PID cannot protect another
-writer's garbage).  A corrupted cache can therefore slow a warm run
-down, but never crash it or poison results.
+The caches are also **self-healing**: every entry is published with a
+schema version and a content checksum, and a bad entry is a miss:
+anything that fails to load — truncated by a killed writer,
+bit-flipped on disk, or written by an older schema — is unlinked with
+one logged warning, and the rebuild publishes over it.  Orphaned
+``*.tmp`` staging files left behind by dead writers are swept when a
+cache directory is opened (a staging name carries its writer's PID).
+A corrupted cache can therefore slow a warm run down, but never crash
+it or poison results.
 
-Both caches **degrade instead of dying**: a read-only cache directory,
+The caches **degrade instead of dying**: a read-only cache directory,
 a full disk (ENOSPC), or any other persistent I/O failure switches the
 cache to in-memory operation for the rest of the process — one
 structured warning, a ``cache.degraded`` metric, and the campaign
@@ -65,9 +64,6 @@ import itertools
 import json
 import logging
 import os
-import shutil
-import signal
-import time
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
@@ -88,50 +84,12 @@ from ..trace.records import TraceSet
 
 __all__ = [
     "SimResultCache", "TraceCache", "TraceStore", "content_key",
-    "disk_low", "free_disk_bytes", "min_free_bytes", "sweep_cache_dir",
-    "trace_digest",
+    "sweep_cache_dir", "trace_digest",
 ]
 
 _log = logging.getLogger("repro.experiments.cache")
 
-#: Default disk low-water mark (bytes): below this much free space,
-#: cache writers degrade instead of running the disk to zero and dying
-#: on ENOSPC mid-write.
-DEFAULT_MIN_FREE_BYTES = 16 * 1024 * 1024
-
-
-def free_disk_bytes(path: str | Path) -> int | None:
-    """Free bytes on the filesystem holding ``path`` (None: unknowable)."""
-    p = Path(path)
-    for candidate in (p, *p.parents):
-        try:
-            return shutil.disk_usage(candidate).free
-        except OSError:
-            continue
-    return None
-
-
-def min_free_bytes() -> int:
-    """The configured low-water mark (``$REPRO_MIN_FREE_MB`` override)."""
-    raw = os.environ.get("REPRO_MIN_FREE_MB")
-    if raw:
-        try:
-            return max(0, int(float(raw) * 1024 * 1024))
-        except ValueError:
-            pass
-    return DEFAULT_MIN_FREE_BYTES
-
-
-def disk_low(path: str | Path, floor: int | None = None) -> bool:
-    """True when the filesystem under ``path`` is below the low-water
-    mark — the signal for cache writers to degrade gracefully rather
-    than die on ENOSPC mid-write."""
-    free = free_disk_bytes(path)
-    if free is None:
-        return False
-    return free < (floor if floor is not None else min_free_bytes())
-
-#: On-disk entry schema.  Bumping it quarantines (and rebuilds) every
+#: On-disk entry schema.  Bumping it discards (and rebuilds) every
 #: entry written by earlier code instead of misreading it.
 SCHEMA_VERSION = 1
 
@@ -143,31 +101,6 @@ def content_key(**fields) -> str:
         sort_keys=True, default=repr,
     ).encode()
     return hashlib.sha256(blob).hexdigest()[:24]
-
-
-def _proc_start_ticks(pid: int) -> int | None:
-    """The process's start time in clock ticks since boot, or None.
-
-    Field 22 of ``/proc/<pid>/stat`` — the one writer-identity datum
-    the kernel guarantees distinct across PID reuse.  ``comm`` may
-    contain spaces and parens, so split after the *last* ``)``.
-    """
-    try:
-        content = Path(f"/proc/{pid}/stat").read_text()
-        return int(content.rpartition(")")[2].split()[19])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _writer_token() -> str:
-    """Staging-file writer identity: ``<pid>-<start-ticks>``.
-
-    PID alone is recyclable — a new process can inherit a dead writer's
-    PID and make its garbage look alive forever.  Start ticks break the
-    tie.  Falls back to ``<pid>-0`` where /proc is unavailable.
-    """
-    pid = os.getpid()
-    return f"{pid}-{_proc_start_ticks(pid) or 0}"
 
 
 #: Per-process staging serial: every publish stages under a name of
@@ -183,15 +116,13 @@ _Payload = str | bytes | Callable[[BinaryIO], object]
 def _stage_and_publish(path: Path, data: _Payload) -> None:
     """Atomically publish ``data`` at ``path``.
 
-    The staging name embeds the writer identity (PID + process start
-    time) plus a per-process serial, so concurrent writers never
-    clobber each other's half-written file; the final rename is atomic
-    within a filesystem.  A write or rename that raises removes the
-    staging file before the error propagates: its writer is alive, so
-    no orphan sweep would.
+    The staging name embeds the writer's PID plus a per-process serial,
+    so concurrent writers never clobber each other's half-written file;
+    the final rename is atomic within a filesystem.  A write or rename
+    that raises removes the staging file before the error propagates:
+    its writer is alive, so no orphan sweep would.
     """
-    tmp = path.with_name(
-        f"{path.name}.{_writer_token()}-{next(_stage_seq)}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{next(_stage_seq)}.tmp")
     try:
         with open(tmp, "wb") as f:
             if callable(data):
@@ -207,54 +138,18 @@ def _stage_and_publish(path: Path, data: _Payload) -> None:
         raise
 
 
-#: Points this process has stored (counted only while the chaos hook
-#: below is armed).
-_stored_points = itertools.count(1)
-
-
-def _maybe_selfkill_after_store() -> None:
-    """Chaos-test hook: SIGKILL this process after its Nth stored point.
-
-    Armed via ``$REPRO_TEST_SELFKILL_AFTER_STORE=N``.  Every stored
-    point passes through :meth:`SimResultCache.store_duration`, so the
-    kill lands right after the point became servable to a resumed
-    session.
-    """
-    raw = os.environ.get("REPRO_TEST_SELFKILL_AFTER_STORE")
-    if raw and next(_stored_points) >= int(raw):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _pid_alive(pid: int) -> bool:
+def _writer_alive(token: str) -> bool:
+    """Whether the writer of a staging token ``<pid>[-<serial>]`` is
+    still running (``os.kill(pid, 0)`` succeeds or is refused)."""
+    pid = token.partition("-")[0]
+    if not pid.isdigit():
+        return False
     try:
-        os.kill(pid, 0)
+        os.kill(int(pid), 0)
     except ProcessLookupError:
         return False
     except OSError:
         return True  # exists but not ours (EPERM)
-    return True
-
-
-def _writer_alive(token: str) -> bool:
-    """Whether the writer that owns a staging token is still running.
-
-    Tokens are ``<pid>`` (legacy, liveness check only) or
-    ``<pid>-<start-ticks>[-<serial>]`` — a live process that does not
-    match the recorded start time is a PID recycle, and the token's
-    file is an orphan despite the "alive" PID.  The staging serial, if
-    any, carries no identity and is ignored.
-    """
-    pid_part, sep, rest = token.partition("-")
-    ticks_part = rest.partition("-")[0]
-    if not pid_part.isdigit():
-        return False
-    pid = int(pid_part)
-    if not _pid_alive(pid):
-        return False
-    if sep and ticks_part.isdigit() and int(ticks_part):
-        now = _proc_start_ticks(pid)
-        if now is not None and now != int(ticks_part):
-            return False  # PID recycled since the writer died
     return True
 
 
@@ -263,9 +158,8 @@ def _sweep_orphan_tmps(directory: Path) -> int:
 
     A worker killed mid-write leaves its staging file behind forever
     (the atomic rename never ran).  Files belonging to still-running
-    writers — same PID *and* same process start time — are left alone;
-    they may be mid-publish right now.  Returns how many orphans were
-    removed.
+    writers are left alone; they may be mid-publish right now.  Returns
+    how many orphans were removed.
     """
     swept = 0
     for tmp in directory.glob("*.tmp"):
@@ -285,28 +179,21 @@ def _sweep_orphan_tmps(directory: Path) -> int:
 def sweep_cache_dir(cache_dir: str | Path) -> int:
     """Remove leftover staging files under a cache root (interrupt path).
 
-    Sweeps the ``traces`` and ``replays`` subdirectories for staging
-    files of dead writers *and* of the calling process itself — after a
-    Ctrl-C or SIGTERM the caller's own half-written staging file is
-    garbage too.  Also applies the quarantine retention policy to each
-    subdirectory's ``quarantine/``.  Returns how many files were
-    removed.
+    Sweeps the ``traces``, ``replays`` and ``dispatch`` subdirectories
+    for staging files of dead writers *and* of the calling process
+    itself — after a Ctrl-C or SIGTERM the caller's own half-written
+    staging file is garbage too.  Returns how many files were removed.
     """
     root = Path(cache_dir)
     removed = 0
-    own = {str(os.getpid()), _writer_token()}
+    own = str(os.getpid())
     for sub in (root / "traces", root / "replays", root / "dispatch"):
         if not sub.is_dir():
             continue
-        qdir = sub / "quarantine"
-        if qdir.is_dir():
-            removed += _prune_quarantine(qdir)
         for tmp in sub.glob("*.tmp"):
             parts = tmp.name.rsplit(".", 2)  # <entry-name>.<token>.tmp
             token = parts[1] if len(parts) == 3 else ""
-            # tokens may carry a trailing staging serial — identity is
-            # the <pid>[-<ticks>] prefix
-            if token in own or token.rsplit("-", 1)[0] in own:
+            if token.partition("-")[0] == own:
                 try:
                     tmp.unlink()
                     removed += 1
@@ -316,103 +203,30 @@ def sweep_cache_dir(cache_dir: str | Path) -> int:
     return removed
 
 
-def _quarantine_retention() -> tuple[int, float]:
-    """(max entries, max age in seconds) for quarantine directories.
+def _discard(path: Path, reason: str) -> None:
+    """Unlink a cache entry that failed its check, with one warning.
 
-    ``REPRO_QUARANTINE_KEEP`` (default 32) bounds the count;
-    ``REPRO_QUARANTINE_MAX_AGE_DAYS`` (default 14) bounds the age.
-    A value ``<= 0`` disables that bound.
+    The caller counts it as a miss, and the rebuild publishes over it.
+    A failed unlink (a concurrent reader discarded it first, or the
+    directory is read-only) leaves nothing to do: the entry stays a
+    miss.
     """
-    def _env(name: str, default: float) -> float:
-        raw = os.environ.get(name)
-        if raw is None or not raw.strip():
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            return default
-
-    keep = int(_env("REPRO_QUARANTINE_KEEP", 32))
-    age_days = _env("REPRO_QUARANTINE_MAX_AGE_DAYS", 14.0)
-    return keep, age_days * 86400.0
-
-
-def _prune_quarantine(qdir: Path) -> int:
-    """Bound a ``quarantine/`` directory by entry count and age.
-
-    Quarantined entries are evidence, not data — without retention a
-    long campaign against a flaky disk grows the directory forever.
-    Keeps the newest ``REPRO_QUARANTINE_KEEP`` files and drops anything
-    older than ``REPRO_QUARANTINE_MAX_AGE_DAYS``; returns how many
-    files were removed.
-    """
-    keep, max_age = _quarantine_retention()
-    entries: list[tuple[float, Path]] = []
+    _log.warning("discarding corrupt cache entry %s (%s)", path, reason)
+    get_registry().counter("cache.discarded").inc()
     try:
-        for p in qdir.iterdir():
-            if p.is_file():
-                try:
-                    entries.append((p.stat().st_mtime, p))
-                except OSError:
-                    pass  # concurrently removed
+        path.unlink()
     except OSError:
-        return 0
-    entries.sort(reverse=True)  # newest first
-    now = time.time()
-    removed = 0
-    for i, (mtime, p) in enumerate(entries):
-        over_count = keep > 0 and i >= keep
-        over_age = max_age > 0 and (now - mtime) > max_age
-        if over_count or over_age:
-            try:
-                p.unlink()
-                removed += 1
-            except OSError:
-                pass
-    if removed:
-        _log.info("pruned %d expired quarantine entr%s in %s",
-                  removed, "y" if removed == 1 else "ies", qdir)
-        get_registry().counter("cache.quarantine_pruned").inc(removed)
-    return removed
-
-
-def _quarantine(path: Path, reason: str) -> None:
-    """Move a bad cache entry aside (``quarantine/``) and log why.
-
-    The entry is preserved for inspection rather than deleted; its new
-    name is made unique so repeated quarantines of the same key never
-    clobber the evidence.  Losing the race against a concurrent
-    quarantine (or rebuild) of the same entry is fine — the file is
-    simply gone already.
-    """
-    qdir = path.parent / "quarantine"
-    try:
-        qdir.mkdir(exist_ok=True)
-        for n in itertools.count():
-            target = qdir / (f"{path.name}.{n}" if n else path.name)
-            if not target.exists():
-                break
-        path.replace(target)
-    except OSError:
-        _log.warning(
-            "corrupt cache entry %s (%s): quarantine failed, ignoring entry",
-            path, reason,
-        )
-        return
-    _log.warning("quarantined corrupt cache entry %s -> %s (%s)",
-                 path, target, reason)
-    get_registry().counter("cache.quarantined").inc()
-    _prune_quarantine(qdir)
+        pass
 
 
 class _DegradableCache:
     """Mixin: degrade to in-memory operation on persistent I/O failure.
 
-    A read-only cache directory, ENOSPC, or free space under the
-    low-water mark switches the cache to a process-local dict for the
-    rest of the run: one structured warning, a ``cache.degraded``
-    metric, and the campaign keeps going without persistence instead of
-    crashing mid-grid.  Reads still try the directory (a read-only dir
+    A read-only cache directory, ENOSPC, or any other write failure
+    switches the cache to a process-local dict for the rest of the run:
+    one structured warning, a ``cache.degraded`` metric, and the
+    campaign keeps going without persistence instead of crashing
+    mid-grid.  Reads still try the directory (a read-only dir
     serves hits fine); only the write path goes memory-only.
     """
 
@@ -420,8 +234,8 @@ class _DegradableCache:
 
     def _init_store(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        #: True once this cache stopped persisting (I/O failure / disk
-        #: low); entries built afterwards live in ``_mem`` only.
+        #: True once this cache stopped persisting (I/O failure);
+        #: entries built afterwards live in ``_mem`` only.
         self.degraded = False
         self._mem: dict[str, object] = {}
         try:
@@ -444,9 +258,6 @@ class _DegradableCache:
     def _publish(self, path: Path, data: _Payload) -> bool:
         """Best-effort atomic publish; False when running in-memory."""
         if self.degraded:
-            return False
-        if disk_low(self.directory):
-            self._degrade("free disk space below low-water mark")
             return False
         try:
             _stage_and_publish(path, data)
@@ -475,7 +286,7 @@ class TraceCache(_DegradableCache):
     whose container carries its own magic, schema version, and payload
     checksums; an entry that is truncated, corrupted, or from another
     schema version fails :func:`~repro.trace.columnar.decode` and is
-    quarantined and rebuilt instead of crashing the run.  A miss is
+    discarded and rebuilt instead of crashing the run.  A miss is
     built and streamed to disk, access profiles included, in the
     caller's thread before :meth:`load_or_build` returns.
     """
@@ -486,7 +297,7 @@ class TraceCache(_DegradableCache):
     def __init__(self, directory: str | Path):
         self._init_store(directory)
         #: Diagnostics: how often the cache answered / had to build,
-        #: and how many entries had to be quarantined and rebuilt.
+        #: and how many entries had to be discarded and rebuilt.
         #: Mirrored into the process metrics registry (and funneled to
         #: the parent by pool workers) under ``cache.trace.*``.
         self.hits = 0
@@ -506,23 +317,23 @@ class TraceCache(_DegradableCache):
         return self.directory / f"{key}.rct"
 
     def _verified_load(self, path: Path) -> TraceSet | None:
-        """Decode an entry; None (after quarantine) when unusable."""
+        """Decode an entry; None (after discarding it) when unusable."""
         try:
             data = path.read_bytes()
         except OSError as exc:
-            _quarantine(path, f"unreadable: {exc}")
+            _discard(path, f"unreadable: {exc}")
             return None
         try:
             return _columnar_decode(data).to_traceset()
         except ColumnarFormatError as exc:
-            _quarantine(path, f"corrupt columnar entry: {exc}")
+            _discard(path, f"corrupt columnar entry: {exc}")
             return None
 
     def load_or_build(self, key: str, builder: Callable[[], TraceSet]) -> TraceSet:
         """Return the cached trace for ``key`` or build and store it.
 
         A bad entry — decode failure, checksum mismatch, stale schema —
-        is quarantined and rebuilt; it never propagates to the caller.
+        is discarded and rebuilt; it never propagates to the caller.
         A built trace is on disk, profiles included, when this returns
         (or held in memory if the cache has degraded).
         """
@@ -606,7 +417,9 @@ class TraceStore(_DegradableCache):
         bytes under equal names, so racing writers are harmless.  When
         the store is degraded the trace is held in memory — only this
         process can read it back, which callers detect via
-        :attr:`degraded` and fall back to spec-based dispatch.
+        :attr:`degraded` and fall back to spec-based dispatch (a worker
+        handed a digest it cannot read replays the point from its
+        spec).
         """
         digest = col.digest
         if self.has(digest):
@@ -630,9 +443,9 @@ class TraceStore(_DegradableCache):
     def get(self, digest: str) -> ColumnarTrace | None:
         """The stored trace under ``digest``, or None.
 
-        A corrupt entry is quarantined and reported as absent — the
-        caller re-dispatches by spec, so dispatch-store damage costs
-        time, never correctness.
+        A corrupt entry is discarded and reported as absent — the
+        worker replays the point from its spec instead, so
+        dispatch-store damage costs time, never correctness.
         """
         hit = self._lru.get(digest)
         if hit is None:
@@ -649,13 +462,13 @@ class TraceStore(_DegradableCache):
             self._count("misses")
             return None
         except OSError as exc:
-            _quarantine(path, f"unreadable: {exc}")
+            _discard(path, f"unreadable: {exc}")
             self._count("misses")
             return None
         try:
             col = _columnar_decode(data)
         except ColumnarFormatError as exc:
-            _quarantine(path, f"corrupt columnar entry: {exc}")
+            _discard(path, f"corrupt columnar entry: {exc}")
             self._count("misses")
             return None
         self._lru[digest] = col
@@ -685,7 +498,7 @@ class SimResultCache(_DegradableCache):
     Entries are JSON envelopes ``{"schema", "sha256", "result"}``; the
     checksum covers the canonicalized payload, so a truncated or
     bit-flipped entry (or one written by another schema version) is
-    quarantined and re-simulated instead of crashing or — worse —
+    discarded and re-simulated instead of crashing or — worse —
     silently returning garbage numbers.  The ``.dur`` sidecar carries
     its own checksum; a key may have a sidecar and no envelope (a
     duration-only replay), and ``len()`` counts keys with either.
@@ -747,7 +560,7 @@ class SimResultCache(_DegradableCache):
         """The cached result under ``key``, or None (counts hit/miss).
 
         A bad entry — unparseable, wrong schema version, checksum
-        mismatch — is quarantined and reported as a miss, so the caller
+        mismatch — is discarded and reported as a miss, so the caller
         re-simulates and the rebuilt entry replaces it.
         """
         held = self._mem.get(key)
@@ -759,17 +572,17 @@ class SimResultCache(_DegradableCache):
             try:
                 envelope = json.loads(path.read_text())
             except (OSError, ValueError) as exc:
-                _quarantine(path, f"unreadable/unparseable: {exc}")
+                _discard(path, f"unreadable/unparseable: {exc}")
             else:
                 if (
                     not isinstance(envelope, dict)
                     or envelope.get("schema") != SCHEMA_VERSION
                 ):
-                    _quarantine(path, "unknown or pre-checksum schema")
+                    _discard(path, "unknown or pre-checksum schema")
                 elif envelope.get("sha256") != hashlib.sha256(
                     self._canonical(envelope.get("result", {})).encode()
                 ).hexdigest():
-                    _quarantine(path, "payload checksum mismatch")
+                    _discard(path, "payload checksum mismatch")
                 else:
                     self._count("hits")
                     return SimResult.from_dict(envelope["result"])
@@ -810,7 +623,6 @@ class SimResultCache(_DegradableCache):
         """
         if not self._publish(self._dur_path(key), self._dur_line(duration)):
             self._mem_durations[key] = duration
-        _maybe_selfkill_after_store()
 
     def load_duration(self, key: str) -> float | None:
         """The cached makespan under ``key``, or None (counts hit/miss).
@@ -819,7 +631,7 @@ class SimResultCache(_DegradableCache):
         this instead of :meth:`load`: the one-line ``.dur`` sidecar is
         ~100x smaller than the result envelope.  Floats round-trip
         exactly through ``repr``, so the value is bit-identical to
-        ``load(key).duration``.  A malformed sidecar is quarantined and
+        ``load(key).duration``.  A malformed sidecar is discarded and
         the full entry is consulted (healing the sidecar on success).
         """
         held = self._mem.get(key)
@@ -835,8 +647,8 @@ class SimResultCache(_DegradableCache):
             line = path.read_text()
         except FileNotFoundError:
             line = None
-        except OSError as exc:
-            _quarantine(path, f"unreadable duration sidecar: {exc}")
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            _discard(path, f"unreadable duration sidecar: {exc}")
             line = None
         if line is not None:
             fields = dict(
@@ -854,12 +666,12 @@ class SimResultCache(_DegradableCache):
                 try:
                     duration = float(body)
                 except ValueError:
-                    _quarantine(path, f"malformed duration {body[:40]!r}")
+                    _discard(path, f"malformed duration {body[:40]!r}")
                 else:
                     self._count("hits")
                     return duration
             else:
-                _quarantine(path, "duration sidecar checksum/schema mismatch")
+                _discard(path, "duration sidecar checksum/schema mismatch")
         if not self.path_for(key).exists():
             self._count("misses")
             return None
@@ -868,30 +680,6 @@ class SimResultCache(_DegradableCache):
             return None
         self.store_duration(key, result.duration)
         return result.duration
-
-    def quarantine_entry(self, key: str, reason: str) -> bool:
-        """Evict ``key`` as *untrusted*: quarantine its files, drop memory.
-
-        Used by determinism verification (``--verify-sample``) when a
-        cached result fails its re-replay digest check: the entry and
-        its duration sidecar move to ``quarantine/`` for inspection and
-        the in-memory copy is dropped, so the next lookup is a miss and
-        the point is re-simulated.  Returns True when anything was
-        evicted.
-        """
-        evicted = self._mem.pop(key, None) is not None
-        evicted |= self._mem_durations.pop(key, None) is not None
-        path = self.path_for(key)
-        if path.exists():
-            _quarantine(path, reason)
-            evicted = True
-        dur = self._dur_path(key)
-        if dur.exists():
-            _quarantine(dur, reason)
-            evicted = True
-        if evicted:
-            get_registry().counter(f"{self.METRIC_PREFIX}.distrusted").inc()
-        return evicted
 
     def load_or_simulate(
         self,
@@ -929,7 +717,7 @@ class SimResultCache(_DegradableCache):
         """Trace digest recorded for an experiment spec, if any.
 
         A digest file that does not hold one well-formed hex digest
-        (torn write, corruption) is quarantined and treated as absent.
+        (torn write, corruption) is discarded and treated as absent.
         """
         held = self._mem_digests.get(spec_key)
         if held is not None:
@@ -939,13 +727,13 @@ class SimResultCache(_DegradableCache):
             digest = path.read_text().strip()
         except FileNotFoundError:
             return None
-        except OSError as exc:
-            _quarantine(path, f"unreadable digest file: {exc}")
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+            _discard(path, f"unreadable digest file: {exc}")
             return None
         if not digest:
             return None
         if len(digest) != 24 or any(c not in "0123456789abcdef" for c in digest):
-            _quarantine(path, f"malformed digest {digest[:40]!r}")
+            _discard(path, f"malformed digest {digest[:40]!r}")
             return None
         return digest
 

@@ -7,7 +7,7 @@ killable and resumable:
 
 * every finished replay lands in the content-addressed
   :class:`~repro.experiments.cache.SimResultCache` (checksummed,
-  published atomically, quarantined and recomputed when damaged), so a
+  published atomically, discarded and recomputed when damaged), so a
   second session on the same cache directory replays only the points
   the first one did not finish;
 * the run directory (:class:`~repro.obs.RunContext`) keeps the
@@ -57,7 +57,7 @@ class CampaignInterrupted(BaseException):
     Like :class:`KeyboardInterrupt` it derives from
     :class:`BaseException`: the signal handler may raise it anywhere in
     the main thread, and an ``except Exception`` that turns failures
-    into report rows or quarantined points must not swallow it.
+    into report rows or failed points must not swallow it.
     """
 
     def __init__(self, run_id: str | None = None,

@@ -84,7 +84,6 @@ def full_report(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     degraded: bool = False,
-    verify_sample: float | None = None,
     explain: bool = False,
 ) -> str:
     """Build the complete text report (can take a few minutes).
@@ -94,17 +93,12 @@ def full_report(
     ``cache_dir`` persists traces and replay results so a re-run is
     nearly free.  Results are identical regardless of ``jobs``.
     ``degraded=True`` lets the report finish with per-app FAILED rows
-    when some replays keep dying, instead of aborting the whole run.
+    when some replays fail, instead of aborting the whole run.
 
     SIGTERM/SIGINT drain the campaign into a
     :class:`~repro.experiments.checkpoint.CampaignInterrupted`; with a
     ``cache_dir``, running the report again on it replays only what
     the interrupted session had not stored (the ``--resume`` path).
-
-    ``verify_sample`` (0..1, or ``$REPRO_VERIFY_SAMPLE``) re-replays
-    that fraction of cache hits and worker-returned grid points
-    in-process and quarantines any result whose content digest
-    disagrees — the determinism spot-check behind ``--verify-sample``.
 
     ``explain=True`` appends an overlap-explanation section per app:
     the attributed replay triple's scorecard and verdict from
@@ -112,7 +106,7 @@ def full_report(
     replays bypass the result caches).
     """
     engine = ExperimentEngine(jobs=jobs, cache_dir=cache_dir,
-                              degraded=degraded, verify_sample=verify_sample)
+                              degraded=degraded)
     try:
         with graceful_drain(engine):
             return _full_report(nranks, apps, include_bandwidth, engine,
@@ -276,17 +270,6 @@ def _full_report(
     if trace_cache is not None:
         print(file=out)
         print(_cache_summary_line(cache_before), file=out)
-    if engine.verify_sample > 0.0:
-        reg = get_registry()
-        sampled = reg.counter("audit.verify.sampled").value
-        ok = reg.counter("audit.verify.ok").value
-        bad = reg.counter("audit.verify.mismatched").value
-        print(f"verify: {sampled} sampled, {ok} ok, {bad} mismatched"
-              f" (rate {engine.verify_sample:g})", file=out)
-        for m in engine.verify_mismatches:
-            print(f"  MISMATCH {m['app']}/{m['variant']} [{m['source']}] "
-                  f"{m['mode']}: cached {m['actual']} != fresh {m['expected']}"
-                  " (quarantined, re-executed)", file=out)
     return out.getvalue()
 
 

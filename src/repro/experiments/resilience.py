@@ -24,7 +24,7 @@ Every replay routes through the :class:`ExperimentEngine`, so the
 sweep inherits the pool, the digest-keyed caches (the perturbation
 schedule is a :class:`~repro.dimemas.machine.MachineConfig` field and
 therefore part of every cache key; the cache is also what an
-interrupted sweep resumes from), and the retry policy.  Results are
+interrupted sweep resumes from), and its failure policy.  Results are
 deterministic: same seed, same apps, same scenario list → identical
 :meth:`ResilienceReport.result_digest` regardless of job count.
 """
@@ -72,8 +72,8 @@ def _isnan(x: float) -> bool:
 class ResilienceRow:
     """One (application, scenario) cell of the sweep.
 
-    Durations are simulated seconds; ``nan`` marks a replay that was
-    quarantined by a degraded engine.  ``resilience_index`` is ``None``
+    Durations are simulated seconds; ``nan`` marks a replay that
+    failed on a degraded engine.  ``resilience_index`` is ``None``
     when the scenario did not slow the original down at all (nothing
     to mask) or when any contributing duration is missing.
     """
@@ -207,10 +207,10 @@ def resilience_sweep(
     scenario *horizon*, so windows land at the same relative position
     in every app.  Phase two replays both variants under every named
     scenario (:data:`~repro.perturb.scenarios.SCENARIO_KINDS`).  Both
-    phases fan through ``engine`` when given (pool, caches, retries);
+    phases fan through ``engine`` when given (pool, caches);
     without one, a private serial engine is used.
 
-    Quarantined points (degraded engines only) surface as ``nan``
+    Failed points (degraded engines only) surface as ``nan``
     durations and a ``None`` resilience index — the report keeps its
     shape.
     """
@@ -261,7 +261,7 @@ def resilience_sweep(
             for a in apps:
                 horizon = baselines[(a, "original")]
                 if _isnan(horizon) or horizon <= 0:
-                    continue  # baseline quarantined: no scenario rows
+                    continue  # baseline failed: no scenario rows
                 for kind in scenario_kinds:
                     schedules[(a, kind)] = build_scenario(kind, horizon, seed)
                     for v in _VARIANTS:

@@ -63,7 +63,7 @@ def _sweep(
         ]
         durs = engine.durations(points)
         # A degraded engine hands back PointFailure sentinels for points
-        # it had to quarantine; the sweep keeps its shape with NaN holes.
+        # that failed; the sweep keeps its shape with NaN holes.
         flat = [math.nan if isinstance(d, PointFailure) else d for d in durs]
         durations = {
             v: tuple(flat[i * len(xs):(i + 1) * len(xs)])

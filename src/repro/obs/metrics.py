@@ -2,7 +2,7 @@
 
 One process-global :class:`MetricsRegistry` absorbs the framework's
 operational counters — replayed events, cache hits/misses/rebuilds,
-retries, quarantines, per-stage wall-clock — so they stop living as
+failed points, per-stage wall-clock — so they stop living as
 ad-hoc attributes scattered over cache and engine instances and start
 surviving process boundaries.
 

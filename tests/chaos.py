@@ -11,16 +11,25 @@ The driver runs a small deterministic Sweep3D grid through an
 :class:`~repro.experiments.parallel.ExperimentEngine` on a result
 cache, inside a run directory, and writes the campaign's final table
 (one formatted row per grid point) to ``--out``.  The harness kills it
-at chosen or randomized instants — via the ``REPRO_TEST_SELFKILL_*``
-hooks or an external ``killpg`` — then re-invokes it with ``--resume``
-on the same cache and asserts the final table is bitwise-identical to
-an uninterrupted run's, with no stored point executed again.
+at chosen or randomized instants — the driver killing itself on
+request, or an external ``killpg`` — then re-invokes it with
+``--resume`` on the same cache and asserts the final table is
+bitwise-identical to an uninterrupted run's, with no stored point
+executed again.
 
-``REPRO_TEST_CHAOS_SELF_SIGTERM=N`` makes the driver deliver SIGTERM
-to itself after its Nth stored point (``0``: before the grid), as an
-operator's ``kill`` would.  ``--store-delay`` sleeps after every
-stored point, pool workers included (they are forked from the
-driver), to give an external kill a wide window.
+The driver's own kills, all made from this file (the program under
+test has no fault hooks):
+
+* ``REPRO_TEST_SELFKILL_BEFORE_DISPATCH`` (any value): SIGKILL right
+  before the grid starts;
+* ``REPRO_TEST_SELFKILL_AFTER_STORE=N``: SIGKILL after the process's
+  Nth stored point (a pool worker counts and kills only itself);
+* ``REPRO_TEST_CHAOS_SELF_SIGTERM=N``: SIGTERM after the Nth stored
+  point (``0``: before the grid), as an operator's ``kill`` would.
+
+``--store-delay`` sleeps after every stored point, pool workers
+included (they are forked from the driver), to give an external kill
+a wide window.
 
 Exit codes mirror the CLI contract: 0 done, 5 interrupted-but-
 resumable (graceful drain), 130 hard interrupt.
@@ -91,7 +100,14 @@ def dump_metrics(path: str | None) -> None:
 
 
 def after_each_store(action) -> None:
-    """Call ``action(n)`` after this process's nth stored point."""
+    """Call ``action(n)`` after this process's nth stored point.
+
+    Every stored point passes through
+    :meth:`~repro.experiments.cache.SimResultCache.store_duration`, so
+    the action runs right after the point became servable to a resumed
+    session.  Pool workers are forked from the driver and inherit the
+    wrapper; each counts its own points.
+    """
     store_duration = SimResultCache.store_duration
     stored = itertools.count(1)
 
@@ -100,6 +116,10 @@ def after_each_store(action) -> None:
         action(next(stored))
 
     SimResultCache.store_duration = wrapped
+
+
+def self_kill(sig: int) -> None:
+    os.kill(os.getpid(), sig)
 
 
 def main(argv=None) -> int:
@@ -118,11 +138,15 @@ def main(argv=None) -> int:
     print(f"run-id: {run.run_id}", flush=True)
     if args.store_delay:
         after_each_store(lambda n: time.sleep(args.store_delay))
+    kill_after = int(os.environ.get("REPRO_TEST_SELFKILL_AFTER_STORE", 0))
+    if kill_after > 0:
+        after_each_store(
+            lambda n: n == kill_after and self_kill(signal.SIGKILL))
     sigterm_after = int(os.environ.get("REPRO_TEST_CHAOS_SELF_SIGTERM", -1))
 
     def sigterm_self(stored: int) -> None:
         if stored == sigterm_after:
-            os.kill(os.getpid(), signal.SIGTERM)
+            self_kill(signal.SIGTERM)
 
     if sigterm_after > 0:
         after_each_store(sigterm_self)
@@ -131,6 +155,8 @@ def main(argv=None) -> int:
     try:
         with graceful_drain(engine):
             sigterm_self(0)
+            if os.environ.get("REPRO_TEST_SELFKILL_BEFORE_DISPATCH"):
+                self_kill(signal.SIGKILL)
             results = engine.run_grid(points)
     except CampaignInterrupted as exc:
         dump_metrics(args.metrics_json)

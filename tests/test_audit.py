@@ -3,18 +3,13 @@
 Companion of ``tests/test_audit_property.py`` (the hypothesis side)
 and ``tests/fuzz/`` (the mutational side): these are the deterministic
 unit tests for ``repro.audit`` and its wiring into the replay engine,
-the experiment engine (``--verify-sample``), the caches (quarantine
-retention), the parsers (resource caps, quarantine-load mode), and the
+the parsers (resource caps, quarantine-load mode), and the
 ``repro-verify`` / ``--audit`` CLI surface.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import time
-from pathlib import Path
 
 import pytest
 
@@ -32,8 +27,6 @@ from repro.cli import EXIT_INTEGRITY, main_simulate, main_verify
 from repro.dimemas.machine import MachineConfig
 from repro.dimemas.replay import simulate
 from repro.dimemas.results import SimResult
-from repro.experiments.cache import SimResultCache, sweep_cache_dir
-from repro.experiments.parallel import ExperimentEngine, GridPoint
 from repro.trace import dim
 from repro.trace.columnar import ColumnarFormatError, columnar_of, decode
 from repro.trace.dim import TraceFormatError
@@ -295,130 +288,6 @@ class TestResultGuards:
 
     def test_parallel_efficiency_zero_time(self):
         assert self._empty().parallel_efficiency == 0.0
-
-
-# --------------------------------------------------------------------------- #
-# Satellite: quarantine retention in the caches.
-# --------------------------------------------------------------------------- #
-
-class TestQuarantineRetention:
-    def _fill(self, qdir: Path, count: int, age_days: float = 0.0) -> None:
-        qdir.mkdir(parents=True, exist_ok=True)
-        stamp = time.time() - age_days * 86400.0
-        for i in range(count):
-            p = qdir / f"entry-{age_days:g}d-{i}.json.corrupt-x"
-            p.write_text("{}")
-            os.utime(p, (stamp + i, stamp + i))
-
-    def test_count_bound(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "3")
-        qdir = tmp_path / "replays" / "quarantine"
-        self._fill(qdir, 8)
-        sweep_cache_dir(tmp_path)
-        assert len(list(qdir.iterdir())) == 3
-
-    def test_age_bound(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUARANTINE_MAX_AGE_DAYS", "7")
-        qdir = tmp_path / "traces" / "quarantine"
-        self._fill(qdir, 2, age_days=30.0)
-        self._fill(qdir, 2, age_days=0.0)
-        sweep_cache_dir(tmp_path)
-        survivors = sorted(p.name for p in qdir.iterdir())
-        assert len(survivors) == 2
-        assert all("-0d-" in name for name in survivors)
-
-    def test_zero_disables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "0")
-        monkeypatch.setenv("REPRO_QUARANTINE_MAX_AGE_DAYS", "0")
-        qdir = tmp_path / "replays" / "quarantine"
-        self._fill(qdir, 5, age_days=400.0)
-        sweep_cache_dir(tmp_path)
-        assert len(list(qdir.iterdir())) == 5
-
-    def test_quarantine_entry_moves_result_and_sidecar(self, tmp_path,
-                                                       pipeline_trace,
-                                                       machine):
-        cache = SimResultCache(tmp_path / "replays")
-        key = cache.key(pipeline_trace, machine)
-        cache.store(key, simulate(pipeline_trace, machine))
-        assert cache.path_for(key).exists()
-        assert cache.quarantine_entry(key, "unit test distrust")
-        assert not cache.path_for(key).exists()
-        qdir = tmp_path / "replays" / "quarantine"
-        assert any(key in p.name for p in qdir.iterdir())
-        # A second call finds nothing left to distrust.
-        assert not cache.quarantine_entry(key, "again")
-
-
-# --------------------------------------------------------------------------- #
-# --verify-sample: corrupted cached results are caught and healed.
-# --------------------------------------------------------------------------- #
-
-class TestVerifySample:
-    def _corrupt_cached_result(self, cache: SimResultCache,
-                               key: str) -> None:
-        """Falsify a cached SimResult *with a valid checksum*, so only
-        a digest-against-re-replay comparison can catch it."""
-        path = cache.path_for(key)
-        envelope = json.loads(path.read_text())
-        result = envelope["result"]
-        result["duration"] = result["duration"] * 3.0 + 1.0
-        result["rank_end"] = [t * 3.0 + 1.0 for t in result["rank_end"]]
-        envelope["sha256"] = hashlib.sha256(
-            cache._canonical(result).encode()
-        ).hexdigest()
-        path.write_text(json.dumps(envelope, separators=(",", ":")))
-        dur = cache._dur_path(key)
-        if dur.exists():
-            dur.unlink()  # force the duration read through the envelope
-
-    def test_detects_quarantines_and_heals(self, tmp_path):
-        point = GridPoint(app="cg", variant="original", nranks=4)
-        with ExperimentEngine(cache_dir=tmp_path) as engine:
-            # A result-mode replay stores the envelope a duration
-            # replay does not.
-            truth = engine.run_grid([point])[0].duration
-
-        cache = SimResultCache(tmp_path / "replays")
-        keys = [p.stem for p in (tmp_path / "replays").glob("*.json")]
-        assert len(keys) == 1
-        self._corrupt_cached_result(cache, keys[0])
-
-        with ExperimentEngine(cache_dir=tmp_path,
-                              verify_sample=1.0) as engine:
-            healed = engine.durations([point])[0]
-            assert healed == truth
-            assert len(engine.verify_mismatches) == 1
-            record = engine.verify_mismatches[0]
-            assert record["app"] == "cg"
-            assert record["expected"] != record["actual"]
-        qdir = tmp_path / "replays" / "quarantine"
-        assert qdir.exists() and any(qdir.iterdir())
-
-        # The healed entry now verifies clean.
-        with ExperimentEngine(cache_dir=tmp_path,
-                              verify_sample=1.0) as engine:
-            assert engine.durations([point])[0] == truth
-            assert engine.verify_mismatches == []
-
-    def test_sampling_is_deterministic(self):
-        engine = ExperimentEngine(verify_sample=0.5)
-        points = [GridPoint(app="cg", nranks=4,
-                            bandwidth_mbps=float(b)) for b in range(40)]
-        first = [engine._verify_sampled(p) for p in points]
-        second = [engine._verify_sampled(p) for p in points]
-        engine.close()
-        assert first == second
-        assert 0 < sum(first) < len(points)
-
-    def test_rate_clamped_and_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY_SAMPLE", "0.25")
-        engine = ExperimentEngine()
-        assert engine.verify_sample == 0.25
-        engine.close()
-        engine = ExperimentEngine(verify_sample=7.0)
-        assert engine.verify_sample == 1.0
-        engine.close()
 
 
 # --------------------------------------------------------------------------- #

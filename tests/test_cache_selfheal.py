@@ -1,10 +1,9 @@
-"""Self-healing caches: quarantine and rebuild of corrupt entries.
+"""Self-healing caches: a corrupt entry is a miss and is rebuilt.
 
 Every corruption a killed or buggy writer can produce — truncation,
 bit-flips, garbage, stale schema, orphaned staging files — must be
-detected on load, moved into ``quarantine/`` for inspection, and
-transparently rebuilt.  A corrupted cache may cost time, never
-correctness.
+detected on load, unlinked, and transparently rebuilt over.  A
+corrupted cache may cost time, never correctness.
 """
 
 import json
@@ -21,6 +20,7 @@ from repro.experiments.cache import (
     sweep_cache_dir,
     trace_digest,
 )
+from repro.obs import get_registry
 from repro.trace import dim
 from repro.tracer import run_traced
 from tests.conftest import make_pipeline_app
@@ -33,9 +33,21 @@ def trace():
     return run_traced(make_pipeline_app(), 4, mips=1000.0).trace
 
 
-def quarantined(directory):
-    qdir = directory / "quarantine"
-    return sorted(qdir.iterdir()) if qdir.is_dir() else []
+def discarded(before: float) -> float:
+    """Corrupt entries unlinked since ``before`` (registry counter)."""
+    return get_registry().counter("cache.discarded").value - before
+
+
+def flip_byte(path):
+    """Flip one byte in the middle of a file (never valid UTF-8 after)."""
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def assert_no_quarantine(directory):
+    """A bad entry is unlinked, never moved aside."""
+    assert not list(directory.rglob("quarantine"))
 
 
 class TestTraceCacheHealing:
@@ -57,23 +69,17 @@ class TestTraceCacheHealing:
         good = dim.dumps(trace)
         path.write_bytes(damage(path.read_bytes()))
 
+        before = get_registry().counter("cache.discarded").value
         fresh = TraceCache(tmp_path)
         rebuilt = fresh.load_or_build(key, lambda: trace)
         assert dim.dumps(rebuilt) == good
         assert fresh.rebuilt == 1 and fresh.misses == 1
-        assert len(quarantined(tmp_path)) == 1
+        assert discarded(before) == 1
+        assert_no_quarantine(tmp_path)
         # the healed entry verifies: next open is a clean hit
         again = TraceCache(tmp_path)
         again.load_or_build(key, lambda: pytest.fail("should be cached"))
         assert again.hits == 1 and again.rebuilt == 0
-
-    def test_repeated_quarantine_preserves_evidence(self, tmp_path, trace):
-        cache, key, path = self.seed(tmp_path, trace)
-        for _ in range(3):
-            path.write_text("garbage\n")
-            cache.load_or_build(key, lambda: trace)
-        # three distinct corpses, none clobbered
-        assert len(quarantined(tmp_path)) == 3
 
 
 class TestSimResultCacheHealing:
@@ -94,10 +100,12 @@ class TestSimResultCacheHealing:
         path = cache.path_for(key)
         path.write_text(damage(path.read_text()))
 
+        before = get_registry().counter("cache.discarded").value
         fresh = SimResultCache(tmp_path)
         healed = fresh.load_or_simulate(trace, MACHINE)
         assert fresh.rebuilt == 1 and fresh.misses == 1
-        assert len(quarantined(tmp_path)) == 1
+        assert discarded(before) == 1
+        assert_no_quarantine(tmp_path)
         # the healed value is the true simulation, bit for bit
         truth = simulate(trace, MACHINE)
         assert healed.duration == truth.duration
@@ -114,13 +122,33 @@ class TestSimResultCacheHealing:
         path.write_text(text.replace(dur, repr(result.duration * 10), 1))
         assert SimResultCache(tmp_path).load(key) is None
 
+    def test_undecodable_sidecar_falls_back_to_envelope(self, tmp_path,
+                                                        trace):
+        """A flipped byte that leaves the sidecar invalid UTF-8 is
+        corruption like any other: the envelope answers and the
+        sidecar is rebuilt."""
+        cache, key, result = self.seed(tmp_path, trace)
+        flip_byte(cache._dur_path(key))
+        assert SimResultCache(tmp_path).load_duration(key) == result.duration
+        healed = SimResultCache(tmp_path)
+        assert healed.load_duration(key) == result.duration
+        assert healed.rebuilt == 0
+
+    def test_undecodable_digest_is_absent(self, tmp_path, trace):
+        cache = SimResultCache(tmp_path)
+        cache.put_digest("speckey", trace_digest(trace))
+        flip_byte(tmp_path / "speckey.digest")
+        assert cache.get_digest("speckey") is None
+        assert not (tmp_path / "speckey.digest").exists()
+
     def test_malformed_digest_quarantined(self, tmp_path, trace):
         cache = SimResultCache(tmp_path)
         cache.put_digest("speckey", trace_digest(trace))
         assert cache.get_digest("speckey") == trace_digest(trace)
         (tmp_path / "speckey.digest").write_text("ZZ-not-hex")
         assert cache.get_digest("speckey") is None
-        assert len(quarantined(tmp_path)) == 1
+        assert not (tmp_path / "speckey.digest").exists()
+        assert_no_quarantine(tmp_path)
         # healable: a rewrite works again
         cache.put_digest("speckey", trace_digest(trace))
         assert cache.get_digest("speckey") == trace_digest(trace)
@@ -189,12 +217,12 @@ class TestConcurrentHealing:
             p.join(timeout=120)
             assert p.exitcode == 0
 
-        # both racers got the true trace, no matter who quarantined
+        # both racers got the true trace, no matter who discarded
         good = dim.dumps(trace)
         assert [o[0] for o in outs] == [good, good]
         assert sum(o[1] for o in outs) >= 1  # somebody rebuilt
-        # the corpse is in quarantine and the published entry verifies
-        assert quarantined(tmp_path)
+        # the corrupt entry was rebuilt over and the published one verifies
+        assert_no_quarantine(tmp_path)
         healed = TraceCache(tmp_path)
         healed.load_or_build(key, lambda: pytest.fail("should be cached"))
         assert healed.hits == 1

@@ -13,7 +13,9 @@ re-invokes it with ``--resume`` on the same result cache and asserts:
   ``engine.points_executed`` both equal the grid size minus ``served``.
 
 Also covers the graceful-drain contract (SIGTERM → exit code 5,
-resumable) and the run-sequence numbers of killed sessions.
+resumable) and the run-sequence numbers of killed sessions.  Every
+kill is made by the driver or by this file; the program under test
+has no fault hooks.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ SIGKILLED = -signal.SIGKILL
 
 
 def scrubbed_env(extra: dict | None = None) -> dict:
-    """Inherited env minus any chaos hooks a caller left armed."""
+    """Inherited env minus any driver kill request a caller left set."""
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("REPRO_TEST_")}
     env.update(extra or {})

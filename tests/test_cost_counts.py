@@ -81,15 +81,12 @@ EXCLUDED = {
                           "parent keeps plans from earlier phases",
     "cache.dispatch.misses": "failure path: a worker misses only a "
                              "dispatch entry that was lost or corrupted",
-    "engine.retries": "failure path: a healthy run never retries",
-    "engine.quarantined": "failure path: a healthy run quarantines no point",
-    "engine.pool_recycles": "failure path: only a dead or hung worker "
-                            "recycles the pool",
-    "engine.rss_guard_trips": "failure path: set by a memory budget",
+    "engine.points_failed": "failure path: a healthy run fails no point",
+    "engine.pool_recycles": "failure path: only a dead worker recycles "
+                            "the pool",
     "engine.drains": "failure path: set by a signal",
     "cache.degraded": "failure path: only an I/O failure degrades a cache",
-    "cache.quarantined": "failure path: only a corrupt entry is quarantined",
-    "cache.quarantine_pruned": "failure path: prunes old quarantined entries",
+    "cache.discarded": "failure path: only a corrupt entry is discarded",
     "replay.deadlocks": "failure path: a healthy trace never deadlocks",
     "replay.watchdog_expired": "failure path: set by a replay budget",
 }
