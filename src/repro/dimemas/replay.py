@@ -56,6 +56,23 @@ or a :class:`~repro.trace.columnar.ColumnarTrace` — workers fed the
 compact encoding replay it directly, no record objects ever built —
 and both paths produce bitwise-identical results.
 
+A replay stays out of the way of CPython's cyclic garbage collector.
+It allocates a :class:`~repro.dimemas.network.Transfer` per message
+pair and a closure per pending event (about 15k transfers for a
+64-rank BT trace), enough to set off a full collection every second
+replay or so, and each one walks every record object the caller
+holds.  So :func:`simulate` pauses the collector for its whole span:
+plan lookup, event loop, result collection and the audit and insight
+read-out.  No garbage piles up meanwhile, because a drained replay
+holds no reference cycle: a :class:`_RankRunner` keeps what
+``advance`` reads (the loop, the network's ``submit``, the eager
+threshold, the request map, the collective barrier), not the
+:class:`_Simulation` whose ``runners`` list holds it, and a transfer
+or the event heap drops each callback once it fires.  Reference
+counting frees the replay when :func:`simulate` returns.  A replay
+that raises (deadlock, watchdog) may leave cycles behind, which the
+collector, running again by then, reclaims.
+
 Replay log
 ----------
 
@@ -76,6 +93,7 @@ the cyclic GC to track; :func:`log_entries` regroups them:
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import OrderedDict
 from typing import Callable, Iterator
@@ -170,14 +188,17 @@ class _RankRunner:
     """Sequential replay cursor of one rank."""
 
     __slots__ = (
-        "sim", "rank", "ops", "durs", "events_at", "waits_at", "colls_at",
+        "rank", "ops", "durs", "events_at", "waits_at", "colls_at",
         "sizes", "rvs", "send_tr", "recv_tr", "n",
         "idx", "now", "finished", "states", "events", "cpu_ratio",
         "_block_label", "_block_start", "log",
+        "loop", "submit", "eager_threshold", "req_map", "coll",
     )
 
     def __init__(self, sim: "_Simulation", rank: int):
-        self.sim = sim
+        # No reference back to ``sim``, whose ``runners`` list holds
+        # this runner: a drained replay is then acyclic and freed by
+        # reference counting (see :func:`simulate`).
         self.rank = rank
         plan = sim.plan
         self.ops = plan.ops[rank]
@@ -212,6 +233,11 @@ class _RankRunner:
         self._block_label: str | None = None
         self._block_start = 0.0
         self.log = sim.log
+        self.loop = sim.loop
+        self.submit = sim.network.submit
+        self.eager_threshold = sim.cfg.eager_threshold
+        self.req_map = sim.req_map
+        self.coll = sim.coll
 
     # -- state bookkeeping ---------------------------------------------------
     def _push_state(self, label: str, t0: float, t1: float) -> None:
@@ -253,11 +279,10 @@ class _RankRunner:
 
     # -- the replay loop ------------------------------------------------------
     def advance(self) -> None:
-        sim = self.sim
-        loop = sim.loop
-        network_submit = sim.network.submit
+        loop = self.loop
+        network_submit = self.submit
         cpu_ratio = self.cpu_ratio
-        eager_threshold = sim.cfg.eager_threshold
+        eager_threshold = self.eager_threshold
         ops = self.ops
         durs = self.durs
         send_tr = self.send_tr
@@ -351,7 +376,7 @@ class _RankRunner:
                 pend: list[Transfer] = []
                 latest = self.now
                 dangling = False
-                req_map = sim.req_map
+                req_map = self.req_map
                 rank = self.rank
                 for req in self.waits_at[idx]:
                     entry = req_map.get((rank, req))
@@ -392,7 +417,7 @@ class _RankRunner:
 
             if op == _OP_COLL:
                 self._block("Group communication")
-                sim.coll.enter(self, self.colls_at[idx])
+                self.coll.enter(self, self.colls_at[idx])
                 return
 
             raise ReplayError(
@@ -730,6 +755,10 @@ def simulate(
     is active raises the typed
     :class:`~repro.dimemas.postmortem.PerturbationStall` naming the
     window.
+
+    The cyclic garbage collector is paused while the replay runs and
+    left as the caller had it, on or off, whether the replay returns or
+    raises (module docstring).
     """
     cfg = machine or MachineConfig()
     pert = perturb if perturb is not None else cfg.perturb
@@ -750,95 +779,109 @@ def simulate(
         auditor = InvariantAuditor(acfg) if acfg is not None else None
     metrics = get_registry()
     t_begin = time.perf_counter()
-    sp = _span("replay.simulate", nranks=trace.nranks)
-    with sp:
-        logged = auditor is not None or insight is not None
-        sim = _Simulation(trace, cfg, logged=logged, pert=pert)
-        for runner in sim.runners:
-            sim.loop.at(0.0, runner.advance)
-        budget_events = max_events if max_events is not None else cfg.max_events
-        budget_time = max_sim_time if max_sim_time is not None else cfg.max_sim_time
-        if _obs_enabled():
-            # Sampled match/event-queue depth: the only hot-loop hook,
-            # and it stays None (one dead branch per event) unless
-            # span collection is on.
-            sim.loop.depth_sampler = (
-                metrics.histogram("replay.queue_depth").observe
-            )
-        try:
-            with _span("replay.drain_queue", nranks=sim.nranks):
-                sim.loop.run(max_events=budget_events, max_time=budget_time)
-        except WatchdogExpired as w:
-            metrics.counter("replay.watchdog_expired").inc()
-            report = build_report(sim, sim.unmatched)
-            if pert is not None:
-                window = pert.blocking_window(report.sim_time)
-                if window is not None:
-                    # A degraded platform legitimately stalling past the
-                    # budget is a diagnosis, not a runaway: name the
-                    # perturbation window instead of a bare timeout.
-                    raise PerturbationStall(w.reason, report, window) from None
-            raise SimulationTimeout(w.reason, report) from None
+    # The replay leaves no cycle for the collector to find (module
+    # docstring).
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sp = _span("replay.simulate", nranks=trace.nranks)
+        with sp:
+            logged = auditor is not None or insight is not None
+            sim = _Simulation(trace, cfg, logged=logged, pert=pert)
+            for runner in sim.runners:
+                sim.loop.at(0.0, runner.advance)
+            budget_events = (max_events if max_events is not None
+                             else cfg.max_events)
+            budget_time = (max_sim_time if max_sim_time is not None
+                           else cfg.max_sim_time)
+            if _obs_enabled():
+                # Sampled match/event-queue depth: the only hot-loop hook,
+                # and it stays None (one dead branch per event) unless
+                # span collection is on.
+                sim.loop.depth_sampler = (
+                    metrics.histogram("replay.queue_depth").observe
+                )
+            try:
+                with _span("replay.drain_queue", nranks=sim.nranks):
+                    sim.loop.run(max_events=budget_events,
+                                 max_time=budget_time)
+            except WatchdogExpired as w:
+                metrics.counter("replay.watchdog_expired").inc()
+                report = build_report(sim, sim.unmatched)
+                if pert is not None:
+                    window = pert.blocking_window(report.sim_time)
+                    if window is not None:
+                        # A degraded platform legitimately stalling past
+                        # the budget is a diagnosis, not a runaway: name
+                        # the perturbation window instead of a bare
+                        # timeout.
+                        raise PerturbationStall(
+                            w.reason, report, window) from None
+                raise SimulationTimeout(w.reason, report) from None
 
-        if any(not r.finished for r in sim.runners) or sim.coll._groups:
-            metrics.counter("replay.deadlocks").inc()
-            raise DeadlockError(build_report(sim, sim.unmatched))
+            if any(not r.finished for r in sim.runners) or sim.coll._groups:
+                metrics.counter("replay.deadlocks").inc()
+                raise DeadlockError(build_report(sim, sim.unmatched))
 
-        # Sort raw tuples (native comparison), then build the flights in
-        # final order — cheaper than sorting dataclasses through a key
-        # lambda.  The enumeration index reproduces the stable-sort tie
-        # order on equal (t_send, src, dst).
-        raw = [
-            (t.send_time, t.src, t.dst, i, t.start_time, t.arrival_time,
-             t.size, t.tag)
-            for i, t in enumerate(sim.transfers)
-            if t.arrival_time is not None and t.send_time is not None
-        ]
-        raw.sort()
-        messages = [
-            MessageFlight(src, dst, t_send, t_start, t_recv, size, tag)
-            for (t_send, src, dst, _i, t_start, t_recv, size, tag) in raw
-        ]
-        result = SimResult(
-            nranks=sim.nranks,
-            duration=max((r.now for r in sim.runners), default=0.0),
-            rank_end=[r.now for r in sim.runners],
-            states=[r.states for r in sim.runners],
-            messages=messages,
-            events=[r.events for r in sim.runners],
-            network_stats={
-                "peak_active_transfers": sim.network.peak_active,
-                "wire_busy_seconds": sim.network.busy_seconds,
-                "events_executed": sim.loop.executed,
-            },
-        )
-        if insight is not None:
-            insight.read_log(sim)
-        if auditor is not None:
-            report = auditor.finish(sim, result)
-            if acfg.strict and not report.ok:
-                from ..audit.auditor import IntegrityError
-                raise IntegrityError(report)
-        # End-of-replay metric rollup: a handful of dict operations per
-        # *replay*, never per event, so the disabled-observability path
-        # stays within noise of uninstrumented code.
-        wall = time.perf_counter() - t_begin
-        metrics.counter("replay.runs").inc()
-        metrics.counter("replay.events").inc(sim.loop.executed)
-        metrics.counter("replay.queue_scan_steps").inc(sim.network.scan_steps)
-        metrics.counter("replay.collectives").inc(sim.coll.completed)
-        metrics.counter("replay.messages").inc(len(messages))
-        metrics.histogram("replay.wall_seconds").observe(wall)
-        if wall > 0:
-            metrics.histogram("replay.events_per_second").observe(
-                sim.loop.executed / wall
+            # Sort raw tuples (native comparison), then build the flights in
+            # final order — cheaper than sorting dataclasses through a key
+            # lambda.  The enumeration index reproduces the stable-sort tie
+            # order on equal (t_send, src, dst).
+            raw = [
+                (t.send_time, t.src, t.dst, i, t.start_time, t.arrival_time,
+                 t.size, t.tag)
+                for i, t in enumerate(sim.transfers)
+                if t.arrival_time is not None and t.send_time is not None
+            ]
+            raw.sort()
+            messages = [
+                MessageFlight(src, dst, t_send, t_start, t_recv, size, tag)
+                for (t_send, src, dst, _i, t_start, t_recv, size, tag) in raw
+            ]
+            result = SimResult(
+                nranks=sim.nranks,
+                duration=max((r.now for r in sim.runners), default=0.0),
+                rank_end=[r.now for r in sim.runners],
+                states=[r.states for r in sim.runners],
+                messages=messages,
+                events=[r.events for r in sim.runners],
+                network_stats={
+                    "peak_active_transfers": sim.network.peak_active,
+                    "wire_busy_seconds": sim.network.busy_seconds,
+                    "events_executed": sim.loop.executed,
+                },
             )
-        if result.duration > 0:
-            metrics.histogram("replay.bus_occupancy").observe(
-                sim.network.busy_seconds / result.duration
+            if insight is not None:
+                insight.read_log(sim)
+            if auditor is not None:
+                report = auditor.finish(sim, result)
+                if acfg.strict and not report.ok:
+                    from ..audit.auditor import IntegrityError
+                    raise IntegrityError(report)
+            # End-of-replay metric rollup: a handful of dict operations per
+            # *replay*, never per event, so the disabled-observability path
+            # stays within noise of uninstrumented code.
+            wall = time.perf_counter() - t_begin
+            metrics.counter("replay.runs").inc()
+            metrics.counter("replay.events").inc(sim.loop.executed)
+            metrics.counter("replay.queue_scan_steps").inc(
+                sim.network.scan_steps)
+            metrics.counter("replay.collectives").inc(sim.coll.completed)
+            metrics.counter("replay.messages").inc(len(messages))
+            metrics.histogram("replay.wall_seconds").observe(wall)
+            if wall > 0:
+                metrics.histogram("replay.events_per_second").observe(
+                    sim.loop.executed / wall
+                )
+            if result.duration > 0:
+                metrics.histogram("replay.bus_occupancy").observe(
+                    sim.network.busy_seconds / result.duration
+                )
+            sp.annotate(
+                events=sim.loop.executed, sim_seconds=result.duration,
+                messages=len(messages),
             )
-        sp.annotate(
-            events=sim.loop.executed, sim_seconds=result.duration,
-            messages=len(messages),
-        )
-        return result
+            return result
+    finally:
+        if gc_was_enabled:
+            gc.enable()

@@ -41,7 +41,6 @@ from .tables import (
     figure5_series,
     pattern_row,
 )
-from .report import full_report
 from .resilience import ResilienceReport, ResilienceRow, resilience_sweep
 from .scaling import ScalePoint, ScalingStudy, scaling_study
 from .sweeps import SweepResult, ascii_series, bandwidth_sweep, latency_sweep
@@ -54,7 +53,7 @@ __all__ = [
     "PAPER_CONSUMPTION", "PAPER_PRODUCTION", "PatternRow",
     "VARIANTS", "bisect_bandwidth",
     "bus_sensitivity", "calibrate_buses",
-    "equivalent_bandwidth", "expand_grid", "figure5_series", "full_report",
+    "equivalent_bandwidth", "expand_grid", "figure5_series",
     "graceful_drain", "list_runs", "pattern_row", "point_key",
     "relaxation_bandwidth", "saturation_knee", "search_bandwidths",
     "ResilienceReport", "ResilienceRow", "resilience_sweep",

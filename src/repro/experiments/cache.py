@@ -632,7 +632,9 @@ class SimResultCache(_DegradableCache):
         ~100x smaller than the result envelope.  Floats round-trip
         exactly through ``repr``, so the value is bit-identical to
         ``load(key).duration``.  A malformed sidecar is discarded and
-        the full entry is consulted (healing the sidecar on success).
+        the full entry is consulted (healing the sidecar on success);
+        with no full entry it counts as rebuilt, like a bad entry in
+        :meth:`load`.
         """
         held = self._mem.get(key)
         if held is not None:
@@ -643,9 +645,12 @@ class SimResultCache(_DegradableCache):
             self._count("hits")
             return duration
         path = self._dur_path(key)
+        # A sidecar read below and not returned has been discarded.
+        found = True
         try:
             line = path.read_text()
         except FileNotFoundError:
+            found = False
             line = None
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             _discard(path, f"unreadable duration sidecar: {exc}")
@@ -673,6 +678,8 @@ class SimResultCache(_DegradableCache):
             else:
                 _discard(path, "duration sidecar checksum/schema mismatch")
         if not self.path_for(key).exists():
+            if found:
+                self._count("rebuilt")
             self._count("misses")
             return None
         result = self.load(key)

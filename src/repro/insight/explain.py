@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ..core.patterns import consumption_table, production_table
 from ..dimemas.machine import MachineConfig
 from ..dimemas.results import SimResult
 from ..obs import span as _span
 from .attribution import CAUSES, HIDEABLE_CAUSES, WaitAttribution, attribute
 from .channel import InsightCollector, collect
-from .scorecard import OverlapScorecard, scorecard
+from .scorecard import OverlapScorecard, _score
 
 __all__ = ["Explanation", "explain_experiment", "explain_traces"]
 
@@ -165,12 +166,17 @@ def explain_traces(
             critical[variant] = _critical_breakdown(res, warnings, variant)
 
         scorecards: dict[str, OverlapScorecard] = {}
-        original = traces["original"]
-        for variant in ("real", "ideal"):
-            if variant in results:
-                scorecards[variant] = scorecard(
-                    original, results["original"], results[variant],
-                    variant=variant, chunks=chunks, channel=channel,
+        overlapped = [v for v in ("real", "ideal") if v in results]
+        if overlapped:
+            # Both scorecards bound against the original's patterns:
+            # build its Table II tables once.
+            original = traces["original"]
+            production = production_table(original, channel=channel)
+            consumption = consumption_table(original, channel=channel)
+            for variant in overlapped:
+                scorecards[variant] = _score(
+                    production, consumption, results["original"],
+                    results[variant], variant, chunks,
                 )
         cause_delta = (
             _cause_delta(attributions["original"], attributions["real"])

@@ -187,8 +187,20 @@ def scorecard(
     patterns define the attainable bound; ``channel`` restricts the
     pattern tables (None = all channels, matching ``repro-analyze``).
     """
-    production = production_table(trace, channel=channel)
-    consumption = consumption_table(trace, channel=channel)
+    return _score(production_table(trace, channel=channel),
+                  consumption_table(trace, channel=channel),
+                  base, overlapped, variant, chunks)
+
+
+def _score(
+    production: ProductionStats,
+    consumption: ConsumptionStats,
+    base: SimResult,
+    overlapped: SimResult,
+    variant: str,
+    chunks: int,
+) -> OverlapScorecard:
+    """:func:`scorecard` on pattern tables the caller already built."""
     bound = attainable_overlap_bound(production, consumption, chunks=chunks)
     blocked_b = _blocked_by_rank(base)
     blocked_o = _blocked_by_rank(overlapped)

@@ -667,12 +667,15 @@ def columnar_of(trace: "TraceSet | ColumnarTrace") -> ColumnarTrace:
 
     Profiles are skipped (the conversion feeds replay planning and
     content digests, neither reads them).  The memo is fingerprinted by
-    record counts so the common in-place mutation (appending records)
-    invalidates it; callers treat traces as immutable by convention.
+    each rank's record count and :attr:`ProcessTrace.edits`, so
+    appending records or calling :meth:`ProcessTrace.invalidate`
+    invalidates it.  A direct edit of a record's fields is not seen
+    otherwise: call ``invalidate()`` on its process after one, or the
+    old columns are returned.
     """
     if isinstance(trace, ColumnarTrace):
         return trace
-    fp = tuple(len(p.records) for p in trace.processes)
+    fp = tuple((len(p.records), p.edits) for p in trace.processes)
     hit = _memo.get(trace)
     if hit is not None and hit[0] == fp:
         return hit[1]

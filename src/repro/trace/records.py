@@ -343,7 +343,7 @@ class ProcessTrace:
     zero-duration in trace time — their real cost is added by replay).
     """
 
-    __slots__ = ("rank", "records", "_starts_cache")
+    __slots__ = ("rank", "records", "_starts_cache", "edits")
 
     def __init__(self, rank: int, records: Iterable[Record] | None = None):
         if rank < 0:
@@ -351,6 +351,10 @@ class ProcessTrace:
         self.rank = int(rank)
         self.records: list[Record] = list(records or [])
         self._starts_cache: np.ndarray | None = None
+        #: How many times :meth:`invalidate` was called: part of the
+        #: fingerprint under which :func:`~repro.trace.columnar.columnar_of`
+        #: memoizes the trace's columns.
+        self.edits = 0
 
     # -- list-like interface -------------------------------------------------
     def __len__(self) -> int:
@@ -423,8 +427,14 @@ class ProcessTrace:
         return self._starts_cache
 
     def invalidate(self) -> None:
-        """Drop cached prefix sums after in-place record mutation."""
+        """Drop what is cached of this stream after an in-place edit.
+
+        Call it after assigning a record's field or replacing a record:
+        it drops the prefix sums and makes
+        :func:`~repro.trace.columnar.columnar_of` pack the trace again.
+        """
         self._starts_cache = None
+        self.edits += 1
 
     @property
     def virtual_duration(self) -> float:

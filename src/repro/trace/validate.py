@@ -102,8 +102,9 @@ def validate(
 
     The checks read :func:`~repro.trace.columnar.columnar_of` the trace
     (a :class:`ColumnarTrace` as it is).  Those columns are memoized per
-    TraceSet, so a trace edited in place after its first validation or
-    replay is validated through a copy (:meth:`TraceSet.copy`).  Checks:
+    TraceSet, so after editing a record's fields in place call
+    :meth:`~repro.trace.records.ProcessTrace.invalidate` on its process,
+    or the edit is not seen.  Checks:
 
     * request discipline per rank (unique ids; waits reference posted,
       not-yet-waited requests; no dangling requests at process end);

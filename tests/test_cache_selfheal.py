@@ -134,6 +134,26 @@ class TestSimResultCacheHealing:
         assert healed.load_duration(key) == result.duration
         assert healed.rebuilt == 0
 
+    def test_bad_sidecar_without_envelope_counts_rebuilt(self, tmp_path,
+                                                         trace):
+        """A duration-only entry is its sidecar alone: discarding it
+        costs a replay, counted as a rebuild like a bad envelope."""
+        duration = simulate(trace, MACHINE).duration
+        cache = SimResultCache(tmp_path)
+        key = cache.key(trace, MACHINE)
+        cache.store_duration(key, duration)
+        flip_byte(cache._dur_path(key))
+
+        before = get_registry().counter("cache.discarded").value
+        fresh = SimResultCache(tmp_path)
+        assert fresh.load_duration(key) is None
+        assert fresh.rebuilt == 1 and fresh.misses == 1
+        assert discarded(before) == 1
+        fresh.store_duration(key, duration)
+        again = SimResultCache(tmp_path)
+        assert again.load_duration(key) == duration
+        assert again.hits == 1 and again.rebuilt == 0
+
     def test_undecodable_digest_is_absent(self, tmp_path, trace):
         cache = SimResultCache(tmp_path)
         cache.put_digest("speckey", trace_digest(trace))

@@ -1,5 +1,10 @@
 """Smoke tests of the full reproduction report (small scale)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.report import full_report
@@ -67,3 +72,20 @@ class TestModuleEntryPoint:
             report.main()
         assert ei.value.code == 0
         assert capsys.readouterr().out.strip() == "no runs found"
+
+    def test_module_run_prints_no_warning(self, tmp_path):
+        """Running the module imports its package first, which must not
+        import the module itself: runpy would warn on every run."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.experiments.report", "--list-runs",
+             "--obs-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""

@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from repro.dimemas.replay import simulate
 from repro.trace import dim
 from repro.trace.columnar import (
     MAGIC,
@@ -34,6 +35,7 @@ from repro.trace.records import (
     TraceSet,
     Wait,
 )
+from repro.trace.validate import validate
 
 
 def _profile(kind: str) -> AccessProfile:
@@ -212,3 +214,17 @@ class TestDigest:
         assert columnar_of(ts) is columnar_of(ts)
         col = columnar_of(ts)
         assert columnar_of(col) is col
+
+    def test_invalidate_drops_the_memoized_columns(self):
+        """A field edited in place after a validation and a replay is
+        seen by both once its process is invalidated."""
+        ts = TraceSet([
+            ProcessTrace(0, [Send(peer=1, tag=0, size=8)]),
+            ProcessTrace(1, [Recv(peer=0, tag=0, size=8)]),
+        ])
+        assert validate(ts).ok
+        assert [m.size for m in simulate(ts).messages] == [8]
+        ts.processes[0].records[0].size = 4096
+        ts.processes[0].invalidate()
+        assert not validate(ts).ok
+        assert [m.size for m in simulate(ts).messages] == [4096]
