@@ -41,9 +41,6 @@ class WatchdogExpired(RuntimeError):
 class EventLoop:
     """Deterministic discrete-event loop."""
 
-    #: How often the depth sampler fires (every N executed events).
-    SAMPLE_EVERY = 256
-
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
@@ -51,10 +48,6 @@ class EventLoop:
         self.now = 0.0
         #: Number of events executed so far.
         self.executed = 0
-        #: Optional observability hook: called with the pending-queue
-        #: depth every :attr:`SAMPLE_EVERY` executed events.  ``None``
-        #: (the default) keeps the drain loop on its fast path.
-        self.depth_sampler: Callable[[int], None] | None = None
 
     def at(self, time: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` at absolute ``time`` (>= now)."""
@@ -94,8 +87,6 @@ class EventLoop:
         """
         budget = math.inf if max_events is None else self.executed + max_events
         time_limit = math.inf if max_time is None else max_time
-        sampler = self.depth_sampler
-        mask = self.SAMPLE_EVERY - 1
         heap = self._heap
         pop = heapq.heappop
         executed = self.executed
@@ -113,9 +104,6 @@ class EventLoop:
                 pop(heap)
                 self.now = time
                 executed += 1
-                if sampler is not None and not (executed & mask):
-                    self.executed = executed
-                    sampler(len(heap))
                 fn()
         finally:
             self.executed = executed

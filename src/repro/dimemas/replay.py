@@ -98,7 +98,7 @@ import time
 from collections import OrderedDict
 from typing import Callable, Iterator
 
-from ..obs import get_registry, is_enabled as _obs_enabled, span as _span
+from ..obs import get_registry, span as _span
 from ..core.matching import match_columnar
 from ..trace.columnar import (
     OP_COLL as _OP_COLL,
@@ -794,13 +794,6 @@ def simulate(
                              else cfg.max_events)
             budget_time = (max_sim_time if max_sim_time is not None
                            else cfg.max_sim_time)
-            if _obs_enabled():
-                # Sampled match/event-queue depth: the only hot-loop hook,
-                # and it stays None (one dead branch per event) unless
-                # span collection is on.
-                sim.loop.depth_sampler = (
-                    metrics.histogram("replay.queue_depth").observe
-                )
             try:
                 with _span("replay.drain_queue", nranks=sim.nranks):
                     sim.loop.run(max_events=budget_events,

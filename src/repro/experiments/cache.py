@@ -38,20 +38,26 @@ profile straight from its array, so a publish holds no second copy of
 the profiles.  A publish that fails removes its staging file.
 
 The caches are also **self-healing**: every entry is published with a
-schema version and a content checksum, and a bad entry is a miss:
+schema version and a content checksum, and every entry is read in one
+place (``_DegradableCache._read``), where a bad entry is a miss:
 anything that fails to load — truncated by a killed writer,
 bit-flipped on disk, or written by an older schema — is unlinked with
-one logged warning, and the rebuild publishes over it.  Orphaned
+one logged warning and counted in its cache's ``rebuilt``, whatever
+its kind, and the rebuild publishes over it.  Orphaned
 ``*.tmp`` staging files left behind by dead writers are swept when a
 cache directory is opened (a staging name carries its writer's PID).
 A corrupted cache can therefore slow a warm run down, but never crash
 it or poison results.
 
 The caches **degrade instead of dying**: a read-only cache directory,
-a full disk (ENOSPC), or any other persistent I/O failure switches the
-cache to in-memory operation for the rest of the process — one
-structured warning, a ``cache.degraded`` metric, and the campaign
-continues without persistence rather than crashing mid-grid.
+a full disk (ENOSPC), or any other persistent I/O failure stops the
+cache publishing for the rest of the process — one structured
+warning, a ``cache.degraded`` metric, and the campaign continues
+without persistence rather than crashing mid-grid.  A degraded cache
+keeps no copy of its entries in memory: what the process built stays
+in the memos of its experiments
+(:class:`~repro.experiments.pipeline.AppExperiment`), which are
+consulted before any cache.
 
 Traces recorded with ``record_streams=True`` are *not* cacheable (raw
 access streams are not serialized) and bypass the trace cache.
@@ -74,7 +80,6 @@ from ..dimemas.machine import MachineConfig
 from ..dimemas.results import SimResult
 from ..obs import get_registry, span as _span
 from ..trace.columnar import (
-    ColumnarFormatError,
     ColumnarTrace,
     columnar_of,
     decode as _columnar_decode,
@@ -203,60 +208,64 @@ def sweep_cache_dir(cache_dir: str | Path) -> int:
     return removed
 
 
-def _discard(path: Path, reason: str) -> None:
-    """Unlink a cache entry that failed its check, with one warning.
-
-    The caller counts it as a miss, and the rebuild publishes over it.
-    A failed unlink (a concurrent reader discarded it first, or the
-    directory is read-only) leaves nothing to do: the entry stays a
-    miss.
-    """
-    _log.warning("discarding corrupt cache entry %s (%s)", path, reason)
-    get_registry().counter("cache.discarded").inc()
-    try:
-        path.unlink()
-    except OSError:
-        pass
-
-
 class _DegradableCache:
-    """Mixin: degrade to in-memory operation on persistent I/O failure.
+    """Base of the three caches: one directory of entries, one reader,
+    one publish rule and one set of counters.
+
+    Every entry is read through :meth:`_read`.  A missing entry is a
+    plain miss; one that cannot be read or fails its check is unlinked
+    with one warning (``cache.discarded``) and counted in ``rebuilt``,
+    whatever its kind, and the rebuild publishes over it.
 
     A read-only cache directory, ENOSPC, or any other write failure
-    switches the cache to a process-local dict for the rest of the run:
-    one structured warning, a ``cache.degraded`` metric, and the
-    campaign keeps going without persistence instead of crashing
-    mid-grid.  Reads still try the directory (a read-only dir
-    serves hits fine); only the write path goes memory-only.
+    *degrades* the cache for the rest of the process: one structured
+    warning, a ``cache.degraded`` metric, and no further publishes, so
+    the campaign keeps going without persistence instead of crashing
+    mid-grid.  Reads still try the directory (a read-only directory
+    serves hits fine).  Nothing is held in memory in place of the
+    directory: what this process built stays in the memos of its
+    :class:`~repro.experiments.pipeline.AppExperiment`\\ s.
     """
 
+    #: Metric-name prefix of this cache's registry counters.
     METRIC_PREFIX = "cache"
+    #: Suffixes of this cache's entry files: ``len()`` counts the keys
+    #: with a file of any of them, and ``clear()`` deletes those files.
+    SUFFIXES: tuple[str, ...] = ()
 
-    def _init_store(self, directory: str | Path) -> None:
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        #: True once this cache stopped persisting (I/O failure);
-        #: entries built afterwards live in ``_mem`` only.
+        #: True once this cache stopped publishing (I/O failure).
         self.degraded = False
-        self._mem: dict[str, object] = {}
+        #: Diagnostics: how often the cache answered / missed, and how
+        #: many entries had to be discarded.  Mirrored into the process
+        #: metrics registry (and funneled to the parent by pool workers)
+        #: under ``<METRIC_PREFIX>.*``.
+        self.hits = 0
+        self.misses = 0
+        self.rebuilt = 0
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             _sweep_orphan_tmps(self.directory)
         except OSError as exc:
             self._degrade(f"cache dir unusable: {exc}")
 
+    def _count(self, what: str) -> None:
+        setattr(self, what, getattr(self, what) + 1)
+        get_registry().counter(f"{self.METRIC_PREFIX}.{what}").inc()
+
     def _degrade(self, reason: str) -> None:
         if self.degraded:
             return
         self.degraded = True
         _log.warning(
-            "%s cache degraded to in-memory operation (%s); entries built "
-            "by this process will not be persisted",
-            self.METRIC_PREFIX, reason,
+            "%s cache degraded (%s); entries built by this process will "
+            "not be persisted", self.METRIC_PREFIX, reason,
         )
         get_registry().counter("cache.degraded").inc()
 
     def _publish(self, path: Path, data: _Payload) -> bool:
-        """Best-effort atomic publish; False when running in-memory."""
+        """Best-effort atomic publish; False when degraded."""
         if self.degraded:
             return False
         try:
@@ -265,6 +274,53 @@ class _DegradableCache:
             self._degrade(f"write failed: {exc}")
             return False
         return True
+
+    def _read(self, path: Path, parse: Callable[[bytes], object]):
+        """``parse`` of the entry at ``path``, or None when it is absent
+        or bad.
+
+        Absent (``FileNotFoundError``, or ``NotADirectoryError`` under
+        an unusable directory) is a plain miss.  Any other read error,
+        or a ``ValueError`` from ``parse``, makes the entry bad: it is
+        unlinked with one warning and counted in ``rebuilt``.  A failed
+        unlink (a concurrent reader discarded it first, or the
+        directory is read-only) leaves nothing to do.
+        """
+        try:
+            data = path.read_bytes()
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+        except OSError as exc:
+            reason = f"unreadable: {exc}"
+        else:
+            try:
+                return parse(data)
+            except ValueError as exc:
+                reason = str(exc)
+        _log.warning("discarding corrupt cache entry %s (%s)", path, reason)
+        get_registry().counter("cache.discarded").inc()
+        self._count("rebuilt")
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
+
+    def _entries(self) -> list[Path]:
+        if not self.directory.is_dir():
+            return []
+        return [p for p in self.directory.iterdir()
+                if p.suffix in self.SUFFIXES]
+
+    def __len__(self) -> int:
+        return len({p.stem for p in self._entries()})
+
+    def clear(self) -> int:
+        """Delete every entry; returns how many ``len()`` counted."""
+        entries = self._entries()
+        for p in entries:
+            p.unlink()
+        return len({p.stem for p in entries})
 
 
 def trace_digest(trace: "TraceSet | ColumnarTrace") -> str:
@@ -279,6 +335,10 @@ def trace_digest(trace: "TraceSet | ColumnarTrace") -> str:
     return columnar_of(trace).digest
 
 
+def _decode_traceset(data: bytes) -> TraceSet:
+    return _columnar_decode(data).to_traceset()
+
+
 class TraceCache(_DegradableCache):
     """A directory of content-addressed ``.rct`` trace files.
 
@@ -291,22 +351,8 @@ class TraceCache(_DegradableCache):
     caller's thread before :meth:`load_or_build` returns.
     """
 
-    #: Metric-name prefix of this cache's registry counters.
     METRIC_PREFIX = "cache.trace"
-
-    def __init__(self, directory: str | Path):
-        self._init_store(directory)
-        #: Diagnostics: how often the cache answered / had to build,
-        #: and how many entries had to be discarded and rebuilt.
-        #: Mirrored into the process metrics registry (and funneled to
-        #: the parent by pool workers) under ``cache.trace.*``.
-        self.hits = 0
-        self.misses = 0
-        self.rebuilt = 0
-
-    def _count(self, what: str) -> None:
-        setattr(self, what, getattr(self, what) + 1)
-        get_registry().counter(f"{self.METRIC_PREFIX}.{what}").inc()
+    SUFFIXES = (".rct",)
 
     @staticmethod
     def key(**fields) -> str:
@@ -316,67 +362,30 @@ class TraceCache(_DegradableCache):
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.rct"
 
-    def _verified_load(self, path: Path) -> TraceSet | None:
-        """Decode an entry; None (after discarding it) when unusable."""
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            _discard(path, f"unreadable: {exc}")
-            return None
-        try:
-            return _columnar_decode(data).to_traceset()
-        except ColumnarFormatError as exc:
-            _discard(path, f"corrupt columnar entry: {exc}")
-            return None
-
     def load_or_build(self, key: str, builder: Callable[[], TraceSet]) -> TraceSet:
         """Return the cached trace for ``key`` or build and store it.
 
         A bad entry — decode failure, checksum mismatch, stale schema —
         is discarded and rebuilt; it never propagates to the caller.
         A built trace is on disk, profiles included, when this returns
-        (or held in memory if the cache has degraded).
+        (unless the cache has degraded).
         """
-        hit = self._mem.get(key)
-        if hit is not None:
-            self._count("hits")
-            return hit
         path = self.path_for(key)
-        if path.exists():
-            trace = self._verified_load(path)
-            if trace is not None:
-                self._count("hits")
-                return trace
-            self._count("rebuilt")
+        trace = self._read(path, _decode_traceset)
+        if trace is not None:
+            self._count("hits")
+            return trace
         self._count("misses")
         with _span("cache.trace.build", key=key):
             trace = builder()
         col = _columnar_from_traceset(trace, with_profiles=True)
-        if not self._publish(path, col.write):
-            self._mem[key] = trace
+        self._publish(path, col.write)
         return trace
 
     def flush(self) -> None:
         """No-op: :meth:`load_or_build` publishes before it returns, so
         nothing is ever pending.  Kept for callers that still call it.
         """
-
-    def clear(self) -> int:
-        """Delete all cached traces; returns how many were removed."""
-        n = len(self._mem)
-        self._mem.clear()
-        if self.directory.is_dir():
-            for p in self.directory.glob("*.rct"):
-                p.unlink()
-                n += 1
-        return n
-
-    def __len__(self) -> int:
-        on_disk = (
-            sum(1 for _ in self.directory.glob("*.rct"))
-            if self.directory.is_dir() else 0
-        )
-        return on_disk + len(self._mem)
 
 
 class TraceStore(_DegradableCache):
@@ -392,43 +401,40 @@ class TraceStore(_DegradableCache):
     """
 
     METRIC_PREFIX = "cache.dispatch"
+    SUFFIXES = (".rct",)
 
     #: Decoded-trace LRU bound — a worker typically cycles through a
     #: handful of (app, variant) traces per campaign.
     LRU_MAX = 16
 
     def __init__(self, directory: str | Path):
-        self._init_store(directory)
+        super().__init__(directory)
         self._lru: "OrderedDict[str, ColumnarTrace]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def _count(self, what: str) -> None:
-        setattr(self, what, getattr(self, what) + 1)
-        get_registry().counter(f"{self.METRIC_PREFIX}.{what}").inc()
 
     def path_for(self, digest: str) -> Path:
         return self.directory / f"{digest}.rct"
+
+    def _remember(self, digest: str, col: ColumnarTrace) -> None:
+        self._lru[digest] = col
+        self._lru.move_to_end(digest)
+        while len(self._lru) > self.LRU_MAX:
+            self._lru.popitem(last=False)
 
     def put(self, col: ColumnarTrace) -> str:
         """Publish a packed trace; returns its digest (the address).
 
         Idempotent and concurrency-safe: equal content encodes to equal
-        bytes under equal names, so racing writers are harmless.  When
-        the store is degraded the trace is held in memory — only this
-        process can read it back, which callers detect via
-        :attr:`degraded` and fall back to spec-based dispatch (a worker
-        handed a digest it cannot read replays the point from its
-        spec).
+        bytes under equal names, so racing writers are harmless.  A
+        degraded store publishes nothing, so no worker can read the
+        digest back: callers check :attr:`degraded` and fall back to
+        spec-based dispatch (a worker handed a digest it cannot read
+        replays the point from its spec).
         """
         digest = col.digest
         if self.has(digest):
             return digest
-        self._lru[digest] = col
-        while len(self._lru) > self.LRU_MAX:
-            self._lru.popitem(last=False)
-        if not self._publish(self.path_for(digest), col.write):
-            self._mem[digest] = col
+        self._remember(digest, col)
+        self._publish(self.path_for(digest), col.write)
         return digest
 
     def has(self, digest: str) -> bool:
@@ -437,8 +443,7 @@ class TraceStore(_DegradableCache):
         The parent asks this before building a trace it only needs for
         :meth:`put`: a digest the store holds ships as is.
         """
-        return (digest in self._lru or digest in self._mem
-                or self.path_for(digest).exists())
+        return digest in self._lru or self.path_for(digest).exists()
 
     def get(self, digest: str) -> ColumnarTrace | None:
         """The stored trace under ``digest``, or None.
@@ -447,42 +452,37 @@ class TraceStore(_DegradableCache):
         worker replays the point from its spec instead, so
         dispatch-store damage costs time, never correctness.
         """
-        hit = self._lru.get(digest)
-        if hit is None:
-            hit = self._mem.get(digest)
-        if hit is not None:
-            self._lru[digest] = hit
-            self._lru.move_to_end(digest)
-            self._count("hits")
-            return hit
-        path = self.path_for(digest)
-        try:
-            data = path.read_bytes()
-        except FileNotFoundError:
+        col = self._lru.get(digest)
+        if col is None:
+            col = self._read(self.path_for(digest), _columnar_decode)
+        if col is None:
             self._count("misses")
             return None
-        except OSError as exc:
-            _discard(path, f"unreadable: {exc}")
-            self._count("misses")
-            return None
-        try:
-            col = _columnar_decode(data)
-        except ColumnarFormatError as exc:
-            _discard(path, f"corrupt columnar entry: {exc}")
-            self._count("misses")
-            return None
-        self._lru[digest] = col
-        while len(self._lru) > self.LRU_MAX:
-            self._lru.popitem(last=False)
+        self._remember(digest, col)
         self._count("hits")
         return col
 
-    def __len__(self) -> int:
-        on_disk = (
-            sum(1 for _ in self.directory.glob("*.rct"))
-            if self.directory.is_dir() else 0
-        )
-        return on_disk + len(self._mem)
+
+def _parse_duration(data: bytes) -> float:
+    """The makespan of a ``.dur`` sidecar line (checksum verified)."""
+    fields = dict(part.split("=", 1)
+                  for part in data.decode().strip().split(";") if "=" in part)
+    body = fields.get("d")
+    if (
+        fields.get("v") != str(SCHEMA_VERSION)
+        or body is None
+        or fields.get("sha256") != hashlib.sha256(body.encode()).hexdigest()[:16]
+    ):
+        raise ValueError("duration sidecar checksum/schema mismatch")
+    return float(body)
+
+
+def _parse_digest(data: bytes) -> str:
+    """The trace digest of a ``.digest`` index file: 24 hex digits."""
+    digest = data.decode().strip()
+    if len(digest) != 24 or digest.strip("0123456789abcdef"):
+        raise ValueError(f"malformed digest {digest[:40]!r}")
+    return digest
 
 
 class SimResultCache(_DegradableCache):
@@ -504,23 +504,8 @@ class SimResultCache(_DegradableCache):
     duration-only replay), and ``len()`` counts keys with either.
     """
 
-    #: Metric-name prefix of this cache's registry counters.
     METRIC_PREFIX = "cache.replay"
-
-    def __init__(self, directory: str | Path):
-        self._init_store(directory)
-        self._mem_digests: dict[str, str] = {}
-        #: Makespans held in memory when their sidecar could not be
-        #: published (degraded); only :meth:`load_duration` reads them.
-        self._mem_durations: dict[str, float] = {}
-        #: Mirrored into the metrics registry under ``cache.replay.*``.
-        self.hits = 0
-        self.misses = 0
-        self.rebuilt = 0
-
-    def _count(self, what: str) -> None:
-        setattr(self, what, getattr(self, what) + 1)
-        get_registry().counter(f"{self.METRIC_PREFIX}.{what}").inc()
+    SUFFIXES = (".json", ".dur")
 
     @staticmethod
     def key_for_digest(digest: str, machine: MachineConfig) -> str:
@@ -556,6 +541,17 @@ class SimResultCache(_DegradableCache):
         digest = hashlib.sha256(body.encode()).hexdigest()[:16]
         return f"v={SCHEMA_VERSION};sha256={digest};d={body}\n"
 
+    @classmethod
+    def _parse_envelope(cls, data: bytes) -> SimResult:
+        envelope = json.loads(data)
+        if not isinstance(envelope, dict) or envelope.get("schema") != SCHEMA_VERSION:
+            raise ValueError("unknown or pre-checksum schema")
+        if envelope.get("sha256") != hashlib.sha256(
+            cls._canonical(envelope.get("result", {})).encode()
+        ).hexdigest():
+            raise ValueError("payload checksum mismatch")
+        return SimResult.from_dict(envelope["result"])
+
     def load(self, key: str) -> SimResult | None:
         """The cached result under ``key``, or None (counts hit/miss).
 
@@ -563,66 +559,42 @@ class SimResultCache(_DegradableCache):
         mismatch — is discarded and reported as a miss, so the caller
         re-simulates and the rebuilt entry replaces it.
         """
-        held = self._mem.get(key)
-        if held is not None:
-            self._count("hits")
-            return SimResult.from_dict(held)
-        path = self.path_for(key)
-        if path.exists():
-            try:
-                envelope = json.loads(path.read_text())
-            except (OSError, ValueError) as exc:
-                _discard(path, f"unreadable/unparseable: {exc}")
-            else:
-                if (
-                    not isinstance(envelope, dict)
-                    or envelope.get("schema") != SCHEMA_VERSION
-                ):
-                    _discard(path, "unknown or pre-checksum schema")
-                elif envelope.get("sha256") != hashlib.sha256(
-                    self._canonical(envelope.get("result", {})).encode()
-                ).hexdigest():
-                    _discard(path, "payload checksum mismatch")
-                else:
-                    self._count("hits")
-                    return SimResult.from_dict(envelope["result"])
-            self._count("rebuilt")
-        self._count("misses")
-        return None
+        result = self._read(self.path_for(key), self._parse_envelope)
+        self._count("misses" if result is None else "hits")
+        return result
 
     def store(self, key: str, result: SimResult) -> None:
-        """Publish a result under ``key`` (atomic, concurrency-safe).
-
-        When the cache is degraded the payload dict is held in memory
-        instead — restored results stay bit-identical either way, since
-        both paths round-trip through the same ``to_dict`` encoding.
-        """
+        """Publish a result under ``key``: the envelope, then its
+        ``.dur`` sidecar (atomic, concurrency-safe)."""
         payload = result.to_dict()
         envelope = {
             "schema": SCHEMA_VERSION,
             "sha256": hashlib.sha256(self._canonical(payload).encode()).hexdigest(),
             "result": payload,
         }
-        if not self._publish(
+        if self._publish(
             self.path_for(key),
             json.dumps(envelope, separators=(",", ":")),
         ):
-            self._mem[key] = payload
-        else:
             self.store_duration(key, result.duration)
 
     def store_duration(self, key: str, duration: float) -> None:
         """Publish only the ``.dur`` sidecar of ``key`` (atomic).
 
         One checksummed line, parsed by :meth:`load_duration` without
-        touching the (much larger) result envelope.  This is all a
-        duration-only replay publishes; :meth:`store` calls it for the
-        sidecar of every full result.  When the cache is degraded the
-        makespan is held in memory, where :meth:`load_duration` finds
-        it and :meth:`load` never looks.
+        touching the (much larger) result envelope.
         """
-        if not self._publish(self._dur_path(key), self._dur_line(duration)):
-            self._mem_durations[key] = duration
+        self._publish(self._dur_path(key), self._dur_line(duration))
+
+    def publish(self, key: str, result: SimResult, full: bool) -> None:
+        """Publish a replay under ``key``: envelope and sidecar of a
+        ``full`` result, the sidecar alone for a duration — nobody reads
+        a duration replay's envelope, whose serialization would cost as
+        much as the replay."""
+        if full:
+            self.store(key, result)
+        else:
+            self.store_duration(key, result.duration)
 
     def load_duration(self, key: str) -> float | None:
         """The cached makespan under ``key``, or None (counts hit/miss).
@@ -631,55 +603,14 @@ class SimResultCache(_DegradableCache):
         this instead of :meth:`load`: the one-line ``.dur`` sidecar is
         ~100x smaller than the result envelope.  Floats round-trip
         exactly through ``repr``, so the value is bit-identical to
-        ``load(key).duration``.  A malformed sidecar is discarded and
-        the full entry is consulted (healing the sidecar on success);
-        with no full entry it counts as rebuilt, like a bad entry in
-        :meth:`load`.
+        ``load(key).duration``.  Without a good sidecar the envelope is
+        consulted, when there is one, and heals the sidecar.
         """
-        held = self._mem.get(key)
-        if held is not None:
-            self._count("hits")
-            return held["duration"]
-        duration = self._mem_durations.get(key)
+        duration = self._read(self._dur_path(key), _parse_duration)
         if duration is not None:
             self._count("hits")
             return duration
-        path = self._dur_path(key)
-        # A sidecar read below and not returned has been discarded.
-        found = True
-        try:
-            line = path.read_text()
-        except FileNotFoundError:
-            found = False
-            line = None
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-            _discard(path, f"unreadable duration sidecar: {exc}")
-            line = None
-        if line is not None:
-            fields = dict(
-                part.split("=", 1)
-                for part in line.strip().split(";")
-                if "=" in part
-            )
-            body = fields.get("d")
-            if (
-                fields.get("v") == str(SCHEMA_VERSION)
-                and body is not None
-                and fields.get("sha256")
-                == hashlib.sha256(body.encode()).hexdigest()[:16]
-            ):
-                try:
-                    duration = float(body)
-                except ValueError:
-                    _discard(path, f"malformed duration {body[:40]!r}")
-                else:
-                    self._count("hits")
-                    return duration
-            else:
-                _discard(path, "duration sidecar checksum/schema mismatch")
         if not self.path_for(key).exists():
-            if found:
-                self._count("rebuilt")
             self._count("misses")
             return None
         result = self.load(key)
@@ -726,49 +657,16 @@ class SimResultCache(_DegradableCache):
         A digest file that does not hold one well-formed hex digest
         (torn write, corruption) is discarded and treated as absent.
         """
-        held = self._mem_digests.get(spec_key)
-        if held is not None:
-            return held
-        path = self.directory / f"{spec_key}.digest"
-        try:
-            digest = path.read_text().strip()
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
-            _discard(path, f"unreadable digest file: {exc}")
-            return None
-        if not digest:
-            return None
-        if len(digest) != 24 or any(c not in "0123456789abcdef" for c in digest):
-            _discard(path, f"malformed digest {digest[:40]!r}")
-            return None
-        return digest
+        return self._read(self.directory / f"{spec_key}.digest", _parse_digest)
 
     def put_digest(self, spec_key: str, digest: str) -> None:
         """Record the trace digest of an experiment spec (atomic)."""
-        if not self._publish(self.directory / f"{spec_key}.digest", digest):
-            self._mem_digests[spec_key] = digest
+        self._publish(self.directory / f"{spec_key}.digest", digest)
 
     def clear(self) -> int:
-        """Delete all cached results (and the spec->digest index);
-        returns how many results were removed."""
-        n = len(self._mem)
-        self._mem.clear()
-        self._mem_digests.clear()
-        self._mem_durations.clear()
+        """Delete all cached results and the spec->digest index;
+        returns how many results ``len()`` counted."""
         if self.directory.is_dir():
-            for p in self.directory.glob("*.json"):
-                p.unlink()
-                n += 1
             for p in self.directory.glob("*.digest"):
                 p.unlink()
-            for p in self.directory.glob("*.dur"):
-                p.unlink()
-        return n
-
-    def __len__(self) -> int:
-        keys = set(self._mem) | set(self._mem_durations)
-        if self.directory.is_dir():
-            keys.update(p.stem for pattern in ("*.json", "*.dur")
-                        for p in self.directory.glob(pattern))
-        return len(keys)
+        return super().clear()

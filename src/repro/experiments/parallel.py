@@ -287,21 +287,15 @@ def _resolve_experiment(
 def _simulate_point(point: GridPoint, cache_dir: str | None, store: dict,
                     mode: str, lookup: bool = True) -> SimResult | float:
     """A point's result, or in ``duration`` mode just its makespan,
-    which :meth:`AppExperiment.duration` answers from the sidecar when
+    which :meth:`AppExperiment.cached` answers from the sidecar when
     it can; ``lookup=False`` replays a point the caller has already
     looked up and missed."""
     exp = _resolve_experiment(point, cache_dir, store)
-    if mode == "result":
-        run = exp.simulate if lookup else exp.replay_result
-    else:
-        run = exp.duration if lookup else exp.replay_duration
-    return run(
-        point.variant,
-        bandwidth_mbps=point.bandwidth_mbps,
-        buses=point.buses,
-        latency=point.latency,
-        perturb=point.perturb,
-    )
+    cfg = exp.platform(point.bandwidth_mbps, point.buses, point.latency,
+                       point.perturb)
+    full = mode == "result"
+    hit = exp.cached(point.variant, cfg, full) if lookup else None
+    return exp.replay(point.variant, cfg, full) if hit is None else hit
 
 
 #: Per-worker-process state, set once by the pool initializer.
@@ -354,22 +348,22 @@ def _run_task(task: tuple, mode: str):
     objects: with ``lookup`` (set when the parent could not look the
     point up, its digest unknown then) a warm point answers from the
     shared result cache by digest; a cold one decodes the packed trace
-    straight into a replay plan.  A duration-mode replay publishes only
-    the ``.dur`` sidecar: nobody reads its result envelope, whose
-    serialization would cost as much as the replay.  Without a digest,
+    straight into a replay plan, and :meth:`SimResultCache.publish`
+    stores the replay (a duration-mode one as its ``.dur`` sidecar
+    alone).  Without a digest,
     or when the store cannot produce it (a corrupt entry, or the
     parent's store degraded after dispatch), the worker rebuilds the
     point from its spec in place.
     """
     point, digest, cfg, lookup = task
+    full = mode == "result"
     sim_cache = _worker_sim_cache()
     key = col = None
     if digest is not None:
         if sim_cache is not None:
             key = SimResultCache.key_for_digest(digest, cfg)
         if key is not None and lookup:
-            load = sim_cache.load if mode == "result" else sim_cache.load_duration
-            hit = load(key)
+            hit = (sim_cache.load if full else sim_cache.load_duration)(key)
             if hit is not None:
                 return hit
             lookup = False
@@ -379,13 +373,9 @@ def _run_task(task: tuple, mode: str):
         return _simulate_point(point, _WORKER["cache_dir"],
                                _WORKER["experiments"], mode, lookup=lookup)
     res = simulate(col, cfg)
-    if mode == "duration":
-        if sim_cache is not None:
-            sim_cache.store_duration(key, res.duration)
-        return res.duration
-    if sim_cache is not None:
-        sim_cache.store(key, res)
-    return res
+    if key is not None:
+        sim_cache.publish(key, res, full)
+    return res if full else res.duration
 
 
 def _worker_warmup() -> None:
@@ -554,11 +544,9 @@ class ExperimentEngine:
             exp = _resolve_experiment(point, self.cache_dir, self._experiments)
         except Exception:  # noqa: BLE001 - its replay attempt reports it
             return None
-        lookup = exp.cached_duration if mode == "duration" else exp.cached_result
-        return lookup(
-            point.variant, bandwidth_mbps=point.bandwidth_mbps,
-            buses=point.buses, latency=point.latency, perturb=point.perturb,
-        )
+        cfg = exp.platform(point.bandwidth_mbps, point.buses, point.latency,
+                           point.perturb)
+        return exp.cached(point.variant, cfg, mode == "result")
 
     def _replay_identity(self, point: GridPoint) -> tuple[object, bool]:
         """A missed point's replay — experiment, variant and platform —

@@ -5,9 +5,16 @@ run (original, real-pattern overlapped, ideal-pattern overlapped —
 exactly the three traces the paper's tracer emits per run) and replays
 them on any platform variation.  Traces are built lazily and cached;
 replays are memoized per (variant, platform) so bandwidth searches
-stay cheap.  With a result cache a duration is answered from its
+stay cheap.  Every replay goes through one lookup
+(:meth:`AppExperiment.cached`) and, on a miss, one replay step
+(:meth:`AppExperiment.replay`); both serve a full result or the
+makespan alone.  With a result cache a duration is answered from its
 one-line sidecar before any envelope, trace or replay, and a duration
 replay publishes that sidecar alone.
+
+The memos are consulted before any cache, and they are the only
+in-memory copy of what this process built: a cache that cannot write
+(:mod:`repro.experiments.cache`) stops publishing and keeps nothing.
 """
 
 from __future__ import annotations
@@ -167,70 +174,48 @@ class AppExperiment:
     ) -> SimResult:
         """Replay a variant on a (possibly modified) platform.
 
-        Asks :meth:`cached_result` first; a miss goes to
-        :meth:`replay_result`.
+        Asks :meth:`cached` first; a miss goes to :meth:`replay`.
         """
-        platform = dict(bandwidth_mbps=bandwidth_mbps, buses=buses,
-                        latency=latency, perturb=perturb)
-        hit = self.cached_result(variant, **platform)
-        if hit is None:
-            hit = self.replay_result(variant, **platform)
-        return hit
+        cfg = self.platform(bandwidth_mbps, buses, latency, perturb)
+        hit = self.cached(variant, cfg, full=True)
+        return self.replay(variant, cfg, full=True) if hit is None else hit
 
-    def cached_result(
-        self,
-        variant: str = "original",
-        bandwidth_mbps: float | None = None,
-        buses: int | None | str = "default",
-        latency: float | None = None,
-        perturb: object | None = None,
-    ) -> SimResult | None:
-        """This replay's result *if it needs no work*, else None.
+    def duration(self, variant: str = "original", **platform) -> float:
+        """Simulated makespan of a variant (seconds).
 
-        Answers from the in-memory memo or — through the sim cache's
+        Asks :meth:`cached` first, so a warm lookup reads one sidecar
+        line and never loads a result envelope, builds a trace or
+        replays; a miss goes to :meth:`replay`.
+        """
+        cfg = self.platform(**platform)
+        hit = self.cached(variant, cfg, full=False)
+        return self.replay(variant, cfg, full=False) if hit is None else hit
+
+    def cached(self, variant: str, cfg: MachineConfig, full: bool):
+        """A replay's result (``full``) or makespan *if it needs no
+        work*, else None.
+
+        Answers from the memo or — through the sim cache's
         spec->digest index — from disk, without ever building a trace
-        or running a simulation.  The parallel engine uses this to
-        short-circuit warm grid points in the parent process instead of
-        dispatching them to workers.
+        or running a simulation; a duration reads only the one-line
+        sidecar.  The parallel engine uses this to short-circuit warm
+        grid points in the parent process instead of dispatching them
+        to workers.  A result read from disk is memoized; a makespan
+        read from disk is not.
         """
-        cfg = self.platform(bandwidth_mbps, buses, latency, perturb)
-        key = (variant, cfg)
-        hit = self._sims.get(key)
+        hit = (self._sims if full else self._durations).get((variant, cfg))
         if hit is not None or self.sim_cache is None:
             return hit
         digest = self._known_digest(variant)
         if digest is None:
             return None
-        hit = self.sim_cache.load(self.sim_cache.key_for_digest(digest, cfg))
+        key = self.sim_cache.key_for_digest(digest, cfg)
+        if not full:
+            return self.sim_cache.load_duration(key)
+        hit = self.sim_cache.load(key)
         if hit is not None:
-            self._sims[key] = hit
-            self._durations[key] = hit.duration
+            self._memoize(variant, cfg, hit, full)
         return hit
-
-    def cached_duration(
-        self,
-        variant: str = "original",
-        bandwidth_mbps: float | None = None,
-        buses: int | None | str = "default",
-        latency: float | None = None,
-        perturb: object | None = None,
-    ) -> float | None:
-        """This replay's makespan *if it needs no work*, else None.
-
-        The duration-only sibling of :meth:`cached_result`: a warm hit
-        is one sidecar line instead of the full result envelope, which
-        is what duration-mode grid sweeps actually consume.
-        """
-        cfg = self.platform(bandwidth_mbps, buses, latency, perturb)
-        hit = self._durations.get((variant, cfg))
-        if hit is not None or self.sim_cache is None:
-            return hit
-        digest = self._known_digest(variant)
-        if digest is None:
-            return None
-        return self.sim_cache.load_duration(
-            self.sim_cache.key_for_digest(digest, cfg)
-        )
 
     def _known_digest(self, variant: str) -> str | None:
         """The variant's trace digest, if knowable without building it."""
@@ -254,69 +239,40 @@ class AppExperiment:
             chunks=self.chunks, params=self.app_params, variant=variant,
         )
 
-    def duration(self, variant: str = "original", **platform) -> float:
-        """Simulated makespan of a variant (seconds).
+    def replay(self, variant: str, cfg: MachineConfig, full: bool):
+        """The result (``full``) or makespan of a replay whose lookup
+        missed.
 
-        Asks :meth:`cached_duration` first, so a warm lookup reads one
-        sidecar line and never loads a result envelope, builds a trace
-        or replays; a miss goes to :meth:`replay_duration`.
+        :meth:`cached` looks a replay up only once the trace digest is
+        known; when it was not, the lookup happens here, once the trace
+        is built, so every replay is looked up exactly once.  The answer
+        is memoized, keyed on the *full* platform so two configs
+        differing in any machine field never alias; with a result cache
+        a replay is published (:meth:`SimResultCache.publish`).
         """
-        hit = self.cached_duration(variant, **platform)
-        if hit is None:
-            hit = self.replay_duration(variant, **platform)
-        return hit
-
-    def replay_result(self, variant: str = "original",
-                      **platform) -> SimResult:
-        """Replay a variant for its full result after a missed lookup.
-
-        The result is memoized, keyed on the *full* platform so two
-        configs differing in any machine field never alias; with a
-        result cache it is published as envelope and sidecar.
-        """
-        cfg = self.platform(**platform)
-        result = self._replay(variant, cfg, full=True)
-        self._sims[(variant, cfg)] = result
-        self._durations[(variant, cfg)] = result.duration
-        return result
-
-    def replay_duration(self, variant: str = "original", **platform) -> float:
-        """Replay a variant for its makespan after a missed lookup.
-
-        The makespan is memoized; with a result cache only its ``.dur``
-        sidecar is published — nothing reads a duration replay's result
-        envelope.
-        """
-        cfg = self.platform(**platform)
-        duration = self._replay(variant, cfg, full=False)
-        self._durations[(variant, cfg)] = duration
-        return duration
-
-    def _replay(self, variant: str, cfg: MachineConfig, full: bool):
-        """The result (``full``) or makespan of a replay whose lookup missed.
-
-        :meth:`cached_result` and :meth:`cached_duration` look a replay
-        up only once the trace digest is known; when it was not, the
-        lookup happens here, once the trace is built, so every replay
-        is looked up exactly once.
-        """
-        key = None
+        key = hit = None
         if self.sim_cache is not None:
             unknown = self._known_digest(variant) is None
             digest = self.columnar(variant).digest  # publishes spec->digest
             key = self.sim_cache.key_for_digest(digest, cfg)
-            load = self.sim_cache.load if full else self.sim_cache.load_duration
-            hit = load(key) if unknown else None
-            if hit is not None:
-                return hit
-        with _span("experiment.simulate", app=self.app_name, variant=variant):
-            result = simulate(self.trace(variant), cfg)
-        if key is not None:
-            if full:
-                self.sim_cache.store(key, result)
-            else:
-                self.sim_cache.store_duration(key, result.duration)
-        return result if full else result.duration
+            if unknown:
+                cache = self.sim_cache
+                hit = (cache.load if full else cache.load_duration)(key)
+        if hit is None:
+            with _span("experiment.simulate", app=self.app_name,
+                       variant=variant):
+                result = simulate(self.trace(variant), cfg)
+            if key is not None:
+                self.sim_cache.publish(key, result, full)
+            hit = result if full else result.duration
+        self._memoize(variant, cfg, hit, full)
+        return hit
+
+    def _memoize(self, variant: str, cfg: MachineConfig, hit, full: bool) -> None:
+        if full:
+            self._sims[(variant, cfg)] = hit
+            hit = hit.duration
+        self._durations[(variant, cfg)] = hit
 
     def speedups(self, **platform) -> dict[str, float]:
         """Overlap speedups vs the original execution (paper Fig. 6(a))."""

@@ -19,7 +19,7 @@ from ..core.patterns import consumption_table, production_table
 from ..dimemas.machine import MachineConfig
 from ..dimemas.results import SimResult
 from ..obs import span as _span
-from .attribution import CAUSES, HIDEABLE_CAUSES, WaitAttribution, attribute
+from .attribution import CAUSES, WaitAttribution, attribute
 from .channel import InsightCollector, collect
 from .scorecard import OverlapScorecard, _score
 

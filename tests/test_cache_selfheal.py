@@ -14,14 +14,17 @@ import pytest
 
 from repro.dimemas.machine import MachineConfig
 from repro.dimemas.replay import simulate
+from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
     SimResultCache,
     TraceCache,
+    TraceStore,
     sweep_cache_dir,
     trace_digest,
 )
 from repro.obs import get_registry
 from repro.trace import dim
+from repro.trace.columnar import columnar_of
 from repro.tracer import run_traced
 from tests.conftest import make_pipeline_app
 
@@ -172,6 +175,111 @@ class TestSimResultCacheHealing:
         # healable: a rewrite works again
         cache.put_digest("speckey", trace_digest(trace))
         assert cache.get_digest("speckey") == trace_digest(trace)
+
+
+#: One entry of each kind, as a warm cache directory holds them; the
+#: sidecar beside an envelope is healed from it instead of missing.
+ENTRY_KINDS = ("traces/*.rct", "dispatch/*.rct", "replays/*.json",
+               "replays/*.dur", "replays/*.dur beside *.json",
+               "replays/*.digest")
+TRACE_KEY = TraceCache.key(app="pipeline", nranks=4)
+#: A platform whose replay has a sidecar and no envelope.
+SIDECAR_ONLY = MachineConfig(bandwidth_mbps=50.0, latency=10e-6, buses=4)
+
+
+@pytest.fixture
+def cache_warnings(monkeypatch):
+    """Every warning the cache module logs, formatted."""
+    logged = []
+    monkeypatch.setattr(cache_mod._log, "warning",
+                        lambda msg, *args: logged.append(msg % args))
+    return logged
+
+
+def seed_every_kind(root, trace) -> dict:
+    """Publish one entry of each kind under ``root``; their paths."""
+    TraceCache(root / "traces").load_or_build(TRACE_KEY, lambda: trace)
+    digest = TraceStore(root / "dispatch").put(columnar_of(trace))
+    replays = SimResultCache(root / "replays")
+    key = replays.key(trace, MACHINE)
+    replays.store(key, simulate(trace, MACHINE))
+    alone = replays.key(trace, SIDECAR_ONLY)
+    replays.store_duration(alone, simulate(trace, SIDECAR_ONLY).duration)
+    replays.put_digest("speckey", digest)
+    return {
+        "traces/*.rct": root / "traces" / f"{TRACE_KEY}.rct",
+        "dispatch/*.rct": root / "dispatch" / f"{digest}.rct",
+        "replays/*.json": replays.path_for(key),
+        "replays/*.dur": replays._dur_path(alone),
+        "replays/*.dur beside *.json": replays._dur_path(key),
+        "replays/*.digest": root / "replays" / "speckey.digest",
+    }
+
+
+def look_up(kind, root, trace):
+    """Look the entry of ``kind`` up on a fresh cache object: the
+    object and its answer (None for a miss)."""
+    if kind == "traces/*.rct":
+        cache = TraceCache(root / "traces")
+        built = []
+        cache.load_or_build(TRACE_KEY, lambda: built.append(1) or trace)
+        return cache, None if built else trace
+    if kind == "dispatch/*.rct":
+        cache = TraceStore(root / "dispatch")
+        return cache, cache.get(trace_digest(trace))
+    cache = SimResultCache(root / "replays")
+    if kind == "replays/*.json":
+        return cache, cache.load(cache.key(trace, MACHINE))
+    if kind == "replays/*.dur":
+        return cache, cache.load_duration(cache.key(trace, SIDECAR_ONLY))
+    if kind == "replays/*.digest":
+        return cache, cache.get_digest("speckey")
+    return cache, cache.load_duration(cache.key(trace, MACHINE))
+
+
+class TestOneReader:
+    """Every entry kind is read through one reader, which counts a bad
+    entry the same way for every kind."""
+
+    @pytest.mark.parametrize("kind", ENTRY_KINDS)
+    def test_flipped_byte_is_discarded_and_counted_once(
+            self, tmp_path, trace, cache_warnings, kind):
+        paths = seed_every_kind(tmp_path, trace)
+        flip_byte(paths[kind])
+        before = get_registry().counter("cache.discarded").value
+        cache, answer = look_up(kind, tmp_path, trace)
+        if kind == "replays/*.dur beside *.json":
+            assert answer == simulate(trace, MACHINE).duration
+            assert paths[kind].exists()  # healed from the envelope
+        else:
+            assert answer is None
+        assert cache.rebuilt == 1
+        assert discarded(before) == 1
+        discards = [w for w in cache_warnings if w.startswith("discarding")]
+        assert len(discards) == 1 and str(paths[kind]) in discards[0]
+        assert_no_quarantine(tmp_path)
+
+    def test_unusable_directory_is_a_plain_miss(self, tmp_path, trace,
+                                                cache_warnings):
+        """Under a path component that is a regular file every entry is
+        absent: no entry is discarded, and nothing but the degrade is
+        logged."""
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        before = get_registry().counter("cache.discarded").value
+        traces = TraceCache(blocker / "traces")
+        store = TraceStore(blocker / "dispatch")
+        replays = SimResultCache(blocker / "replays")
+        key = replays.key(trace, MACHINE)
+        assert replays.get_digest("speckey") is None
+        assert replays.load_duration(key) is None
+        assert replays.load(key) is None
+        assert store.get(trace_digest(trace)) is None
+        assert traces.load_or_build(TRACE_KEY, lambda: trace) is trace
+        assert discarded(before) == 0
+        assert traces.rebuilt == store.rebuilt == replays.rebuilt == 0
+        assert replays.misses == 2 and store.misses == traces.misses == 1
+        assert all("cache degraded" in w for w in cache_warnings)
 
 
 class TestOrphanSweep:

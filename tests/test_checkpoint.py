@@ -2,8 +2,9 @@
 
 Covers the engine's serve-without-re-execution resume path on a cache
 directory, graceful drain on SIGTERM/SIGINT, the report CLI's drain and
-resume through its run directory, cache degrade-to-memory, staging
-sweeps, and the run-manifest resume bookkeeping.
+resume through its run directory, caches that degrade (they stop
+publishing and keep nothing), staging sweeps, and the run-manifest
+resume bookkeeping.
 """
 
 from __future__ import annotations
@@ -330,8 +331,14 @@ class TestReportResume:
 
 
 # --------------------------------------------------------------------------- #
-# Caches degrade to memory instead of crashing.
+# Caches degrade instead of crashing: they stop publishing and keep
+# nothing, and the experiments' memos hold what the process built.
 # --------------------------------------------------------------------------- #
+
+def work_done() -> tuple[float, float]:
+    """Traces built and replays run so far (registry counters)."""
+    return counter("smpi.runs"), counter("replay.runs")
+
 
 class TestCacheDegrade:
     def test_sim_cache_enospc_degrades_once(self, tmp_path, monkeypatch):
@@ -343,15 +350,20 @@ class TestCacheDegrade:
         monkeypatch.setattr(cache_mod, "_stage_and_publish", explode)
         degraded0 = counter("cache.degraded")
         from repro.experiments.pipeline import AppExperiment
-        exp = AppExperiment("sweep3d", nranks=4, app_params=TINY)
+        exp = AppExperiment("sweep3d", nranks=4, app_params=TINY,
+                            sim_cache=cache)
         trace = exp.trace("original")
-        res = cache.load_or_simulate(trace, exp.machine)
+        cache.load_or_simulate(trace, exp.machine)
         assert cache.degraded
         assert counter("cache.degraded") == degraded0 + 1
-        # The in-memory fallback still answers, bit-identically.
-        again = cache.load(cache.key(trace, exp.machine))
-        assert again is not None
-        assert again.to_dict() == res.to_dict()
+        assert list(cache.directory.iterdir()) == []
+        # The cache kept nothing: it misses.  The experiment's memo
+        # answers a second duration() without a second replay.
+        assert cache.load(cache.key(trace, exp.machine)) is None
+        first = exp.duration("original")
+        work = work_done()
+        assert exp.duration("original") == first
+        assert work_done() == work
         # Degrading twice does not double-count.
         cache._degrade("again")
         assert counter("cache.degraded") == degraded0 + 1
@@ -359,10 +371,19 @@ class TestCacheDegrade:
     def test_sim_cache_unusable_dir_degrades_at_init(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
+        degraded0 = counter("cache.degraded")
         cache = SimResultCache(blocker / "replays")
         assert cache.degraded
+        assert counter("cache.degraded") == degraded0 + 1
         cache.put_digest("spec", "a" * 24)  # must not raise
-        assert cache.get_digest("spec") == "a" * 24
+        assert cache.get_digest("spec") is None
+        from repro.experiments.pipeline import AppExperiment
+        exp = AppExperiment("sweep3d", nranks=4, app_params=TINY,
+                            sim_cache=cache)
+        first = exp.duration("original")
+        work = work_done()
+        assert exp.duration("original") == first
+        assert work_done() == work
 
     def test_trace_cache_degrades_and_serves_from_memory(
             self, tmp_path, monkeypatch):
@@ -373,24 +394,27 @@ class TestCacheDegrade:
 
         monkeypatch.setattr(cache_mod, "_stage_and_publish", explode)
         from repro.experiments.pipeline import AppExperiment
-        exp = AppExperiment("sweep3d", nranks=4, app_params=TINY)
-        built = []
-
-        def builder():
-            built.append(1)
-            return exp.trace("original")
-
-        t1 = cache.load_or_build("k", builder)
+        exp = AppExperiment("sweep3d", nranks=4, app_params=TINY,
+                            cache=cache)
+        t1 = exp.trace("original")
         assert cache.degraded
-        t2 = cache.load_or_build("k", builder)
-        assert len(built) == 1  # second call was a memory hit
-        assert t1 is t2
+        assert list(cache.directory.iterdir()) == []
+        # The experiment's memo answers a second trace() (no second
+        # build); the cache kept nothing, so asking it again builds.
+        work = work_done()
+        assert exp.trace("original") is t1
+        assert work_done() == work
+        built = []
+        cache.load_or_build(cache.key(app="sweep3d", nranks=4, params=TINY),
+                            lambda: built.append(1) or t1)
+        assert built == [1]
+        assert cache.misses == 2 and cache.hits == 0
 
     def test_failed_publish_leaves_no_staging_file(self, tmp_path,
                                                    monkeypatch):
         """The disk fills halfway through a trace entry: the staging
         file is removed (its writer lives on, so no sweep would) and
-        the cache degrades to memory."""
+        the cache degrades: it stops publishing and keeps nothing."""
         from repro.experiments.pipeline import AppExperiment
         trace = AppExperiment("sweep3d", nranks=4,
                               app_params=TINY).trace("original")
@@ -405,8 +429,17 @@ class TestCacheDegrade:
         assert cache.load_or_build("k", lambda: trace) is trace
         assert cache.degraded
         assert list(cache.directory.iterdir()) == []
+        built = []
         assert cache.load_or_build(
-            "k", lambda: pytest.fail("should be held in memory")) is trace
+            "k", lambda: built.append(1) or trace) is trace
+        assert built == [1] and cache.misses == 2
+        assert list(cache.directory.iterdir()) == []
+        exp = AppExperiment("sweep3d", nranks=4, app_params=TINY,
+                            cache=cache)
+        t1 = exp.trace("original")
+        work = work_done()
+        assert exp.trace("original") is t1
+        assert work_done() == work
 
 
 # --------------------------------------------------------------------------- #

@@ -16,8 +16,9 @@ and reads:
   the parent;
 * a one-search campaign on two workers asks its path probe plus one
   speculative probe per round;
-* a degraded cache keeps a sidecar-only duration in memory, where
-  ``load_duration`` finds it without reaching ``load``;
+* a degraded cache keeps no sidecar-only duration: ``load_duration``
+  misses without reaching ``load``, and the experiment's memo answers
+  its second ``duration()`` without a second replay;
 * on a cold cache every replay is looked up once, by the parent when
   it knows the trace digest and otherwise by whoever replays it, and a
   grid that names one platform two ways replays it once, on every job
@@ -132,7 +133,12 @@ class TestSidecarOnlyPoints:
         assert not list((tmp_path / "replays").iterdir())
         assert cache.load(key) is None  # no result behind the duration
         monkeypatch.setattr(SimResultCache, "load", _no_load)
-        assert cache.load_duration(key) == 1.25
+        assert cache.load_duration(key) is None  # the cache kept nothing
+        exp = tiny_exp(sim_cache=cache)
+        first = exp.duration("original")
+        replays = counter("replay.runs")
+        assert exp.duration("original") == first
+        assert counter("replay.runs") == replays
 
 
 class TestOneLookupPerPoint:

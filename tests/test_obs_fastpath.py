@@ -2,10 +2,11 @@
 
 The contract (docs/OBSERVABILITY.md): with collection off, every
 instrumentation point costs one module-global check — no allocation,
-no clock read — and the replay hot loop carries a single dead branch.
-Wall-clock assertions use deliberately generous bounds so the tests
-pin down the *shape* of the fast path (shared singleton, no sampling)
-without becoming flaky on loaded CI machines.
+no clock read — and the replay's event loop carries no
+instrumentation at all.  Wall-clock assertions use deliberately
+generous bounds so the tests pin down the *shape* of the fast path
+(shared singleton, spans per stage) without becoming flaky on loaded
+CI machines.
 """
 
 from __future__ import annotations
@@ -41,25 +42,12 @@ class TestDisabledShape:
         seen = {id(obs.span(f"n{i}", k=i)) for i in range(100)}
         assert seen == {id(spans_mod.NULL_SPAN)}
 
-    def test_disabled_replay_samples_no_queue_depth(self):
-        reg = obs.get_registry()
-        h = reg.histogram("replay.queue_depth")
-        before = h.count
-        simulate(_cg_trace(), MachineConfig(bandwidth_mbps=250.0))
-        assert h.count == before  # sampler never attached
-
-    def test_enabled_replay_samples_queue_depth(self):
-        reg = obs.get_registry()
-        h = reg.histogram("replay.queue_depth")
-        before = h.count
+    def test_enabled_replay_records_its_spans(self):
         obs.enable()
         simulate(_cg_trace(), MachineConfig(bandwidth_mbps=250.0))
         obs.disable()
         spans = {r.name: r for r in spans_mod.flush()}
-        events = spans["replay.simulate"].attrs["events"]
-        # Sampling is 1-in-256; only a big enough replay must observe.
-        if events >= 512:
-            assert h.count > before
+        assert spans["replay.simulate"].attrs["events"] > 0
         assert spans["replay.simulate"].attrs["sim_seconds"] > 0
         assert "replay.drain_queue" in spans
 
