@@ -7,7 +7,6 @@ bandwidth searches of paper Figure 6(b)/(c).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["Comparison", "improvement_percent", "speedup"]
@@ -52,8 +51,3 @@ class Comparison:
             f"original={self.t_original:.6f}s overlapped={self.t_overlapped:.6f}s "
             f"speedup={self.speedup:.4f} ({self.improvement_percent:+.2f}%)"
         )
-
-
-def finite_or_inf(value: float) -> float:
-    """Map NaN to +inf (used by equivalent-bandwidth reporting)."""
-    return math.inf if math.isnan(value) else value

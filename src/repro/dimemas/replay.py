@@ -269,14 +269,6 @@ class _RankRunner:
         self.idx += 1
         self.advance()
 
-    def blocked_description(self) -> str:
-        from ..trace.columnar import OP_NAMES
-        kind = OP_NAMES[self.ops[self.idx]] if self.idx < self.n else "end"
-        return (
-            f"rank {self.rank} at record {self.idx} "
-            f"({kind}), state={self._block_label}"
-        )
-
     # -- the replay loop ------------------------------------------------------
     def advance(self) -> None:
         loop = self.loop

@@ -30,8 +30,6 @@ from .parallel import (
     GridPoint,
     PointFailure,
     expand_grid,
-    point_key,
-    speedup_grid,
 )
 from .pipeline import AppExperiment, VARIANTS
 from .tables import (
@@ -54,10 +52,10 @@ __all__ = [
     "VARIANTS", "bisect_bandwidth",
     "bus_sensitivity", "calibrate_buses",
     "equivalent_bandwidth", "expand_grid", "figure5_series",
-    "graceful_drain", "list_runs", "pattern_row", "point_key",
+    "graceful_drain", "list_runs", "pattern_row",
     "relaxation_bandwidth", "saturation_knee", "search_bandwidths",
     "ResilienceReport", "ResilienceRow", "resilience_sweep",
     "ScalePoint", "ScalingStudy", "SimResultCache", "TraceCache",
-    "scaling_study", "speedup_grid", "trace_digest",
+    "scaling_study", "trace_digest",
     "SweepResult", "ascii_series", "bandwidth_sweep", "latency_sweep",
 ]

@@ -58,9 +58,6 @@ keeps no copy of its entries in memory: what the process built stays
 in the memos of its experiments
 (:class:`~repro.experiments.pipeline.AppExperiment`), which are
 consulted before any cache.
-
-Traces recorded with ``record_streams=True`` are *not* cacheable (raw
-access streams are not serialized) and bypass the trace cache.
 """
 
 from __future__ import annotations

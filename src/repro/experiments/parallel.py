@@ -8,12 +8,13 @@ module turns that grid into a schedulable unit:
 * :class:`GridPoint` — one fully-described replay: ``(app, variant,
   bandwidth, buses, latency, chunks, nranks, app_params, machine)``;
 * :class:`ExperimentEngine` — runs grids serially (``jobs=1``) or on a
-  process pool (``jobs=N``), with per-process experiment reuse and
-  optional on-disk caches (:class:`~repro.experiments.cache.TraceCache`
-  and :class:`~repro.experiments.cache.SimResultCache`) shared by all
+  process pool (``jobs=N``), with one experiment per trace and process
+  and optional on-disk caches
+  (:class:`~repro.experiments.cache.TraceCache` and
+  :class:`~repro.experiments.cache.SimResultCache`) shared by all
   workers, so repeated points are free across processes *and* sessions;
-* :func:`expand_grid` / :func:`speedup_grid` — grid builders for the
-  Figure 6 style evaluations.
+* :func:`expand_grid` — the grid builder of the Figure 6 style
+  evaluations.
 
 Replay is deterministic, so a parallel grid returns results identical
 to the serial run, point for point; scheduling only changes wall-clock.
@@ -26,7 +27,6 @@ is read off its walk alone, so it is the same on every job count.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import itertools
 import logging
@@ -51,9 +51,9 @@ from ..obs import (
     span as _span,
     worker_config,
 )
-from .cache import SimResultCache, TraceCache, TraceStore, content_key
+from .cache import SimResultCache, TraceCache, TraceStore
 from .checkpoint import CampaignInterrupted
-from .pipeline import AppExperiment
+from .pipeline import AppExperiment, override_platform, paper_testbed
 
 __all__ = [
     "DegradedBracketError",
@@ -63,8 +63,6 @@ __all__ = [
     "PointFailure",
     "engine_or_serial",
     "expand_grid",
-    "point_key",
-    "speedup_grid",
 ]
 
 _log = logging.getLogger("repro.experiments.parallel")
@@ -82,14 +80,15 @@ def _normalize_params(params: Mapping | Iterable | None) -> tuple:
 class GridPoint:
     """One replay of the experiment grid (hashable and picklable).
 
-    ``bandwidth_mbps`` / ``buses`` / ``latency`` override the baseline
-    platform exactly like the corresponding
+    A point names a trace, whose identity is :meth:`experiment_key`,
+    and its own platform, :meth:`platform`: ``machine`` is the
+    baseline (``None``: the application's paper test bed), and
+    ``bandwidth_mbps`` / ``buses`` / ``latency`` override it exactly
+    like the corresponding
     :meth:`~repro.experiments.pipeline.AppExperiment.simulate` keyword
-    arguments (``"default"`` buses = keep the baseline).  ``machine``
-    overrides the baseline platform itself; ``None`` uses the
-    application's paper test bed.  ``perturb`` is an optional
-    :class:`~repro.perturb.PerturbationSchedule` applied at replay time
-    (degraded platform, same trace).
+    arguments (``"default"`` buses = keep the baseline).  ``perturb``
+    is an optional :class:`~repro.perturb.PerturbationSchedule` applied
+    at replay time (degraded platform, same trace).
     """
 
     app: str
@@ -104,35 +103,19 @@ class GridPoint:
     perturb: object | None = None
 
     def experiment_key(self) -> tuple:
-        """Identity of the underlying traced experiment (platform
-        overrides excluded — they share one trace; perturbation is a
-        replay-time platform override too)."""
-        return (self.app, self.nranks, self.chunks, self.app_params, self.machine)
+        """Identity of the traced experiment: what its traces depend
+        on.  A trace does not depend on the machine it replays on, so
+        the platform (``machine``, its overrides and the perturbation;
+        see :meth:`platform`) is left out."""
+        return (self.app, self.nranks, self.chunks, self.app_params)
 
-
-def point_key(point: GridPoint) -> str:
-    """Versioned content digest of a grid point's full spec.
-
-    Covers every field of the point — app, variant, scale, chunk
-    count, platform overrides (perturbation schedule included), app
-    parameters, and the machine config itself — so no two distinct
-    replays share a key.
-    """
-    machine = point.machine
-    perturb = point.perturb
-    return content_key(
-        kind="grid_point",
-        app=point.app,
-        variant=point.variant,
-        nranks=point.nranks,
-        chunks=point.chunks,
-        bandwidth_mbps=point.bandwidth_mbps,
-        buses=point.buses,
-        latency=point.latency,
-        app_params=point.app_params,
-        machine=None if machine is None else dataclasses.asdict(machine),
-        perturb=None if perturb is None else perturb.to_dict(),
-    )
+    def platform(self) -> MachineConfig:
+        """The machine this point replays on: ``machine`` (or the
+        application's paper test bed) with the point's overrides."""
+        return override_platform(
+            self.machine or paper_testbed(self.app), self.bandwidth_mbps,
+            self.buses, self.latency, self.perturb,
+        )
 
 
 def expand_grid(
@@ -263,7 +246,8 @@ def _resolve_experiment(
     cache_dir: str | None,
     store: dict,
 ) -> AppExperiment:
-    """The (process-local) experiment bundle behind a grid point."""
+    """The (process-local) experiment behind a grid point's trace; the
+    point's platform is its own (:meth:`GridPoint.platform`)."""
     key = point.experiment_key()
     exp = store.get(key)
     if exp is None:
@@ -276,7 +260,6 @@ def _resolve_experiment(
             nranks=point.nranks,
             chunks=point.chunks,
             app_params=dict(point.app_params),
-            machine=point.machine,
             cache=trace_cache,
             sim_cache=sim_cache,
         )
@@ -291,8 +274,7 @@ def _simulate_point(point: GridPoint, cache_dir: str | None, store: dict,
     it can; ``lookup=False`` replays a point the caller has already
     looked up and missed."""
     exp = _resolve_experiment(point, cache_dir, store)
-    cfg = exp.platform(point.bandwidth_mbps, point.buses, point.latency,
-                       point.perturb)
+    cfg = point.platform()
     full = mode == "result"
     hit = exp.cached(point.variant, cfg, full) if lookup else None
     return exp.replay(point.variant, cfg, full) if hit is None else hit
@@ -542,10 +524,9 @@ class ExperimentEngine:
         """
         try:
             exp = _resolve_experiment(point, self.cache_dir, self._experiments)
+            cfg = point.platform()
         except Exception:  # noqa: BLE001 - its replay attempt reports it
             return None
-        cfg = exp.platform(point.bandwidth_mbps, point.buses, point.latency,
-                           point.perturb)
         return exp.cached(point.variant, cfg, mode == "result")
 
     def _replay_identity(self, point: GridPoint) -> tuple[object, bool]:
@@ -554,10 +535,9 @@ class ExperimentEngine:
         :meth:`_cached_value` from looking it up in the result cache."""
         try:
             exp = _resolve_experiment(point, self.cache_dir, self._experiments)
+            cfg = point.platform()
         except Exception:  # noqa: BLE001 - its replay attempt reports it
             return point, True
-        cfg = exp.platform(point.bandwidth_mbps, point.buses, point.latency,
-                           point.perturb)
         return ((point.experiment_key(), point.variant, cfg),
                 exp._known_digest(point.variant) is None)
 
@@ -655,10 +635,7 @@ class ExperimentEngine:
             try:
                 exp = _resolve_experiment(point, self.cache_dir,
                                           self._experiments)
-                cfg = exp.platform(
-                    point.bandwidth_mbps, point.buses, point.latency,
-                    point.perturb,
-                )
+                cfg = point.platform()
                 digest = exp._known_digest(point.variant)
                 if digest is None or not store.has(digest):
                     digest = store.put(exp.columnar(point.variant))
@@ -923,10 +900,13 @@ class ExperimentEngine:
                   variant: str = "original") -> GridPoint:
         """Grid point describing an existing experiment bundle.
 
-        The engine adopts ``exp`` for the point's experiment key (the
-        first bundle offered wins), so lookups, serial replays and
+        The point replays on ``exp.machine``, which it carries as its
+        own ``machine``.  The engine adopts ``exp`` for the point's
+        experiment key, which is the trace's: the first bundle offered
+        (or built) for that trace wins, so lookups, serial replays and
         dispatch reuse its traces, memo and caches instead of building
-        their own.
+        their own.  An adopted bundle lends later points of the same
+        trace its traces, never its machine.
         """
         point = GridPoint(
             app=exp.app_name,
@@ -951,32 +931,3 @@ def engine_or_serial(
     else:
         with ExperimentEngine(jobs=1) as own:
             yield own
-
-
-def speedup_grid(
-    engine: ExperimentEngine,
-    apps: Sequence[str],
-    nranks: int = 64,
-    chunks: int = 4,
-) -> dict[str, dict[str, float]]:
-    """Fig. 6(a) speedups for a pool of applications, engine-scheduled.
-
-    Returns ``{app: {"real": s, "ideal": s}}`` — the same numbers as
-    :meth:`AppExperiment.speedups` per app, computed as one grid.
-    """
-    variants = ("original", "real", "ideal")
-    points = [
-        GridPoint(app=a, variant=v, nranks=nranks, chunks=chunks)
-        for a in apps
-        for v in variants
-    ]
-    durs = engine.durations(points)
-    by_point = dict(zip(points, durs))
-    out: dict[str, dict[str, float]] = {}
-    for a in apps:
-        base = by_point[GridPoint(app=a, variant="original", nranks=nranks, chunks=chunks)]
-        out[a] = {
-            "real": base / by_point[GridPoint(app=a, variant="real", nranks=nranks, chunks=chunks)],
-            "ideal": base / by_point[GridPoint(app=a, variant="ideal", nranks=nranks, chunks=chunks)],
-        }
-    return out

@@ -19,6 +19,7 @@ in-memory copy of what this process built: a cache that cannot write
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 from ..apps import get_app
@@ -30,10 +31,45 @@ from ..dimemas.results import SimResult
 from ..obs import span as _span
 from ..trace.records import TraceSet
 
-__all__ = ["AppExperiment", "VARIANTS"]
+__all__ = ["AppExperiment", "VARIANTS", "override_platform", "paper_testbed"]
 
 #: The three executions the paper compares.
 VARIANTS = ("original", "real", "ideal")
+
+
+@functools.cache
+def paper_testbed(app: str) -> MachineConfig:
+    """The application's paper test bed
+    (:meth:`MachineConfig.paper_testbed`), built once per process:
+    configs are frozen, and grid points ask for it on every lookup."""
+    return MachineConfig.paper_testbed(app)
+
+
+def override_platform(
+    machine: MachineConfig,
+    bandwidth_mbps: float | None = None,
+    buses: int | None | str = "default",
+    latency: float | None = None,
+    perturb: object | None = None,
+) -> MachineConfig:
+    """``machine`` with the standard experiment overrides: ``None``
+    (``"default"`` for ``buses``) keeps the base value.
+
+    ``perturb`` attaches a
+    :class:`~repro.perturb.PerturbationSchedule` to the platform;
+    because it becomes a :class:`MachineConfig` field, every cache key
+    downstream picks it up for free.
+    """
+    overrides: dict = {}
+    if bandwidth_mbps is not None:
+        overrides["bandwidth_mbps"] = bandwidth_mbps
+    if buses != "default":
+        overrides["buses"] = buses
+    if latency is not None:
+        overrides["latency"] = latency
+    if perturb is not None:
+        overrides["perturb"] = perturb
+    return machine.with_platform(**overrides)
 
 
 class AppExperiment:
@@ -62,7 +98,6 @@ class AppExperiment:
         chunks: int = 4,
         app_params: Mapping | None = None,
         machine: MachineConfig | None = None,
-        record_streams: bool = False,
         cache=None,
         sim_cache=None,
     ):
@@ -70,11 +105,9 @@ class AppExperiment:
         self.nranks = nranks
         self.chunks = chunks
         self.app_params = dict(app_params or {})
-        self.machine = machine or MachineConfig.paper_testbed(app)
-        self.record_streams = record_streams
+        self.machine = machine or paper_testbed(app)
         #: Optional :class:`~repro.experiments.cache.TraceCache` for
-        #: persisting original traces across sessions (unused when
-        #: ``record_streams`` is on — streams are not serialized).
+        #: persisting original traces across sessions.
         self.cache = cache
         #: Optional :class:`~repro.experiments.cache.SimResultCache`
         #: persisting replay results across processes and sessions.
@@ -97,19 +130,16 @@ class AppExperiment:
                     with _span("trace.build", app=self.app_name,
                                nranks=self.nranks):
                         app = get_app(self.app_name, **self.app_params)
-                        return app.trace(
-                            nranks=self.nranks,
-                            record_streams=self.record_streams,
-                        ).trace
+                        return app.trace(nranks=self.nranks).trace
 
-                if self.cache is not None and not self.record_streams:
+                if self.cache is None:
+                    self._traces["original"] = build()
+                else:
                     key = self.cache.key(
                         app=self.app_name, nranks=self.nranks,
                         params=self.app_params,
                     )
                     self._traces["original"] = self.cache.load_or_build(key, build)
-                else:
-                    self._traces["original"] = build()
             elif variant == "real":
                 cfg = OverlapConfig(chunks=self.chunks, schedule="real")
                 self._traces["real"], _ = overlap_transform(self.trace("original"), cfg)
@@ -126,23 +156,10 @@ class AppExperiment:
         latency: float | None = None,
         perturb: object | None = None,
     ) -> MachineConfig:
-        """The baseline machine with the standard experiment overrides.
-
-        ``perturb`` attaches a
-        :class:`~repro.perturb.PerturbationSchedule` to the platform;
-        because it becomes a :class:`MachineConfig` field, every cache
-        key downstream picks it up for free.
-        """
-        overrides: dict = {}
-        if bandwidth_mbps is not None:
-            overrides["bandwidth_mbps"] = bandwidth_mbps
-        if buses != "default":
-            overrides["buses"] = buses
-        if latency is not None:
-            overrides["latency"] = latency
-        if perturb is not None:
-            overrides["perturb"] = perturb
-        return self.machine.with_platform(**overrides)
+        """The baseline machine with the standard experiment overrides
+        (:func:`override_platform`)."""
+        return override_platform(self.machine, bandwidth_mbps, buses,
+                                 latency, perturb)
 
     def columnar(self, variant: str = "original"):
         """The packed columnar form of a variant's trace.
@@ -155,11 +172,7 @@ class AppExperiment:
         from ..trace.columnar import columnar_of
         col = columnar_of(self.trace(variant))
         spec = self._spec_key(variant)
-        if (
-            spec is not None
-            and self.sim_cache is not None
-            and spec not in self._published_specs
-        ):
+        if self.sim_cache is not None and spec not in self._published_specs:
             self.sim_cache.put_digest(spec, col.digest)
             self._published_specs.add(spec)
         return col
@@ -222,17 +235,13 @@ class AppExperiment:
         if variant in self._traces:
             from .cache import trace_digest
             return trace_digest(self._traces[variant])
-        spec = self._spec_key(variant)
-        if spec is None or self.sim_cache is None:
+        if self.sim_cache is None:
             return None
-        return self.sim_cache.get_digest(spec)
+        return self.sim_cache.get_digest(self._spec_key(variant))
 
-    def _spec_key(self, variant: str) -> str | None:
+    def _spec_key(self, variant: str) -> str:
         """Versioned content key of (application spec, variant) — the
-        identity behind the sim cache's spec->digest shortcut.  None
-        when the trace is not reproducible from the spec alone."""
-        if self.record_streams:
-            return None
+        identity behind the sim cache's spec->digest shortcut."""
         from .cache import content_key
         return content_key(
             kind="experiment", app=self.app_name, nranks=self.nranks,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..apps import get_app
 from ..core.patterns import (
     ConsumptionStats,
     ProductionStats,
@@ -91,11 +92,12 @@ def figure5_series(
     access streams — the exact axes of the paper's figure: *"The x axis
     represents the normalized time within the corresponding computation
     interval, while the y axis represents an element's offset within
-    the transferred buffer."*
+    the transferred buffer."*  The raw streams are not cacheable, so
+    the application is traced here, outside any experiment.
     """
-    exp = AppExperiment(
-        app, nranks=nranks, app_params=app_params, record_streams=True,
-    )
+    trace = get_app(app, **(app_params or {})).trace(
+        nranks=nranks, record_streams=True,
+    ).trace
     return scatter_points(
-        exp.trace("original"), kind, channel=0, rank=rank, max_points=max_points,
+        trace, kind, channel=0, rank=rank, max_points=max_points,
     )

@@ -32,8 +32,22 @@ class _RunIdFormatter(logging.Formatter):
         return super().format(record)
 
 
-def configure(verbosity: int = 0, quiet: bool = False,
-              stream=None) -> logging.Logger:
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted
+    (as the stdlib's ``logging.lastResort`` does), so a stream swapped
+    out and closed since :func:`configure` ran is never written to."""
+
+    def __init__(self) -> None:
+        # Not StreamHandler.__init__: it assigns ``stream``, a read-only
+        # property here.
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def configure(verbosity: int = 0, quiet: bool = False) -> logging.Logger:
     """Install (or retune) the framework's stderr log handler.
 
     ``verbosity`` counts ``-v`` flags: 0 -> WARNING, 1 -> INFO,
@@ -49,14 +63,12 @@ def configure(verbosity: int = 0, quiet: bool = False,
             verbosity, logging.DEBUG
         )
     if _HANDLER is None:
-        _HANDLER = logging.StreamHandler(stream or sys.stderr)
+        _HANDLER = _StderrHandler()
         _HANDLER.setFormatter(_RunIdFormatter(
             "%(asctime)s %(levelname)s%(run)s %(name)s: %(message)s",
             datefmt="%H:%M:%S",
         ))
         root.addHandler(_HANDLER)
-    elif stream is not None:
-        _HANDLER.setStream(stream)
     root.setLevel(level)
     root.propagate = False
     return root

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry",
@@ -219,10 +218,6 @@ class MetricsRegistry:
             self.gauge(n).set(v)
         for n, values in delta.get("histograms", {}).items():
             self.histogram(n).values.extend(values)
-
-    def observe_many(self, name: str, values: Iterable[float]) -> None:
-        """Bulk histogram observation (merge and import paths)."""
-        self.histogram(name).values.extend(values)
 
     def reset(self) -> None:
         """Drop every instrument (test isolation)."""

@@ -92,12 +92,14 @@ class MessageBoard:
         # Non-overtaking: a posted receive can only take this message if
         # no earlier unmatched message also matches it; since receives
         # scan pending sends in seq order on their side, it suffices to
-        # hand the message to the earliest-posted compatible receive.
-        for pr in self._pending_recvs:
-            if pr.matched is None and self._compatible(pr, env):
+        # hand the message to the earliest-posted compatible receive,
+        # which leaves the board once matched.
+        for i, pr in enumerate(self._pending_recvs):
+            if self._compatible(pr, env):
                 # But only if no earlier pending send also matches pr —
                 # those would have been taken already when pr was posted.
                 pr.matched = env
+                del self._pending_recvs[i]
                 return env
         self._pending_sends.append(env)
         return env
@@ -126,13 +128,9 @@ class MessageBoard:
         return pr.matched is not None
 
     def take(self, pr: _PendingRecv) -> Envelope:
-        """Consume a completed receive, removing it from the board."""
+        """Consume a completed receive (it left the board when matched)."""
         if pr.matched is None:
             raise RuntimeError("take() on an unmatched receive")
-        try:
-            self._pending_recvs.remove(pr)
-        except ValueError:
-            pass  # matched eagerly at post time, never listed
         return pr.matched
 
     # -- introspection -------------------------------------------------------
@@ -169,4 +167,4 @@ class MessageBoard:
 
     def pending_recv_count(self) -> int:
         """Number of posted receives not yet matched."""
-        return sum(1 for pr in self._pending_recvs if pr.matched is None)
+        return len(self._pending_recvs)

@@ -229,11 +229,3 @@ class MemoryTracker:
         """Process end: close every open consumption interval."""
         for st in self._buffers.values():
             self._flush_consumption(st, now)
-
-    # ------------------------------------------------------------------ #
-    # Introspection.
-    # ------------------------------------------------------------------ #
-    @property
-    def tracked_buffers(self) -> int:
-        """Number of distinct buffers seen so far."""
-        return len(self._buffers)

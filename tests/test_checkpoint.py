@@ -27,7 +27,6 @@ from repro.experiments import (
     expand_grid,
     graceful_drain,
     list_runs,
-    point_key,
 )
 from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (
@@ -59,17 +58,6 @@ def tiny_points():
 
 def counter(name: str) -> float:
     return get_registry().counter(name).value
-
-
-class TestPointKey:
-    def test_distinct_specs_distinct_keys(self):
-        pts = tiny_points()
-        keys = {point_key(p) for p in pts}
-        assert len(keys) == len(pts)
-
-    def test_key_stable_for_equal_points(self):
-        a, b = tiny_points()[0], tiny_points()[0]
-        assert point_key(a) == point_key(b)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,9 +11,9 @@ and reads:
   a serial engine, read sidecars and never load an envelope;
 * a serial engine's cold duration miss replays once and publishes the
   sidecar alone, never consulting a result envelope;
-* a search on an experiment keyed apart from the grid that published
-  the trace digests ships its probes by digest and traces nothing in
-  the parent;
+* a search run by a fresh engine on a cache where a ladder published
+  the trace digests ships its probes by digest: the parent builds no
+  trace, runs no transform and no skeleton, and ships no spec;
 * a one-search campaign on two workers asks its path probe plus one
   speculative probe per round;
 * a degraded cache keeps no sidecar-only duration: ``load_duration``
@@ -38,7 +38,7 @@ from repro.experiments.bandwidth import (
     equivalent_bandwidth,
     relaxation_bandwidth,
 )
-from repro.experiments.cache import SimResultCache
+from repro.experiments.cache import SimResultCache, TraceCache
 from repro.experiments.parallel import ExperimentEngine, expand_grid
 from repro.experiments.pipeline import VARIANTS, AppExperiment
 from repro.obs import get_registry
@@ -166,23 +166,23 @@ class TestSearchDispatchByDigest:
     def test_search_traces_nothing_once_digests_are_published(
             self, tmp_path, monkeypatch, search, variant):
         expected = search(tiny_exp(), variant)
-        exp = tiny_exp(sim_cache=SimResultCache(tmp_path / "replays"))
+        with ExperimentEngine(jobs=2, cache_dir=tmp_path) as eng:
+            eng.durations(ladder())
+        exp = tiny_exp(cache=TraceCache(tmp_path / "traces"),
+                       sim_cache=SimResultCache(tmp_path / "replays"))
         traced = []
 
         def trace(v="original"):
             traced.append(v)
             raise AssertionError(f"parent built the {v} trace")
 
+        monkeypatch.setattr(exp, "trace", trace)
+        names = ("transform.runs", "smpi.runs", "engine.dispatch.spec_points")
+        before = [counter(n) for n in names]
         with ExperimentEngine(jobs=2, cache_dir=tmp_path) as eng:
-            points = ladder()
-            eng.durations(points)
-            assert (eng.point_for(exp).experiment_key()
-                    != points[0].experiment_key())
-            monkeypatch.setattr(exp, "trace", trace)
-            spec0 = counter("engine.dispatch.spec_points")
             assert search(exp, variant, engine=eng) == expected
         assert traced == []
-        assert counter("engine.dispatch.spec_points") == spec0
+        assert [counter(n) for n in names] == before
 
 
 class TestRoundSize:

@@ -112,16 +112,6 @@ class TestExperimentIntegration:
         s = e2.speedups()
         assert s["real"] > 0.5
 
-    def test_streams_bypass_cache(self, tmp_path):
-        cache = TraceCache(tmp_path)
-        e = AppExperiment(
-            "cg", nranks=4, record_streams=True,
-            app_params=dict(n=2000, iterations=1),
-            machine=MachineConfig.paper_testbed("cg"), cache=cache,
-        )
-        e.trace("original")
-        assert len(cache) == 0
-
     def test_experiment_sim_cache_across_instances(self, tmp_path):
         sim_cache = SimResultCache(tmp_path)
         kwargs = dict(

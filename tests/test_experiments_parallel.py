@@ -1,6 +1,7 @@
 """Tests of the parallel experiment engine and the search campaign."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -14,21 +15,21 @@ from repro.experiments.bandwidth import (
     relaxation_bandwidth,
     search_bandwidths,
 )
+from repro.experiments.cache import SimResultCache, TraceCache
 from repro.experiments.parallel import (
     ExperimentEngine,
     GridPoint,
     expand_grid,
-    speedup_grid,
 )
-from repro.experiments.pipeline import AppExperiment
+from repro.experiments.pipeline import VARIANTS, AppExperiment
 from repro.obs import get_registry
 
 #: A tiny Sweep3D instance so traces build in milliseconds.
 TINY = dict(nx=8, ny=8, nz=4, mk=2, angle_block=2, iterations=1)
 
 
-def tiny_exp(nranks=4):
-    return AppExperiment("sweep3d", nranks=nranks, app_params=TINY)
+def tiny_exp(nranks=4, **kwargs):
+    return AppExperiment("sweep3d", nranks=nranks, app_params=TINY, **kwargs)
 
 
 def tiny_points():
@@ -50,7 +51,8 @@ class TestGridPoint:
 
     def test_experiment_key_ignores_platform_overrides(self):
         a = GridPoint(app="cg", bandwidth_mbps=100.0, buses=4)
-        b = GridPoint(app="cg", bandwidth_mbps=500.0, buses=1)
+        b = GridPoint(app="cg", bandwidth_mbps=500.0, buses=1,
+                      machine=MachineConfig.paper_testbed("cg", latency=1e-3))
         assert a.experiment_key() == b.experiment_key()
         c = GridPoint(app="cg", nranks=8)
         assert a.experiment_key() != c.experiment_key()
@@ -103,7 +105,7 @@ class TestEngineParallel:
             assert eng.durations(pts) == serial
             assert [r.duration for r in eng.run_grid(pts)] == serial
 
-    def test_speedup_grid_matches_experiment_speedups(self):
+    def test_grid_durations_match_experiment_speedups(self):
         # engine-side grid vs the AppExperiment memoized path
         eng = ExperimentEngine(jobs=1)
         exp = AppExperiment("sweep3d", nranks=4, app_params=TINY)
@@ -117,17 +119,54 @@ class TestEngineParallel:
         assert d0 / dr == pytest.approx(s["real"])
         assert d0 / di == pytest.approx(s["ideal"])
 
-    def test_speedup_grid_shape(self):
-        with ExperimentEngine(jobs=1) as eng:
-            exp = tiny_exp()
-            pt = eng.point_for(exp)
-            eng._experiments[pt.experiment_key()] = exp
-            out = speedup_grid(eng, ["sweep3d"], nranks=4, chunks=4)
-        # the engine-built experiment uses default app params, so only
-        # check the contract: both ratios present and positive
-        assert set(out) == {"sweep3d"}
-        assert out["sweep3d"]["real"] > 0
-        assert out["sweep3d"]["ideal"] > 0
+
+#: Sweep3D's paper test bed with a millisecond latency.
+SLOW = MachineConfig.paper_testbed("sweep3d", latency=1e-3)
+#: The original trace of :func:`tiny_exp` on the paper test bed.
+TINY_POINT = GridPoint(app="sweep3d", nranks=4,
+                       app_params=tuple(sorted(TINY.items())))
+
+
+class TestOneExperimentPerTrace:
+    """The engine keeps one experiment per trace, and every point
+    replays on its own platform, whatever machine its points or an
+    adopted experiment name."""
+
+    def test_serial_search_transforms_nothing_after_the_ladder(self, tmp_path):
+        """A search on a caller's experiment (on the paper test bed)
+        replays the traces that the ladder (``machine=None``) built."""
+        expected = relaxation_bandwidth(tiny_exp(), "real")
+        names = ("transform.runs", "cache.trace.hits", "cache.trace.misses",
+                 "cache.trace.rebuilt")
+        reg = get_registry()
+        with ExperimentEngine(jobs=1, cache_dir=tmp_path) as eng:
+            eng.durations(expand_grid(["sweep3d"], variants=VARIANTS,
+                                      bandwidths=(None, 100.0), nranks=4,
+                                      app_params=TINY))
+            exp = tiny_exp(cache=TraceCache(tmp_path / "traces"),
+                           sim_cache=SimResultCache(tmp_path / "replays"))
+            before = [reg.counter(n).value for n in names]
+            assert relaxation_bandwidth(exp, "real", engine=eng) == expected
+        assert [reg.counter(n).value for n in names] == before
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_points_on_two_machines_share_one_trace(self, jobs):
+        runs = get_registry().counter("smpi.runs")
+        r0 = runs.value
+        with ExperimentEngine(jobs=jobs) as eng:
+            durs = eng.durations([TINY_POINT, replace(TINY_POINT, machine=SLOW)])
+        assert runs.value - r0 == 1
+        assert durs == [tiny_exp().duration(), tiny_exp(machine=SLOW).duration()]
+        assert durs[0] != durs[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_adopted_experiment_lends_no_machine(self, jobs):
+        exp = tiny_exp(machine=SLOW)
+        with ExperimentEngine(jobs=jobs) as eng:
+            eng.point_for(exp)
+            (d,) = eng.durations([TINY_POINT])
+        assert d == tiny_exp().duration()
+        assert d != exp.duration()
 
 
 class TestBisectEdgeCases:

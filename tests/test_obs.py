@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+import logging
 import math
+import sys
 
 import pytest
 
 from repro import obs
-from repro.obs import metrics as metrics_mod
+from repro.obs import logs as logs_mod
 from repro.obs import spans as spans_mod
 from repro.obs.export import span_summary_table, spans_to_chrome
 from repro.obs.manifest import (
@@ -381,6 +384,38 @@ class TestTextSummaries:
         doc = json.loads(path.read_text())
         assert doc["run_id"] == "rid"
         assert doc["metrics"]["counters"]["c"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# Logging.
+# --------------------------------------------------------------------------- #
+
+class TestLogging:
+    def test_handler_writes_to_the_current_stderr(self, monkeypatch):
+        """A stream swapped out and closed after ``configure`` (a test's
+        capture, say) is never written to: a later warning goes to
+        whatever ``sys.stderr`` is then."""
+        root = logging.getLogger("repro")
+        saved = (logs_mod._HANDLER, root.handlers[:], root.level,
+                 root.propagate)
+        try:
+            logs_mod._HANDLER = None
+            root.handlers[:] = []
+            first = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", first)
+            obs.configure_logging()
+            first.close()
+            second = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", second)
+            logging.getLogger("repro.test").warning("after the swap")
+            text = second.getvalue()
+            assert "WARNING repro.test: after the swap" in text
+            assert "Logging error" not in text
+        finally:
+            logs_mod._HANDLER = saved[0]
+            root.handlers[:] = saved[1]
+            root.setLevel(saved[2])
+            root.propagate = saved[3]
 
 
 # --------------------------------------------------------------------------- #
