@@ -14,6 +14,12 @@ the transformation:
   sender (max of last-store times over the chunk's elements);
 * **needed times** — when each chunk is first consumed at the receiver
   (min of first-load times over the chunk's elements).
+
+Both reduce a profile's raw times with one ``ufunc.reduceat`` over the
+plan's bounds, which are strictly increasing for every plan
+:func:`plan_chunks` makes, as ``reduceat`` needs, and clip only the
+per-chunk results into the interval.  Clipping is monotone, so it
+commutes with min and max and the order changes no bit.
 """
 
 from __future__ import annotations
@@ -77,14 +83,13 @@ def plan_chunks(size: int, elements: int, chunks: int = DEFAULT_CHUNKS) -> Chunk
     return ChunkPlan(elements=max(elements, 1), nchunks=n, bounds=bounds, sizes=sizes)
 
 
-def _segment_reduce(values: np.ndarray, bounds: np.ndarray, how: str) -> np.ndarray:
-    """Per-chunk nan-max / nan-min of a per-element array (vectorized)."""
-    out = np.full(len(bounds) - 1, np.nan)
-    for c in range(len(bounds) - 1):  # nchunks <= 32 in practice: trivial loop
-        seg = values[bounds[c]:bounds[c + 1]]
-        if seg.size and not np.all(np.isnan(seg)):
-            out[c] = np.nanmax(seg) if how == "max" else np.nanmin(seg)
-    return out
+def _check(profile: AccessProfile, plan: ChunkPlan, kind: str, caller: str) -> None:
+    if profile.kind != kind:
+        raise ValueError(f"{caller} requires a {kind} profile")
+    if profile.elements != plan.elements:
+        raise ValueError(
+            f"profile has {profile.elements} elements, plan expects {plan.elements}"
+        )
 
 
 def chunk_ready_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:
@@ -95,14 +100,8 @@ def chunk_ready_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:
     point for those chunks.  Times are clipped into the production
     interval.
     """
-    if profile.kind != "production":
-        raise ValueError("chunk_ready_times requires a production profile")
-    if profile.elements != plan.elements:
-        raise ValueError(
-            f"profile has {profile.elements} elements, plan expects {plan.elements}"
-        )
-    ready = _segment_reduce(profile.clipped(), plan.bounds, "max")
-    return ready
+    _check(profile, plan, "production", "chunk_ready_times")
+    return profile.clip(np.fmax.reduceat(profile.times, plan.bounds[:-1]))
 
 
 def chunk_needed_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:
@@ -112,11 +111,5 @@ def chunk_needed_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:
     to the end of the consumption interval.  Times are clipped into the
     consumption interval.
     """
-    if profile.kind != "consumption":
-        raise ValueError("chunk_needed_times requires a consumption profile")
-    if profile.elements != plan.elements:
-        raise ValueError(
-            f"profile has {profile.elements} elements, plan expects {plan.elements}"
-        )
-    needed = _segment_reduce(profile.clipped(), plan.bounds, "min")
-    return needed
+    _check(profile, plan, "consumption", "chunk_needed_times")
+    return profile.clip(np.fmin.reduceat(profile.times, plan.bounds[:-1]))

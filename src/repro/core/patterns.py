@@ -22,6 +22,14 @@ tables:
 
 An ideal pattern produces the prefix fraction ``f`` at exactly ``f`` of
 the interval and needs it at ``f`` — the "ideal" rows of the tables.
+
+Each statistic is one min or max over a segment of a profile's raw
+times (``np.fmin``/``np.fmax``, which skip NaN as ``nanmin``/``nanmax``
+do), and only the reduced values are mapped into the interval by
+:meth:`~repro.trace.records.AccessProfile.normalize`.  That map is
+monotone non-decreasing, so it commutes with min and max: the rows are
+bit for bit those of normalizing every element first (bar the underflow
+that ``normalize`` names), without a per-profile copy.
 """
 
 from __future__ import annotations
@@ -79,52 +87,50 @@ IDEAL_PRODUCTION = ProductionStats(0.0, 0.25, 0.50, 1.0)
 IDEAL_CONSUMPTION = ConsumptionStats(0.0, 0.25, 0.50)
 
 
+def _reduce_parts(ufunc, t: np.ndarray) -> np.ndarray:
+    """``ufunc`` reduced over the three parts of ``t`` that the quarter
+    and half bounds cut: ``t[:q]``, ``t[q:h]`` and ``t[h:]`` with
+    ``q = ceil(n/4)`` and ``h = ceil(n/2)``.  An empty part is NaN; one
+    pass when every part holds an element (``n >= 3``)."""
+    n = t.shape[0]
+    q, h = (n + 3) // 4, (n + 1) // 2
+    if 0 < q < h < n:
+        return ufunc.reduceat(t, (0, q, h))
+    return np.array([ufunc.reduce(t[a:b]) if a < b else math.nan
+                     for a, b in ((0, q), (q, h), (h, n))])
+
+
 def production_stats(profile: AccessProfile) -> ProductionStats:
     """Reduce one production profile to its Table II(a) row."""
     if profile.kind != "production":
         raise ValueError("expected a production profile")
-    t = profile.normalized()
-    n = t.shape[0]
-    if n == 0 or np.all(np.isnan(t)):
+    t = profile.times
+    if t.shape[0] == 0:
         return ProductionStats(math.nan, math.nan, math.nan, math.nan)
-
-    def prefix_max(frac: float) -> float:
-        k = max(1, int(math.ceil(frac * n)))
-        seg = t[:k]
-        if np.all(np.isnan(seg)):
-            return math.nan
-        return float(np.nanmax(seg))
-
-    return ProductionStats(
-        first_element=float(np.nanmin(t)),
-        quarter=prefix_max(0.25),
-        half=prefix_max(0.50),
-        whole=prefix_max(1.0),
-    )
+    # The earliest last store of any element, then the latest of the
+    # leading quarter, half and whole: the running max over the parts.
+    # All-NaN reduces to NaN.
+    raw = np.empty(4)
+    raw[0] = np.fmin.reduce(t)
+    np.fmax.accumulate(_reduce_parts(np.fmax, t), out=raw[1:])
+    return ProductionStats(*profile.normalize(raw).tolist())
 
 
 def consumption_stats(profile: AccessProfile) -> ConsumptionStats:
     """Reduce one consumption profile to its Table II(b) row."""
     if profile.kind != "consumption":
         raise ValueError("expected a consumption profile")
-    t = profile.normalized()
-    n = t.shape[0]
-    if n == 0:
+    t = profile.times
+    if t.shape[0] == 0:
         return ConsumptionStats(math.nan, math.nan, math.nan)
-
-    def passable(frac: float) -> float:
-        """Earliest need among elements beyond the received prefix."""
-        k = int(math.ceil(frac * n))
-        seg = t[k:]
-        if seg.size == 0 or np.all(np.isnan(seg)):
-            return 1.0  # the remaining elements are never needed
-        return float(np.nanmin(seg))
-
-    return ConsumptionStats(
-        nothing=passable(0.0),
-        quarter=passable(0.25),
-        half=passable(0.50),
-    )
+    # The earliest first load among the elements beyond nothing, the
+    # first quarter and the first half: the running min over the parts
+    # from the back.  An empty or never-loaded suffix is never needed,
+    # so it passes the whole phase.
+    raw = np.fmin.accumulate(_reduce_parts(np.fmin, t)[::-1])[::-1]
+    return ConsumptionStats(*(
+        1.0 if math.isnan(v) else v for v in profile.normalize(raw).tolist()
+    ))
 
 
 def iter_profiles(
@@ -154,21 +160,18 @@ def iter_profiles(
             yield proc.rank, i, p
 
 
-def _aggregate(rows: Iterable, cls, weights: Iterable[float] | None):
+def _aggregate(rows: Iterable, cls):
+    """Per-column mean of ``rows``, skipping NaN (NaN when none is left)."""
     rows = list(rows)
     names = [f.name for f in fields(cls)]
     if not rows:
         return cls(**{n: math.nan for n in names})
     mat = np.array([[getattr(r, n) for n in names] for r in rows], dtype=float)
-    if weights is None:
-        w = np.ones(mat.shape[0])
-    else:
-        w = np.asarray(list(weights), dtype=float)
     out = {}
     for j, n in enumerate(names):
         col = mat[:, j]
-        mask = ~np.isnan(col)
-        out[n] = float(np.average(col[mask], weights=w[mask])) if mask.any() else math.nan
+        col = col[~np.isnan(col)]
+        out[n] = float(np.average(col)) if col.size else math.nan
     return cls(**out)
 
 
@@ -176,32 +179,26 @@ def production_table(
     trace: TraceSet,
     channel: int | None = None,
     min_elements: int = 1,
-    weight_by_bytes: bool = False,
 ) -> ProductionStats:
     """Average Table II(a) row over all production profiles of a trace."""
-    entries = list(iter_profiles(trace, "production", channel, min_elements))
-    rows = [production_stats(p) for _, _, p in entries]
-    weights = None
-    if weight_by_bytes:
-        weights = [
-            p.elements for _, _, p in entries
-        ]
-    return _aggregate(rows, ProductionStats, weights)
+    return _aggregate(
+        (production_stats(p) for _, _, p in
+         iter_profiles(trace, "production", channel, min_elements)),
+        ProductionStats,
+    )
 
 
 def consumption_table(
     trace: TraceSet,
     channel: int | None = None,
     min_elements: int = 1,
-    weight_by_bytes: bool = False,
 ) -> ConsumptionStats:
     """Average Table II(b) row over all consumption profiles of a trace."""
-    entries = list(iter_profiles(trace, "consumption", channel, min_elements))
-    rows = [consumption_stats(p) for _, _, p in entries]
-    weights = None
-    if weight_by_bytes:
-        weights = [p.elements for _, _, p in entries]
-    return _aggregate(rows, ConsumptionStats, weights)
+    return _aggregate(
+        (consumption_stats(p) for _, _, p in
+         iter_profiles(trace, "consumption", channel, min_elements)),
+        ConsumptionStats,
+    )
 
 
 def scatter_points(

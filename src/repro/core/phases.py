@@ -19,6 +19,7 @@ achieves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,22 +95,31 @@ def phase_overlap_potential(
     message).
     """
     pot = PhasePotential()
-    for _, _, p in iter_profiles(trace, "consumption", channel, min_elements):
-        span = p.span
-        if span <= 0:
-            continue
-        t = p.clipped()
-        first_need = float(np.nanmin(t)) if not np.all(np.isnan(t)) else p.interval_end
-        pot.independent_consumption += first_need - p.interval_start
-        pot.dependent_consumption += p.interval_end - first_need
-        pot.consumption_intervals += 1
-    for _, _, p in iter_profiles(trace, "production", channel, min_elements):
-        span = p.span
-        if span <= 0:
-            continue
-        t = p.clipped()
-        first_final = float(np.nanmin(t)) if not np.all(np.isnan(t)) else p.interval_end
-        pot.pre_production += first_final - p.interval_start
-        pot.late_production += p.interval_end - first_final
-        pot.production_intervals += 1
+    (pot.independent_consumption, pot.dependent_consumption,
+     pot.consumption_intervals) = _split_at_first_access(
+        iter_profiles(trace, "consumption", channel, min_elements))
+    (pot.pre_production, pot.late_production,
+     pot.production_intervals) = _split_at_first_access(
+        iter_profiles(trace, "production", channel, min_elements))
     return pot
+
+
+def _split_at_first_access(profiles) -> tuple[float, float, int]:
+    """Interval time before and after the earliest access, summed over
+    the profiles with a positive span, and how many those are.
+
+    The earliest raw time is clipped into its interval (clipping is
+    monotone, so it commutes with the minimum); an interval nothing
+    touches counts whole on the early side.
+    """
+    before = after = 0.0
+    count = 0
+    for _, _, p in profiles:
+        if p.span <= 0:
+            continue
+        first = np.fmin.reduce(p.times) if p.elements else math.nan
+        first = p.interval_end if math.isnan(first) else float(p.clip(first))
+        before += first - p.interval_start
+        after += p.interval_end - first
+        count += 1
+    return before, after, count

@@ -68,7 +68,7 @@ import json
 import logging
 import os
 from collections import OrderedDict
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import BinaryIO, Callable
 
@@ -506,12 +506,20 @@ class SimResultCache(_DegradableCache):
 
     @staticmethod
     def key_for_digest(digest: str, machine: MachineConfig) -> str:
-        """Result key from an already-known trace digest."""
+        """Result key from an already-known trace digest.
+
+        The machine enters as ``dataclasses.asdict`` would give it; only
+        the perturbation schedule is nested, so only it is converted
+        (``asdict`` deep-copies every field, a lookup's main cost).
+        """
+        platform = {f.name: getattr(machine, f.name) for f in fields(machine)}
+        if machine.perturb is not None:
+            platform["perturb"] = asdict(machine.perturb)
         blob = json.dumps(
             {
                 "_version": __version__,
                 "trace": digest,
-                "machine": asdict(machine),
+                "machine": platform,
             },
             sort_keys=True, default=repr,
         ).encode()

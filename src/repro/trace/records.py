@@ -134,22 +134,39 @@ class AccessProfile:
         """Length of the interval in virtual seconds."""
         return self.interval_end - self.interval_start
 
-    def normalized(self) -> np.ndarray:
-        """Times mapped to ``[0, 1]`` within the interval.
+    def normalize(self, t: np.ndarray) -> np.ndarray:
+        """Absolute times ``t`` mapped to ``[0, 1]`` within the interval
+        (NaN kept).
 
         A zero-length interval maps every access to ``0.0`` (the access
-        cannot be earlier or later than the interval itself).
+        cannot be earlier or later than the interval itself).  The map
+        is monotone non-decreasing, so it commutes with min and max: a
+        reader may reduce the raw :attr:`times` and map only the result,
+        and gets the same bits as reducing :meth:`normalized` (bar the
+        sign of a zero when ``(t - start) / span`` underflows, which
+        times on the tracer's instruction clock never do).
         """
-        if self.span <= 0.0:
-            out = np.zeros_like(self.times)
-            out[np.isnan(self.times)] = np.nan
+        span = self.span
+        if span <= 0.0:
+            out = np.zeros_like(t, dtype=float)
+            out[np.isnan(t)] = np.nan
             return out
-        out = (self.times - self.interval_start) / self.span
-        return np.clip(out, 0.0, 1.0, out=out)
+        out = t - self.interval_start
+        out /= span
+        return out.clip(0.0, 1.0, out=out)
+
+    def clip(self, t: np.ndarray) -> np.ndarray:
+        """Absolute times ``t`` clipped into the interval bounds (NaN
+        kept); monotone, like :meth:`normalize`."""
+        return t.clip(self.interval_start, self.interval_end)
+
+    def normalized(self) -> np.ndarray:
+        """:attr:`times` mapped to ``[0, 1]`` by :meth:`normalize`."""
+        return self.normalize(self.times)
 
     def clipped(self) -> np.ndarray:
-        """Absolute times clipped into the interval bounds (NaN kept)."""
-        return np.clip(self.times, self.interval_start, self.interval_end)
+        """:attr:`times` clipped into the interval by :meth:`clip`."""
+        return self.clip(self.times)
 
     def normalized_stream(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Raw access stream as ``(offsets, normalized_times)``.
@@ -159,10 +176,7 @@ class AccessProfile:
         if self.stream is None:
             return None
         offsets, times = self.stream
-        if self.span <= 0.0:
-            return offsets, np.zeros_like(times)
-        norm = (times - self.interval_start) / self.span
-        return offsets, np.clip(norm, 0.0, 1.0)
+        return offsets, self.normalize(times)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from repro.core.chunking import (
     plan_chunks,
 )
 from repro.trace.records import AccessProfile
+from tests.conftest import access_profiles
 
 
 class TestPlanChunks:
@@ -56,7 +57,8 @@ class TestPlanChunks:
         assert (plan.sizes >= 0).all()
         bounds = plan.bounds
         assert bounds[0] == 0 and bounds[-1] == max(elements, 1)
-        assert (np.diff(bounds) >= 0).all()
+        # Every chunk holds an element: ``ufunc.reduceat`` needs this.
+        assert (np.diff(bounds) > 0).all()
 
 
 def prod_profile(times, lo=0.0, hi=1.0):
@@ -115,3 +117,43 @@ class TestChunkTimes:
         ready = chunk_ready_times(prod_profile(times), plan)
         valid = ready[~np.isnan(ready)]
         assert (np.diff(valid) >= -1e-12).all()
+
+
+# -- Reference formula: a clipped copy of the profile, then a
+# -- nan-reduction per chunk.
+def _oracle_segment_reduce(values, bounds, how):
+    out = np.full(len(bounds) - 1, np.nan)
+    for c in range(len(bounds) - 1):
+        seg = values[bounds[c]:bounds[c + 1]]
+        if seg.size and not np.all(np.isnan(seg)):
+            out[c] = np.nanmax(seg) if how == "max" else np.nanmin(seg)
+    return out
+
+
+def _oracle_clipped(p):
+    return np.clip(p.times, p.interval_start, p.interval_end)
+
+
+class TestRawTimeReduction:
+    """Chunk times reduced on raw times equal, bit for bit, the
+    reference's nan-reductions of a clipped copy."""
+
+    @given(p=access_profiles("production"), size=st.integers(0, 10_000),
+           chunks=st.integers(1, 32))
+    @settings(max_examples=400, deadline=None)
+    def test_ready_times(self, p, size, chunks):
+        plan = plan_chunks(size, p.elements, chunks)
+        new = chunk_ready_times(p, plan)
+        old = _oracle_segment_reduce(_oracle_clipped(p), plan.bounds, "max")
+        assert np.array_equal(new, old, equal_nan=True)
+        assert repr(new.tolist()) == repr(old.tolist())
+
+    @given(p=access_profiles("consumption"), size=st.integers(0, 10_000),
+           chunks=st.integers(1, 32))
+    @settings(max_examples=400, deadline=None)
+    def test_needed_times(self, p, size, chunks):
+        plan = plan_chunks(size, p.elements, chunks)
+        new = chunk_needed_times(p, plan)
+        old = _oracle_segment_reduce(_oracle_clipped(p), plan.bounds, "min")
+        assert np.array_equal(new, old, equal_nan=True)
+        assert repr(new.tolist()) == repr(old.tolist())

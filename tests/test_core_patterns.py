@@ -1,13 +1,18 @@
 """Tests of production/consumption pattern analysis (Table II, Fig. 5)."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.patterns import (
     IDEAL_CONSUMPTION,
     IDEAL_PRODUCTION,
+    ConsumptionStats,
+    ProductionStats,
     consumption_stats,
     consumption_table,
     iter_profiles,
@@ -17,7 +22,7 @@ from repro.core.patterns import (
 )
 from repro.trace.records import AccessProfile
 from repro.tracer import run_traced
-from tests.conftest import make_pipeline_app
+from tests.conftest import access_profiles, make_pipeline_app, profile_trace
 
 
 def prod(times, lo=0.0, hi=1.0):
@@ -165,3 +170,118 @@ class TestScatterPoints:
         tr = run_traced(app, 2, record_streams=True).trace
         x, y = scatter_points(tr, "production", max_points=17)
         assert x.size == 17
+
+
+# -- Reference formulas: a normalized copy of every profile, then
+# -- nan-reductions of its slices.
+def _oracle_normalized(p):
+    if p.span <= 0.0:
+        out = np.zeros_like(p.times)
+        out[np.isnan(p.times)] = np.nan
+        return out
+    out = (p.times - p.interval_start) / p.span
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def oracle_production_stats(profile):
+    t = _oracle_normalized(profile)
+    n = t.shape[0]
+    if n == 0 or np.all(np.isnan(t)):
+        return ProductionStats(math.nan, math.nan, math.nan, math.nan)
+
+    def prefix_max(frac):
+        k = max(1, int(math.ceil(frac * n)))
+        seg = t[:k]
+        if np.all(np.isnan(seg)):
+            return math.nan
+        return float(np.nanmax(seg))
+
+    return ProductionStats(
+        first_element=float(np.nanmin(t)),
+        quarter=prefix_max(0.25),
+        half=prefix_max(0.50),
+        whole=prefix_max(1.0),
+    )
+
+
+def oracle_consumption_stats(profile):
+    t = _oracle_normalized(profile)
+    n = t.shape[0]
+    if n == 0:
+        return ConsumptionStats(math.nan, math.nan, math.nan)
+
+    def passable(frac):
+        k = int(math.ceil(frac * n))
+        seg = t[k:]
+        if seg.size == 0 or np.all(np.isnan(seg)):
+            return 1.0
+        return float(np.nanmin(seg))
+
+    return ConsumptionStats(
+        nothing=passable(0.0),
+        quarter=passable(0.25),
+        half=passable(0.50),
+    )
+
+
+def oracle_aggregate(rows, cls):
+    names = [f.name for f in dataclasses.fields(cls)]
+    if not rows:
+        return cls(**{n: math.nan for n in names})
+    mat = np.array([[getattr(r, n) for n in names] for r in rows], dtype=float)
+    w = np.ones(mat.shape[0])
+    out = {}
+    for j, n in enumerate(names):
+        col = mat[:, j]
+        mask = ~np.isnan(col)
+        out[n] = (float(np.average(col[mask], weights=w[mask]))
+                  if mask.any() else math.nan)
+    return cls(**out)
+
+
+def assert_same_bits(new, old):
+    """Equal values, NaN where NaN, and the same ``repr`` (so the same
+    sign of every zero)."""
+    assert np.array_equal(np.array(dataclasses.astuple(new)),
+                          np.array(dataclasses.astuple(old)), equal_nan=True)
+    assert repr(new) == repr(old)
+
+
+class TestRawTimeReduction:
+    """The rows reduced on raw times equal, bit for bit, the
+    reference's reductions of a normalized copy."""
+
+    @given(p=access_profiles("production", min_elements=0))
+    @settings(max_examples=400, deadline=None)
+    def test_production_row(self, p):
+        assert_same_bits(production_stats(p), oracle_production_stats(p))
+
+    @given(p=access_profiles("consumption", min_elements=0))
+    @settings(max_examples=400, deadline=None)
+    def test_consumption_row(self, p):
+        assert_same_bits(consumption_stats(p), oracle_consumption_stats(p))
+
+    @given(prods=st.lists(access_profiles("production", min_elements=0),
+                          max_size=40),
+           conss=st.lists(access_profiles("consumption", min_elements=0),
+                          max_size=40),
+           min_elements=st.integers(0, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_tables(self, prods, conss, min_elements):
+        trace = profile_trace(prods, conss)
+        assert_same_bits(
+            production_table(trace, min_elements=min_elements),
+            oracle_aggregate([oracle_production_stats(p) for p in prods
+                              if p.elements >= min_elements],
+                             ProductionStats))
+        assert_same_bits(
+            consumption_table(trace, min_elements=min_elements),
+            oracle_aggregate([oracle_consumption_stats(p) for p in conss
+                              if p.elements >= min_elements],
+                             ConsumptionStats))
+
+    def test_empty_profiles(self):
+        assert_same_bits(production_stats(prod([])),
+                         ProductionStats(*[math.nan] * 4))
+        assert_same_bits(consumption_stats(cons([])),
+                         ConsumptionStats(*[math.nan] * 3))

@@ -1,10 +1,16 @@
 """Tests of the phase-level overlap analysis (future-work extension)."""
 
-import pytest
+import dataclasses
 
-from repro.core.phases import phase_overlap_potential
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.patterns import iter_profiles
+from repro.core.phases import PhasePotential, phase_overlap_potential
 from repro.tracer import run_traced
-from tests.conftest import make_pipeline_app
+from tests.conftest import access_profiles, make_pipeline_app, profile_trace
 
 
 def traced(prod, cons, work=1_000_000):
@@ -72,3 +78,45 @@ class TestAggregate:
         pot = phase_overlap_potential(tr)
         assert pot.reorderable_seconds == 0.0
         assert pot.independent_fraction == 0.0
+
+
+def oracle_phase_overlap_potential(trace, channel=None, min_elements=1):
+    """Reference headroom: a clipped copy of every profile, then its
+    nan-minimum."""
+    pot = PhasePotential()
+    for _, _, p in iter_profiles(trace, "consumption", channel, min_elements):
+        if p.span <= 0:
+            continue
+        t = np.clip(p.times, p.interval_start, p.interval_end)
+        first_need = (float(np.nanmin(t)) if not np.all(np.isnan(t))
+                      else p.interval_end)
+        pot.independent_consumption += first_need - p.interval_start
+        pot.dependent_consumption += p.interval_end - first_need
+        pot.consumption_intervals += 1
+    for _, _, p in iter_profiles(trace, "production", channel, min_elements):
+        if p.span <= 0:
+            continue
+        t = np.clip(p.times, p.interval_start, p.interval_end)
+        first_final = (float(np.nanmin(t)) if not np.all(np.isnan(t))
+                       else p.interval_end)
+        pot.pre_production += first_final - p.interval_start
+        pot.late_production += p.interval_end - first_final
+        pot.production_intervals += 1
+    return pot
+
+
+class TestRawTimeReduction:
+    @given(prods=st.lists(access_profiles("production", min_elements=0),
+                          max_size=24),
+           conss=st.lists(access_profiles("consumption", min_elements=0),
+                          max_size=24),
+           min_elements=st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_headroom_bit_for_bit(self, prods, conss, min_elements):
+        trace = profile_trace(prods, conss)
+        new = phase_overlap_potential(trace, min_elements=min_elements)
+        old = oracle_phase_overlap_potential(trace, min_elements=min_elements)
+        assert np.array_equal(np.array(dataclasses.astuple(new)),
+                              np.array(dataclasses.astuple(old)),
+                              equal_nan=True)
+        assert repr(new) == repr(old)

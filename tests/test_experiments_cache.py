@@ -235,6 +235,36 @@ class TestSimResultCache:
             ))
         assert len(keys) == len(variations) + 1
 
+    @pytest.mark.parametrize("platform", [
+        "testbed", "unlimited", "latency", "bandwidth-sag",
+    ])
+    def test_key_is_the_asdict_key(self, platform):
+        """Keys equal those of the whole platform through
+        ``dataclasses.asdict``: existing cache directories stay valid."""
+        import hashlib
+        import json
+
+        from repro import __version__
+        from repro.perturb.scenarios import build_scenario
+
+        cfg = MachineConfig.paper_testbed("cg")
+        cfg = {
+            "testbed": cfg,
+            "unlimited": cfg.with_platform(buses=None),
+            "latency": cfg.with_platform(latency=5e-5),
+            "bandwidth-sag": cfg.with_platform(
+                perturb=build_scenario("bandwidth-sag", 0.25, seed=3)),
+        }[platform]
+        assert (cfg.perturb is not None) == (platform == "bandwidth-sag")
+        digest = "0123456789abcdef01234567"
+        blob = json.dumps(
+            {"_version": __version__, "trace": digest,
+             "machine": dataclasses.asdict(cfg)},
+            sort_keys=True, default=repr,
+        ).encode()
+        assert (SimResultCache.key_for_digest(digest, cfg)
+                == hashlib.sha256(blob).hexdigest()[:24])
+
     def test_key_sensitive_to_trace_content(self, pipeline_trace, machine):
         from repro.tracer.tracefile import run_traced
         from tests.conftest import make_pipeline_app

@@ -21,7 +21,12 @@ bus count, unlimited buses):
 * ``table2``: for each Table I application at 16 ranks, the ``repr``
   of its measured Table II production and consumption fractions
   (:func:`~repro.experiments.tables.pattern_row`) and of the attainable
-  overlap bound they give at 4 chunks;
+  overlap bound they give at 4 chunks; ``table2_64`` holds the same at
+  64 ranks, the paper's scale;
+* ``phases``: for each Table I application at 16 and 64 ranks, the
+  ``repr`` of its phase-level headroom
+  (:func:`~repro.core.phases.phase_overlap_potential`) on the channels
+  the report reads;
 * ``figure6``: the ``repr`` of the Figure 6(b) relaxation and 6(c)
   equivalent bandwidths of the real and ideal variants on CG/16 and
   BT/16 (BT's equivalents are ``inf``), and on all six applications at
@@ -58,6 +63,7 @@ import pytest
 
 from repro.audit.auditor import AuditConfig
 from repro.audit.certify import result_digest
+from repro.core.phases import phase_overlap_potential
 from repro.dimemas import PAPER_BUSES, MachineConfig, simulate
 from repro.dimemas import replay as replay_module
 from repro.dimemas.network import Network
@@ -88,8 +94,11 @@ PLATFORMS = ("buses=1", "table1", "unlimited")
 #: The perturbation cases: every scenario on BT/16 real, on these
 #: platforms.
 PERTURB_PLATFORMS = ("table1", "buses=1")
-#: The rank count of the Table II entries.
+#: The rank count of the ``table2`` entries; ``table2_64`` holds the
+#: same rows at 64 ranks.
 TABLE2_NRANKS = 16
+#: The rank counts of the ``phases`` entries.
+PHASES_NRANKS = (16, 64)
 #: The audit and insight case.
 ANALYSIS_CASE = ("cg", 64, "real", "table1")
 #: The Figure 6(b)/(c) threshold cases: both searches for both
@@ -221,9 +230,9 @@ class Traces:
             simulate(*args, audit=acfg, perturb=perturb)
             return acfg.report.to_dict()
 
-    def table2(self, app: str) -> dict:
+    def table2(self, app: str, nranks: int = TABLE2_NRANKS) -> dict:
         """``repr`` of one application's Table II row and its bound."""
-        row = pattern_row(self.experiment(app, TABLE2_NRANKS))
+        row = pattern_row(self.experiment(app, nranks))
         return {
             "production": {k: repr(v)
                            for k, v in vars(row.production).items()},
@@ -232,6 +241,13 @@ class Traces:
             "bound": repr(attainable_overlap_bound(
                 row.production, row.consumption, chunks=4)),
         }
+
+    def phases(self, app: str, nranks: int) -> str:
+        """``repr`` of one application's phase-level headroom, on the
+        channels the report reads."""
+        channel = None if app == "alya" else 0
+        return repr(phase_overlap_potential(
+            self.trace(app, nranks, "original"), channel=channel))
 
     def audit(self) -> dict:
         app, nranks, variant, platform = ANALYSIS_CASE
@@ -287,6 +303,9 @@ def build_golden(traces: Traces) -> dict:
             f"{k}/{p}": traces.perturbed(k, p) for k, p in PERTURB_CASES
         },
         "table2": {app: traces.table2(app) for app in APPS},
+        "table2_64": {app: traces.table2(app, 64) for app in APPS},
+        "phases": {f"{app}/{n}": traces.phases(app, n)
+                   for app in APPS for n in PHASES_NRANKS},
         "audit": traces.audit(),
         "insight": traces.insight(),
         "analysis": {analysis_id(c): _sha(traces.analysis(c))
@@ -322,6 +341,10 @@ class TestGoldenDigests:
             f"{k}/{p}" for k, p in PERTURB_CASES
         )
         assert sorted(golden["table2"]) == sorted(APPS)
+        assert sorted(golden["table2_64"]) == sorted(APPS)
+        assert sorted(golden["phases"]) == sorted(
+            f"{app}/{n}" for app in APPS for n in PHASES_NRANKS
+        )
         assert sorted(golden["figure6"]) == sorted(
             f"{app}/{n}/{kind}/{variant}"
             for n, apps in FIGURE6_CASES.items() for app in apps
@@ -351,6 +374,15 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("app", APPS)
     def test_table2(self, traces, golden, app):
         assert traces.table2(app) == golden["table2"][app]
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_table2_paper_scale(self, traces, golden, app):
+        assert traces.table2(app, 64) == golden["table2_64"][app]
+
+    @pytest.mark.parametrize("nranks", PHASES_NRANKS)
+    @pytest.mark.parametrize("app", APPS)
+    def test_phase_headroom(self, traces, golden, app, nranks):
+        assert traces.phases(app, nranks) == golden["phases"][f"{app}/{nranks}"]
 
     def test_full_audit(self, traces, golden):
         assert traces.audit() == golden["audit"]
