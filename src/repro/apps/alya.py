@@ -84,7 +84,9 @@ class Alya(Application):
 
         assembly_work = int(self.dofs_per_rank * self.work_per_dof)
         spmv_work = int(self.dofs_per_rank * max(4, self.work_per_dof // 8))
-        one = np.zeros(1, dtype=np.intp)
+        # One-element operands: whole-buffer batches (offsets None).
+        produce = np.array([PRODUCTION_POINT])
+        consume = np.array([CONSUMPTION_POINT])
 
         for it in range(self.iterations):
             comm.event("iteration", it)
@@ -111,15 +113,15 @@ class Alya(Application):
                 comm.compute(
                     spmv_work,
                     loads=loads,
-                    stores=[(dot_s, one, np.array([PRODUCTION_POINT]))],
+                    stores=[(dot_s, None, produce)],
                 )
                 loads = []
                 comm.Allreduce(dot_s, dot_r)
                 comm.compute(
                     spmv_work,
-                    loads=[(dot_r, one, np.array([CONSUMPTION_POINT]))],
-                    stores=[(nrm_s, one, np.array([PRODUCTION_POINT]))],
+                    loads=[(dot_r, None, consume)],
+                    stores=[(nrm_s, None, produce)],
                 )
                 comm.Allreduce(nrm_s, nrm_r)
-                loads = [(nrm_r, one, np.array([CONSUMPTION_POINT]))]
+                loads = [(nrm_r, None, consume)]
         return {"peers": peers, "reductions": 2 * self.iterations * self.krylov_iters}

@@ -92,7 +92,8 @@ class NasCG(Application):
 
         prod = production_batches(seg, PRODUCTION_ANCHORS)
         cons = consumption_batches(seg, CONSUMPTION_ANCHORS)
-        one = np.zeros(1, dtype=np.intp)
+        # Scalar operands: whole-buffer batches (offsets None).
+        produce, consume = np.array([0.97]), np.array([0.02])
 
         # Transpose partner (exchange_proc of NPB-CG).
         t_row = col % nprows
@@ -133,12 +134,12 @@ class NasCG(Application):
                 loads += [(p_new, o, a) for o, a in cons]
             # Two scalar reductions: rho and the step dot product.
             comm.compute(vec_work, loads=loads,
-                         stores=[(dot_s, one, np.array([0.97]))])
+                         stores=[(dot_s, None, produce)])
             loads = []
             comm.Allreduce(dot_s, dot_r)
             comm.compute(vec_work,
-                         loads=[(dot_r, one, np.array([0.02]))],
-                         stores=[(rho_s, one, np.array([0.97]))])
+                         loads=[(dot_r, None, consume)],
+                         stores=[(rho_s, None, produce)])
             comm.Allreduce(rho_s, rho_r)
-            loads = [(rho_r, one, np.array([0.02]))]
+            loads = [(rho_r, None, consume)]
         return {"segment": seg, "grid": (nprows, npcols), "transpose": transpose}

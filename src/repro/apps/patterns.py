@@ -78,23 +78,24 @@ def production_batches(
     n: int,
     anchors: list[tuple[float, float]],
     revisits: int = 0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[None, np.ndarray]]:
     """Store batches ``(offsets, at)`` for one production interval.
 
+    Every batch covers the whole ``n``-element buffer in order, so its
+    offsets are ``None`` (see :class:`~repro.smpi.runtime.AccessBatch`).
     ``revisits`` adds that many earlier whole-buffer store passes
     (values still being accumulated) before the final-version pass —
     they do not move the last-store statistics but reproduce the dense
     revisit clouds of Figure 5(a) in the recorded streams.
     """
     final = anchored_times(n, anchors)
-    batches: list[tuple[np.ndarray, np.ndarray]] = []
+    batches: list[tuple[None, np.ndarray]] = []
     if revisits > 0:
         earliest = float(final.min())
         pass_times = np.linspace(0.05, max(earliest * 0.9, 0.05), revisits)
-        offs = np.arange(n, dtype=np.intp)
         for t in pass_times:
-            batches.append((offs, np.full(n, float(min(t, 1.0)))))
-    batches.append((np.arange(n, dtype=np.intp), final))
+            batches.append((None, np.full(n, float(min(t, 1.0)))))
+    batches.append((None, final))
     return batches
 
 
@@ -102,19 +103,20 @@ def consumption_batches(
     n: int,
     anchors: list[tuple[float, float]],
     rereads: int = 0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[None, np.ndarray]]:
     """Load batches ``(offsets, at)`` for one consumption interval.
 
-    ``rereads`` adds later whole-buffer load passes (e.g. BT's four
-    copy bursts); they leave the first-load statistics unchanged.
+    Every batch covers the whole ``n``-element buffer in order (offsets
+    ``None``).  ``rereads`` adds later whole-buffer load passes (e.g.
+    BT's four copy bursts); they leave the first-load statistics
+    unchanged.
     """
     first = anchored_times(n, anchors)
-    batches = [(np.arange(n, dtype=np.intp), first)]
+    batches: list[tuple[None, np.ndarray]] = [(None, first)]
     if rereads > 0:
         latest = float(first.max())
         lo = min(latest + 0.02, 1.0)
         pass_times = np.linspace(lo, min(lo + 0.1 * rereads, 1.0), rereads)
-        offs = np.arange(n, dtype=np.intp)
         for t in pass_times:
-            batches.append((offs, np.full(n, float(t))))
+            batches.append((None, np.full(n, float(t))))
     return batches

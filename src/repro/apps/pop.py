@@ -97,7 +97,7 @@ class POP(Application):
         opposite = {"e": "w", "w": "e", "n": "s", "s": "n"}
         tags = {"e": 0, "w": 1, "n": 2, "s": 3}
 
-        def exchange(sb: dict, rb: dict, loads_into: list) -> None:
+        def exchange(sb: dict, rb: dict) -> None:
             """Halo exchange in the deadlock-free Irecv/Send/Waitall idiom."""
             reqs = [
                 comm.Irecv(buf, neighbors[d][0], tag=tags[opposite[d]])
@@ -106,42 +106,43 @@ class POP(Application):
             for d, buf in sb.items():
                 comm.send(buf, neighbors[d][0], tag=tags[d])
             comm.waitall(reqs)
-            loads_into.extend(rb.values())
+
+        # The access batches are the same every step: build them once.
+        # Baroclinic: a big burst producing the halo strips late; the
+        # halos are consumed inside the next burst (independent work
+        # first, then the copy-in spike).
+        halo_stores = [
+            (buf, o, a)
+            for buf in sbufs.values()
+            for o, a in production_batches(buf.size, PRODUCTION_ANCHORS, revisits=2)
+        ]
+        halo_loads = [
+            (buf, o, a)
+            for buf in rbufs.values()
+            for o, a in consumption_batches(buf.size, CONSUMPTION_ANCHORS, rereads=1)
+        ]
+        # Barotropic solver: thin strips plus the residual scalar.
+        solver_stores = [
+            (buf, o, a)
+            for buf in solver_sbufs.values()
+            for o, a in production_batches(buf.size, PRODUCTION_ANCHORS)
+        ] + [(resid_s, None, np.array([0.97]))]
+        solver_loads = [
+            (buf, o, a)
+            for buf in solver_rbufs.values()
+            for o, a in consumption_batches(buf.size, CONSUMPTION_ANCHORS)
+        ] + [(resid_r, None, np.array([0.01]))]
 
         for step in range(self.steps):
             comm.event("iteration", step)
-            # Baroclinic: big burst producing the halo strips late.
-            stores = [
-                (buf, o, a)
-                for buf in sbufs.values()
-                for o, a in production_batches(buf.size, PRODUCTION_ANCHORS, revisits=2)
-            ]
-            comm.compute(baroclinic_work, stores=stores)
-            arrived: list[np.ndarray] = []
-            exchange(sbufs, rbufs, arrived)
-            # Consume the halos inside the next burst (independent work
-            # first, then the copy-in spike).
-            loads = [
-                (buf, o, a)
-                for buf in arrived
-                for o, a in consumption_batches(buf.size, CONSUMPTION_ANCHORS, rereads=1)
-            ]
+            comm.compute(baroclinic_work, stores=halo_stores)
+            exchange(sbufs, rbufs)
+            loads = halo_loads
             # Barotropic solver iterations.
             for _ in range(self.solver_iters):
-                stores = [
-                    (buf, o, a)
-                    for buf in solver_sbufs.values()
-                    for o, a in production_batches(buf.size, PRODUCTION_ANCHORS)
-                ] + [(resid_s, np.zeros(1, dtype=np.intp), np.array([0.97]))]
-                comm.compute(solver_work, loads=loads, stores=stores)
-                loads = []
-                arrived2: list[np.ndarray] = []
-                exchange(solver_sbufs, solver_rbufs, arrived2)
+                comm.compute(solver_work, loads=loads, stores=solver_stores)
+                exchange(solver_sbufs, solver_rbufs)
                 comm.Allreduce(resid_s, resid_r)
-                loads = [
-                    (buf, o, a)
-                    for buf in arrived2
-                    for o, a in consumption_batches(buf.size, CONSUMPTION_ANCHORS)
-                ] + [(resid_r, np.zeros(1, dtype=np.intp), np.array([0.01]))]
+                loads = solver_loads
             comm.compute(solver_work, loads=loads)
         return {"halo_elements": {d: int(b.size) for d, b in sbufs.items()}}

@@ -59,6 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..gcpause import pause_collector
 from ..obs import get_registry, traced
 from ..trace.records import (
     CHANNEL_CHUNK,
@@ -321,6 +322,7 @@ def _stream_neighbors(trace: TraceSet):
 # --------------------------------------------------------------------------- #
 
 @traced("transform.overlap")
+@pause_collector
 def overlap_transform(
     trace: TraceSet,
     config: OverlapConfig | None = None,
@@ -332,6 +334,10 @@ def overlap_transform(
     arguments (``chunks=4, schedule="ideal", ...``).  Returns the new
     :class:`TraceSet` and a :class:`TransformStats` summary.  The input
     trace is not modified.
+
+    The cyclic garbage collector is paused while the new trace is built
+    and left as the caller had it (:mod:`repro.gcpause`): the
+    transformation leaves no reference cycle behind.
     """
     if config is None:
         config = OverlapConfig(**kwargs)
@@ -389,12 +395,14 @@ def overlap_transform(
         )
         if decision is None:
             continue
-        plan, send_times, wait_times, ts, tr = decision
-        wait_times = np.maximum(wait_times, t_complete)
+        plan, send_times, wait_times, ts = decision
         stats.messages_transformed += 1
         stats.chunks_created += plan.nchunks
-        stats.sends_advanced += int(np.sum(send_times < ts - 1e-12))
-        stats.waits_postponed += int(np.sum(wait_times > t_complete + 1e-12))
+        advanced_before = ts - 1e-12
+        postponed_after = t_complete + 1e-12
+        stats.sends_advanced += sum(t < advanced_before for t in send_times)
+        stats.waits_postponed += sum(t > postponed_after for t in wait_times)
+        sizes = plan.sizes.tolist()
 
         se, re_ = edits[pair.src], edits[pair.dst]
 
@@ -409,7 +417,7 @@ def overlap_transform(
             req = new_req(pair.src)
             chunk_reqs.append(req)
             isend = ISend(
-                peer=pair.dst, tag=pair.tag, size=int(plan.sizes[c]),
+                peer=pair.dst, tag=pair.tag, size=sizes[c],
                 channel=CHANNEL_CHUNK, sub=chunk_sub(pair.channel, pair.sub, c),
                 context=pair.context, request=req,
                 rendezvous=not config.double_buffering,
@@ -441,7 +449,7 @@ def overlap_transform(
             req = new_req(pair.dst)
             re_.before_index[pair.recv_index].append(
                 IRecv(
-                    peer=pair.src, tag=pair.tag, size=int(plan.sizes[c]),
+                    peer=pair.src, tag=pair.tag, size=sizes[c],
                     channel=CHANNEL_CHUNK, sub=chunk_sub(pair.channel, pair.sub, c),
                     context=pair.context, request=req,
                 )
@@ -491,13 +499,29 @@ def _index_waits(trace: TraceSet) -> dict[tuple[int, int], int]:
     return out
 
 
+def _minimum(x: float, bound: float) -> float:
+    """``np.minimum(x, bound)`` on one float: NaN propagates, a tie
+    returns ``bound``."""
+    return x if not x >= bound else bound
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip(x, lo, hi)`` on one float (``lo <= hi``): NaN
+    propagates, a tie keeps ``x``."""
+    return lo if x < lo else hi if x > hi else x
+
+
 def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
                   regions, next_recv_t, complete_idx: int, t_complete: float,
                   lifecycle):
     """Decide chunk plan and schedules for one message.
 
-    Returns ``(plan, send_times, wait_times, ts, tr)`` or None when the
-    message is left untouched.
+    Returns ``(plan, send_times, wait_times, ts)`` or None when the
+    message is left untouched.  The 1-4 chunk times are lists of
+    Python floats, each computed with the IEEE operations, in the
+    order, of the NumPy expression written beside it: at this size a
+    NumPy call costs far more than its arithmetic.  Wait times are
+    never before ``t_complete``.
     """
     if pair.size <= 0:
         return None
@@ -508,7 +532,6 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
     srec = sproc.records[pair.send_index]
     rrec = rproc.records[pair.recv_index]
     ts = float(sproc.virtual_starts()[pair.send_index])
-    tr = float(rproc.virtual_starts()[pair.recv_index])
 
     production = srec.production
     consumption = rrec.consumption
@@ -537,7 +560,9 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
 
     # -- sender schedule ------------------------------------------------------
     prev_recv_of_buf, next_send_of_buf = lifecycle
-    if config.schedule == "ideal":
+    if not config.advance_sends:
+        send_times = [ts] * n
+    elif config.schedule == "ideal":
         # Uniform production through the production interval (previous
         # send of the buffer -> this send), never before the buffer's
         # own data arrived (forwarded buffers), falling back to the
@@ -545,48 +570,49 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
         if production is not None:
             p_start = production.interval_start
         else:
-            p_start = regions[pair.src][0][pair.send_index]
+            p_start = float(regions[pair.src][0][pair.send_index])
         p_start = max(p_start, prev_recv_of_buf.get((pair.src, pair.send_index), 0.0))
         span = max(ts - p_start, 0.0)
-        send_times = ts - span + (np.arange(1, n + 1) / n) * span
+        # np.minimum(ts - span + (np.arange(1, n + 1) / n) * span, ts)
+        base = ts - span
+        send_times = [_minimum(base + (c / n) * span, ts) for c in range(1, n + 1)]
+    elif production is not None:
+        # np.minimum(np.where(np.isnan(ready), ts, ready), ts)
+        ready = chunk_ready_times(production, plan).tolist()
+        send_times = [ts if t != t else _minimum(t, ts) for t in ready]
     else:
-        if production is not None and config.advance_sends:
-            send_times = chunk_ready_times(production, plan)
-            send_times = np.where(np.isnan(send_times), ts, send_times)
-        else:
-            send_times = np.full(n, ts)
-    send_times = np.minimum(send_times, ts)
-    if not config.advance_sends:
-        send_times = np.full(n, ts)
+        send_times = [ts] * n
 
     # -- receiver schedule ------------------------------------------------------
-    t_next = next_recv_t[(pair.dst, pair.recv_index)]
-    t_fwd = next_send_of_buf.get((pair.dst, pair.recv_index), math.inf)
-    if config.schedule == "ideal":
-        # Uniform consumption through the consumption interval (this
-        # receive -> next receive of the buffer), never past the point
-        # where the buffer is forwarded, falling back to the adjacent
-        # compute region when no profile exists.
-        if consumption is not None:
-            c_end = consumption.interval_end
-        else:
-            c_end = regions[pair.dst][1][complete_idx]
-        c_end = min(c_end, t_fwd)
-        span = max(c_end - t_complete, 0.0)
-        wait_times = t_complete + (np.arange(n) / n) * span
-    else:
-        if consumption is not None and config.postpone_receptions:
-            wait_times = chunk_needed_times(consumption, plan)
-            wait_times = np.where(
-                np.isnan(wait_times), consumption.interval_end, wait_times
-            )
-        else:
-            wait_times = np.full(n, t_complete)
-    upper = max(min(t_next, t_fwd), t_complete)
-    wait_times = np.clip(wait_times, t_complete, upper)
     if not config.postpone_receptions:
-        wait_times = np.full(n, t_complete)
+        wait_times = [t_complete] * n
+    else:
+        t_next = next_recv_t[(pair.dst, pair.recv_index)]
+        t_fwd = next_send_of_buf.get((pair.dst, pair.recv_index), math.inf)
+        upper = float(max(min(t_next, t_fwd), t_complete))
+        if config.schedule == "ideal":
+            # Uniform consumption through the consumption interval (this
+            # receive -> next receive of the buffer), never past the
+            # point where the buffer is forwarded, falling back to the
+            # adjacent compute region when no profile exists.
+            if consumption is not None:
+                c_end = consumption.interval_end
+            else:
+                c_end = float(regions[pair.dst][1][complete_idx])
+            c_end = min(c_end, t_fwd)
+            span = max(c_end - t_complete, 0.0)
+            # np.clip(t_complete + (np.arange(n) / n) * span, t_complete, upper)
+            wait_times = [_clip(t_complete + (c / n) * span, t_complete, upper)
+                          for c in range(n)]
+        elif consumption is not None:
+            # np.clip(np.where(np.isnan(needed), end, needed), t_complete, upper)
+            needed = chunk_needed_times(consumption, plan).tolist()
+            end = consumption.interval_end
+            wait_times = [_clip(end if t != t else t, t_complete, upper)
+                          for t in needed]
+        else:
+            wait_times = [t_complete] * n
 
-    if math.isnan(float(np.sum(send_times))) or math.isnan(float(np.sum(wait_times))):
+    if any(t != t for t in send_times) or any(t != t for t in wait_times):
         return None
-    return plan, send_times, wait_times, ts, tr
+    return plan, send_times, wait_times, ts

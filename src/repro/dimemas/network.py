@@ -80,22 +80,12 @@ class Transfer:
 
     injected: bool = False
     arrived: bool = False
-    #: Completion callbacks, allocated lazily — most transfers complete
-    #: with no subscriber, and skipping two list allocations per
-    #: transfer is measurable at replay scale.
-    _inject_waiters: list[Callable[[float], None]] | None = None
+    #: Arrival callbacks, allocated lazily — most transfers complete
+    #: with no subscriber, and skipping a list allocation per transfer
+    #: is measurable at replay scale.
     _arrival_waiters: list[Callable[[float], None]] | None = None
 
     # -- completion subscription ------------------------------------------------
-    def on_injected(self, fn: Callable[[float], None]) -> None:
-        """Call ``fn(inject_time)`` once injection completes."""
-        if self.injected:
-            fn(self.inject_time)  # type: ignore[arg-type]
-        elif self._inject_waiters is None:
-            self._inject_waiters = [fn]
-        else:
-            self._inject_waiters.append(fn)
-
     def on_arrived(self, fn: Callable[[float], None]) -> None:
         """Call ``fn(arrival_time)`` once the payload is delivered."""
         if self.arrived:
@@ -108,10 +98,6 @@ class Transfer:
     def _fire_injected(self, t: float) -> None:
         self.injected = True
         self.inject_time = t
-        waiters, self._inject_waiters = self._inject_waiters, None
-        if waiters:
-            for fn in waiters:
-                fn(t)
 
     def _fire_arrived(self, t: float) -> None:
         self.arrived = True
@@ -328,6 +314,12 @@ class PerturbedNetwork(Network):
     transfer may *start* during any outage, and latency windows add to
     the pipeline constant at delivery time.
 
+    An outage frees the link at its end without a release, which the
+    per-port wake of :class:`Network` cannot see.  So a schedule with
+    outages serves the whole queue in FIFO order on every submit and
+    release; one without keeps the plain per-port arbitration, which
+    is exact there because its resources are the plain network's.
+
     Everything is a pure function of ``loop.now`` and the schedule —
     no RNG, no wall clock — so perturbed replays stay bitwise
     deterministic.  Whenever a transfer takes longer than it would
@@ -456,6 +448,11 @@ class PerturbedNetwork(Network):
         return super()._queue_cause(t)
 
     def _admit(self, transfer: Transfer) -> None:
+        if not self._outage_spans:
+            # No outage: only a release frees a resource, so the plain
+            # per-port arbitration is exact (module docstring).
+            super()._admit(transfer)
+            return
         # An outage ends without a release, and other events at that
         # instant may run before its wake-up: serve the queue first.
         self._pass(list(self._queue.items()))
@@ -463,8 +460,12 @@ class PerturbedNetwork(Network):
         self._await_outage_end()
 
     def _wake(self, released: Transfer | None = None) -> None:
-        """One FIFO pass over the whole queue on every release (and at
-        the end of an outage, which frees the link with no release)."""
+        """With outages, one FIFO pass over the whole queue on every
+        release (and at the end of an outage, which frees the link with
+        no release); without, the plain per-port wake."""
+        if not self._outage_spans:
+            super()._wake(released)
+            return
         self._pass(list(self._queue.items()))
         self._await_outage_end()
 

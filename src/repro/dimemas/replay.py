@@ -61,10 +61,11 @@ It allocates a :class:`~repro.dimemas.network.Transfer` per message
 pair and a closure per pending event (about 15k transfers for a
 64-rank BT trace), enough to set off a full collection every second
 replay or so, and each one walks every record object the caller
-holds.  So :func:`simulate` pauses the collector for its whole span:
-plan lookup, event loop, result collection and the audit and insight
-read-out.  No garbage piles up meanwhile, because a drained replay
-holds no reference cycle: a :class:`_RankRunner` keeps what
+holds.  So :func:`simulate` pauses the collector for its whole span
+(:func:`repro.gcpause.pause_collector`): plan lookup, event loop,
+result collection and the audit and insight read-out.  No garbage
+piles up meanwhile, because a drained replay holds no reference
+cycle: a :class:`_RankRunner` keeps what
 ``advance`` reads (the loop, the network's ``submit``, the eager
 threshold, the request map, the collective barrier), not the
 :class:`_Simulation` whose ``runners`` list holds it, and a transfer
@@ -93,11 +94,11 @@ the cyclic GC to track; :func:`log_entries` regroups them:
 
 from __future__ import annotations
 
-import gc
 import time
 from collections import OrderedDict
 from typing import Callable, Iterator
 
+from ..gcpause import pause_collector
 from ..obs import get_registry, span as _span
 from ..core.matching import match_columnar
 from ..trace.columnar import (
@@ -696,6 +697,7 @@ class _Simulation:
         return tuple(out)
 
 
+@pause_collector
 def simulate(
     trace: "TraceSet | ColumnarTrace",
     machine: MachineConfig | None = None,
@@ -750,7 +752,7 @@ def simulate(
 
     The cyclic garbage collector is paused while the replay runs and
     left as the caller had it, on or off, whether the replay returns or
-    raises (module docstring).
+    raises (module docstring, :mod:`repro.gcpause`).
     """
     cfg = machine or MachineConfig()
     pert = perturb if perturb is not None else cfg.perturb
@@ -771,102 +773,94 @@ def simulate(
         auditor = InvariantAuditor(acfg) if acfg is not None else None
     metrics = get_registry()
     t_begin = time.perf_counter()
-    # The replay leaves no cycle for the collector to find (module
-    # docstring).
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        sp = _span("replay.simulate", nranks=trace.nranks)
-        with sp:
-            logged = auditor is not None or insight is not None
-            sim = _Simulation(trace, cfg, logged=logged, pert=pert)
-            for runner in sim.runners:
-                sim.loop.at(0.0, runner.advance)
-            budget_events = (max_events if max_events is not None
-                             else cfg.max_events)
-            budget_time = (max_sim_time if max_sim_time is not None
-                           else cfg.max_sim_time)
-            try:
-                with _span("replay.drain_queue", nranks=sim.nranks):
-                    sim.loop.run(max_events=budget_events,
-                                 max_time=budget_time)
-            except WatchdogExpired as w:
-                metrics.counter("replay.watchdog_expired").inc()
-                report = build_report(sim, sim.unmatched)
-                if pert is not None:
-                    window = pert.blocking_window(report.sim_time)
-                    if window is not None:
-                        # A degraded platform legitimately stalling past
-                        # the budget is a diagnosis, not a runaway: name
-                        # the perturbation window instead of a bare
-                        # timeout.
-                        raise PerturbationStall(
-                            w.reason, report, window) from None
-                raise SimulationTimeout(w.reason, report) from None
+    sp = _span("replay.simulate", nranks=trace.nranks)
+    with sp:
+        logged = auditor is not None or insight is not None
+        sim = _Simulation(trace, cfg, logged=logged, pert=pert)
+        for runner in sim.runners:
+            sim.loop.at(0.0, runner.advance)
+        budget_events = (max_events if max_events is not None
+                         else cfg.max_events)
+        budget_time = (max_sim_time if max_sim_time is not None
+                       else cfg.max_sim_time)
+        try:
+            with _span("replay.drain_queue", nranks=sim.nranks):
+                sim.loop.run(max_events=budget_events,
+                             max_time=budget_time)
+        except WatchdogExpired as w:
+            metrics.counter("replay.watchdog_expired").inc()
+            report = build_report(sim, sim.unmatched)
+            if pert is not None:
+                window = pert.blocking_window(report.sim_time)
+                if window is not None:
+                    # A degraded platform legitimately stalling past
+                    # the budget is a diagnosis, not a runaway: name
+                    # the perturbation window instead of a bare
+                    # timeout.
+                    raise PerturbationStall(
+                        w.reason, report, window) from None
+            raise SimulationTimeout(w.reason, report) from None
 
-            if any(not r.finished for r in sim.runners) or sim.coll._groups:
-                metrics.counter("replay.deadlocks").inc()
-                raise DeadlockError(build_report(sim, sim.unmatched))
+        if any(not r.finished for r in sim.runners) or sim.coll._groups:
+            metrics.counter("replay.deadlocks").inc()
+            raise DeadlockError(build_report(sim, sim.unmatched))
 
-            # Sort raw tuples (native comparison), then build the flights in
-            # final order — cheaper than sorting dataclasses through a key
-            # lambda.  The enumeration index reproduces the stable-sort tie
-            # order on equal (t_send, src, dst).
-            raw = [
-                (t.send_time, t.src, t.dst, i, t.start_time, t.arrival_time,
-                 t.size, t.tag)
-                for i, t in enumerate(sim.transfers)
-                if t.arrival_time is not None and t.send_time is not None
-            ]
-            raw.sort()
-            messages = [
-                MessageFlight(src, dst, t_send, t_start, t_recv, size, tag)
-                for (t_send, src, dst, _i, t_start, t_recv, size, tag) in raw
-            ]
-            result = SimResult(
-                nranks=sim.nranks,
-                duration=max((r.now for r in sim.runners), default=0.0),
-                rank_end=[r.now for r in sim.runners],
-                states=[r.states for r in sim.runners],
-                messages=messages,
-                events=[r.events for r in sim.runners],
-                network_stats={
-                    "peak_active_transfers": sim.network.peak_active,
-                    "wire_busy_seconds": sim.network.busy_seconds,
-                    "events_executed": sim.loop.executed,
-                },
+        # Sort raw tuples (native comparison), then build the flights in
+        # final order — cheaper than sorting dataclasses through a key
+        # lambda.  The enumeration index reproduces the stable-sort tie
+        # order on equal (t_send, src, dst).
+        raw = [
+            (t.send_time, t.src, t.dst, i, t.start_time, t.arrival_time,
+             t.size, t.tag)
+            for i, t in enumerate(sim.transfers)
+            if t.arrival_time is not None and t.send_time is not None
+        ]
+        raw.sort()
+        messages = [
+            MessageFlight(src, dst, t_send, t_start, t_recv, size, tag)
+            for (t_send, src, dst, _i, t_start, t_recv, size, tag) in raw
+        ]
+        result = SimResult(
+            nranks=sim.nranks,
+            duration=max((r.now for r in sim.runners), default=0.0),
+            rank_end=[r.now for r in sim.runners],
+            states=[r.states for r in sim.runners],
+            messages=messages,
+            events=[r.events for r in sim.runners],
+            network_stats={
+                "peak_active_transfers": sim.network.peak_active,
+                "wire_busy_seconds": sim.network.busy_seconds,
+                "events_executed": sim.loop.executed,
+            },
+        )
+        if insight is not None:
+            insight.read_log(sim)
+        if auditor is not None:
+            report = auditor.finish(sim, result)
+            if acfg.strict and not report.ok:
+                from ..audit.auditor import IntegrityError
+                raise IntegrityError(report)
+        # End-of-replay metric rollup: a handful of dict operations per
+        # *replay*, never per event, so the disabled-observability path
+        # stays within noise of uninstrumented code.
+        wall = time.perf_counter() - t_begin
+        metrics.counter("replay.runs").inc()
+        metrics.counter("replay.events").inc(sim.loop.executed)
+        metrics.counter("replay.queue_scan_steps").inc(
+            sim.network.scan_steps)
+        metrics.counter("replay.collectives").inc(sim.coll.completed)
+        metrics.counter("replay.messages").inc(len(messages))
+        metrics.histogram("replay.wall_seconds").observe(wall)
+        if wall > 0:
+            metrics.histogram("replay.events_per_second").observe(
+                sim.loop.executed / wall
             )
-            if insight is not None:
-                insight.read_log(sim)
-            if auditor is not None:
-                report = auditor.finish(sim, result)
-                if acfg.strict and not report.ok:
-                    from ..audit.auditor import IntegrityError
-                    raise IntegrityError(report)
-            # End-of-replay metric rollup: a handful of dict operations per
-            # *replay*, never per event, so the disabled-observability path
-            # stays within noise of uninstrumented code.
-            wall = time.perf_counter() - t_begin
-            metrics.counter("replay.runs").inc()
-            metrics.counter("replay.events").inc(sim.loop.executed)
-            metrics.counter("replay.queue_scan_steps").inc(
-                sim.network.scan_steps)
-            metrics.counter("replay.collectives").inc(sim.coll.completed)
-            metrics.counter("replay.messages").inc(len(messages))
-            metrics.histogram("replay.wall_seconds").observe(wall)
-            if wall > 0:
-                metrics.histogram("replay.events_per_second").observe(
-                    sim.loop.executed / wall
-                )
-            if result.duration > 0:
-                metrics.histogram("replay.bus_occupancy").observe(
-                    sim.network.busy_seconds / result.duration
-                )
-            sp.annotate(
-                events=sim.loop.executed, sim_seconds=result.duration,
-                messages=len(messages),
+        if result.duration > 0:
+            metrics.histogram("replay.bus_occupancy").observe(
+                sim.network.busy_seconds / result.duration
             )
-            return result
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+        sp.annotate(
+            events=sim.loop.executed, sim_seconds=result.duration,
+            messages=len(messages),
+        )
+        return result

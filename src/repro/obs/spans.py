@@ -37,17 +37,12 @@ from typing import Any, Callable
 
 __all__ = [
     "SpanRecord", "disable", "enable", "flush", "is_enabled", "span",
-    "take_epoch", "traced",
+    "traced",
 ]
 
 #: Offset turning ``perf_counter`` readings into absolute wall-clock
 #: seconds (comparable across processes on one host).
 _EPOCH = time.time() - time.perf_counter()
-
-
-def take_epoch() -> float:
-    """This process's perf_counter -> wall-clock offset."""
-    return _EPOCH
 
 
 class SpanRecord:

@@ -96,7 +96,8 @@ class Comm:
 
         ``loads``/``stores`` are :class:`~repro.smpi.runtime.AccessBatch`
         instances (or ``(buf, offsets[, at])`` tuples) describing the
-        accesses this burst performs on communication buffers.  ``at``
+        accesses this burst performs on communication buffers;
+        ``offsets=None`` means the whole buffer in order.  ``at``
         positions each access within the burst as a fraction in
         ``[0, 1]``.  Accesses to non-communication data need not (and
         should not) be reported.

@@ -79,12 +79,18 @@ class AccessBatch:
         touch.  Identity (``id(buf)``) links accesses to transfers, so
         applications must load/store and send/recv the *same object*.
     offsets:
-        Integer element indices into ``buf``.
+        Integer element indices into ``buf``, or ``None`` for the whole
+        buffer in element order (``arange(buf.size)``).  The whole-buffer
+        form is what the application skeletons emit: the tracer folds it
+        in one elementwise pass with no offset to check, where explicit
+        offsets (any subset, any order, repeats allowed) are
+        range-checked and scattered.  Both give the same trace.
     at:
         Fractions in ``[0, 1]`` locating each access within the burst
-        (0 = burst start, 1 = burst end), aligned with ``offsets``.
-        ``None`` distributes the accesses uniformly over the burst in
-        the order given.
+        (0 = burst start, 1 = burst end), aligned with ``offsets`` (one
+        per element of ``buf`` when ``offsets`` is None).  ``None``
+        distributes the accesses uniformly over the burst in the order
+        given.
     """
 
     buf: Any

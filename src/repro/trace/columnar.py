@@ -182,9 +182,6 @@ class _Cursor:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
 
 class RankColumns:
     """The packed record stream of one rank.

@@ -15,10 +15,15 @@ We keep, per communication buffer, two dense per-element arrays:
 * ``first_load[e]`` — virtual time of the first load of ``e`` inside
   the current *consumption interval* (between consecutive receives).
 
-Access streams arrive as vectorized batches (element offsets + burst
-fractions), so both updates are single ``np.fmax.at`` / ``np.fmin.at``
-scatter operations — the tracer costs O(accesses) NumPy work, never a
-Python-level per-element loop (see the HPC guide: vectorize).
+Access streams arrive as vectorized batches of burst fractions, so
+every update is one NumPy call — the tracer costs O(accesses) NumPy
+work, never a Python-level per-element loop.  A batch without offsets
+covers the whole buffer in element order (the form the application
+skeletons emit) and folds into the shadow array elementwise, with one
+``np.fmax`` / ``np.fmin`` into it; a batch with explicit offsets may
+touch any subset, in any order and with repeats, so it is range-checked
+and scattered with ``np.fmax.at`` / ``np.fmin.at``.  Both forms write
+the same bytes for the same accesses.
 """
 
 from __future__ import annotations
@@ -96,61 +101,74 @@ class MemoryTracker:
     # Access streams (called from compute bursts).
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _batch_times(offsets: np.ndarray, at, start: int, instructions: int,
+    def _batch_times(n: int, at, start: int, instructions: int,
                      default_kind: str) -> np.ndarray:
-        """Absolute icounts of a batch, applying the default placement.
+        """Absolute icounts of a batch of ``n`` accesses, applying the
+        default placement.
 
         Stores default to ``(i+1)/n`` of the burst (data exists once
         written), loads to ``i/n`` (data needed as the sweep reaches it).
         """
-        n = offsets.shape[0]
         if at is None:
             idx = np.arange(n, dtype=np.float64)
             frac = (idx + 1.0) / n if default_kind == "store" else idx / max(n, 1)
         else:
             frac = np.asarray(at, dtype=np.float64)
-            if frac.shape != offsets.shape:
+            if frac.shape != (n,):
                 raise ValueError(
-                    f"access batch shape mismatch: {offsets.shape} offsets "
+                    f"access batch shape mismatch: {(n,)} offsets "
                     f"vs {frac.shape} positions"
                 )
             if n and (frac.min() < 0.0 or frac.max() > 1.0):
                 raise ValueError("access positions must lie in [0, 1]")
         return start + frac * instructions
 
+    def _fold(self, st: BufferState, kind: str, offsets, at, start: int,
+              instructions: int) -> None:
+        """Fold one access batch into ``st``'s shadow array of ``kind``.
+
+        ``offsets=None`` is the whole buffer in order: one elementwise
+        ``fmax``/``fmin`` writes what the scatter would, and there is no
+        offset to check.  Explicit offsets are range-checked and
+        scattered.
+        """
+        if kind == "store":
+            shadow, stream, keep = st.last_store, st.store_stream, np.fmax
+        else:
+            shadow, stream, keep = st.first_load, st.load_stream, np.fmin
+        if offsets is None:
+            offs, n = None, st.elements
+        else:
+            offs = np.asarray(offsets, dtype=np.intp).reshape(-1)
+            n = offs.shape[0]
+            if n and (offs.min() < 0 or offs.max() >= st.elements):
+                raise IndexError(
+                    f"{kind} offsets out of range for buffer of "
+                    f"{st.elements} elements"
+                )
+        if n == 0:
+            return
+        times = self._batch_times(n, at, start, instructions, kind)
+        if offs is None:
+            keep(shadow, times, out=shadow)
+        else:
+            keep.at(shadow, offs, times)
+        if self.record_streams:
+            stream.append(
+                (np.arange(n, dtype=np.intp) if offs is None else offs, times)
+            )
+
     def record_stores(self, buf: Any, offsets, at, start: int, instructions: int) -> None:
         """Register a store batch: keep the latest store per element."""
         st = self.lookup(buf)
-        if st is None:
-            return
-        offs = np.asarray(offsets, dtype=np.intp).reshape(-1)
-        if offs.size == 0:
-            return
-        if offs.min() < 0 or offs.max() >= st.elements:
-            raise IndexError(
-                f"store offsets out of range for buffer of {st.elements} elements"
-            )
-        times = self._batch_times(offs, at, start, instructions, "store")
-        np.fmax.at(st.last_store, offs, times)
-        if self.record_streams:
-            st.store_stream.append((offs, times))
+        if st is not None:
+            self._fold(st, "store", offsets, at, start, instructions)
 
     def record_loads(self, buf: Any, offsets, at, start: int, instructions: int) -> None:
         """Register a load batch: keep the earliest load per element."""
         st = self.lookup(buf)
-        if st is None:
-            return
-        offs = np.asarray(offsets, dtype=np.intp).reshape(-1)
-        if offs.size == 0:
-            return
-        if offs.min() < 0 or offs.max() >= st.elements:
-            raise IndexError(
-                f"load offsets out of range for buffer of {st.elements} elements"
-            )
-        times = self._batch_times(offs, at, start, instructions, "load")
-        np.fmin.at(st.first_load, offs, times)
-        if self.record_streams:
-            st.load_stream.append((offs, times))
+        if st is not None:
+            self._fold(st, "load", offsets, at, start, instructions)
 
     # ------------------------------------------------------------------ #
     # Interval bookkeeping (called from MPI interception).

@@ -47,6 +47,26 @@ class TestPlanChunks:
         with pytest.raises(ValueError):
             plan_chunks(10, 10, chunks=0)
 
+    def test_plans_are_read_only(self):
+        plan = plan_chunks(size=800, elements=100, chunks=4)
+        with pytest.raises(ValueError):
+            plan.bounds[1] = 7
+        with pytest.raises(ValueError):
+            plan.sizes[0] = 7
+        assert plan.bounds.tolist() == [0, 25, 50, 75, 100]
+        assert plan.sizes.tolist() == [200, 200, 200, 200]
+
+    def test_one_plan_per_geometry(self):
+        plan = plan_chunks(1003, 10, 3)
+        again = plan_chunks(1003, 10, 3)
+        assert again is plan
+        fresh = plan_chunks.__wrapped__(1003, 10, 3)  # the unmemoized body
+        assert (fresh.elements, fresh.nchunks) == (plan.elements, plan.nchunks)
+        assert fresh.bounds.tolist() == plan.bounds.tolist()
+        assert fresh.sizes.tolist() == plan.sizes.tolist()
+        assert plan_chunks(1003, 10, 4) is not plan
+        assert plan_chunks(1004, 10, 3) is not plan
+
     @given(size=st.integers(0, 10_000), elements=st.integers(0, 5_000),
            chunks=st.integers(1, 32))
     @settings(max_examples=200, deadline=None)

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matching import match_messages
-from repro.core.transform import OverlapConfig, chunk_sub, overlap_transform
+from repro.core.transform import (
+    OverlapConfig,
+    _clip,
+    _minimum,
+    chunk_sub,
+    overlap_transform,
+)
 from repro.core.ideal import ideal_transform
 from repro.dimemas import simulate
 from repro.trace.records import (
@@ -32,6 +40,31 @@ class TestChunkSub:
             chunk_sub(16, 0, 0)
         with pytest.raises(ValueError):
             chunk_sub(0, 1 << 16, 0)
+
+
+#: Chunk times: non-negative virtual seconds, with ties likely; the
+#: bounds are record start times, never NaN.
+_finite = st.one_of(st.sampled_from((0.0, 1.0, 2.5)),
+                    st.floats(0.0, 1e3, allow_nan=False))
+_times = st.one_of(_finite, st.just(float("nan")))
+
+
+class TestScalarChunkTimes:
+    """The per-chunk float helpers of ``_plan_message`` against the
+    NumPy calls they stand for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_times, bound=_finite)
+    def test_minimum_is_np_minimum(self, x, bound):
+        want = np.minimum(np.array([x]), bound)[0]
+        assert np.array([_minimum(x, bound)]).tobytes() == np.array([want]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=_times, lo=_finite, width=st.sampled_from((0.0, 1.5)))
+    def test_clip_is_np_clip(self, x, lo, width):
+        hi = lo + width
+        want = np.clip(np.array([x]), lo, hi)[0]
+        assert np.array([_clip(x, lo, hi)]).tobytes() == np.array([want]).tobytes()
 
 
 class TestConfig:

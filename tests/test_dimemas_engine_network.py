@@ -73,11 +73,10 @@ class TestNetwork:
         net, cfg = make_net(loop)
         tr = Transfer(src=0, dst=1, size=1000)
         times = {}
-        tr.on_injected(lambda t: times.__setitem__("inj", t))
         tr.on_arrived(lambda t: times.__setitem__("arr", t))
         loop.at(0.0, lambda: net.submit(tr))
         loop.run()
-        assert times["inj"] == pytest.approx(10e-6)     # 1000 B / 100 MB/s
+        assert tr.inject_time == pytest.approx(10e-6)   # 1000 B / 100 MB/s
         assert times["arr"] == pytest.approx(20e-6)     # + 10 us latency
 
     def test_zero_size_costs_latency_only(self):

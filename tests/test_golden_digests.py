@@ -39,8 +39,9 @@ bus count, unlimited buses):
   decided a threshold from anything but the walk would show here;
 * ``rct``: the SHA-256 of the ``.rct`` entry, access profiles
   included, that :class:`~repro.experiments.cache.TraceCache` writes
-  for the CG/16 and BT/16 originals — the byte lock of the columnar
-  format, which keeps existing cache directories readable.
+  for the six Table I originals at 16 ranks — the byte lock of the
+  columnar format, which keeps existing cache directories readable,
+  and of the tracer's output.
 
 A change that is meant to leave behaviour alone must keep every entry
 identical.  If a change legitimately alters replay results, regenerate
@@ -107,7 +108,7 @@ FIGURE6_CASES = {16: ("cg", "bt"), 64: APPS}
 SEARCHES = {"relaxation": relaxation_bandwidth,
             "equivalent": equivalent_bandwidth}
 #: The originals whose trace-cache entry is locked byte for byte.
-RCT_CASES = (("cg", 16), ("bt", 16))
+RCT_CASES = tuple((app, 16) for app in APPS)
 #: The ``analysis`` cases: ``(kind, app, nranks, variant, platform,
 #: condition)``, the condition being a perturbation scenario (seed 0),
 #: ``"bus-blind"`` (see :class:`BusBlindNetwork`) or None.

@@ -5,7 +5,9 @@ release can unblock.  These tests drive it and a reference arbiter that
 restarts a FIFO scan at the queue head after every start (the obvious
 reading of Dimemas' queueing rule) with the same random traffic, and
 require the same replay log: the same queued, start and release
-entries, in the same order, at the same times.
+entries, in the same order, at the same times.  A perturbed network
+without outages is held to the same log as one that serves its whole
+queue in FIFO order on every submit and release.
 """
 
 import pytest
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.dimemas.engine import EventLoop
 from repro.dimemas.machine import MachineConfig
-from repro.dimemas.network import Network, Transfer
+from repro.dimemas.network import Network, PerturbedNetwork, Transfer
 from repro.dimemas.replay import log_entries
+from repro.perturb import BandwidthWindow, LatencyWindow, PerturbationSchedule
 
 NRANKS = 5
 
@@ -47,12 +50,25 @@ class RescanNetwork(Network):
         _rescan(self)
 
 
-def arbitrate(cls, traffic, **platform):
+class FullPassPerturbedNetwork(PerturbedNetwork):
+    """A perturbed network that serves its whole queue in FIFO order on
+    every submit and release, whether its schedule has outages or not."""
+
+    def _admit(self, transfer):
+        self._pass(list(self._queue.items()))
+        Network._admit(self, transfer)
+
+    def _wake(self, released=None):
+        self._pass(list(self._queue.items()))
+
+
+def arbitrate(cls, traffic, *args, **platform):
     """Submit ``traffic`` — ``(slot, src, dst, size)`` tuples, a slot
-    being 5 us — and return the network and everything it decided."""
+    being 5 us — to ``cls(loop, nranks, cfg, *args)`` and return the
+    network and everything it decided."""
     loop = EventLoop()
     cfg = MachineConfig(bandwidth_mbps=100.0, latency=10e-6, **platform)
-    net = cls(loop, NRANKS, cfg)
+    net = cls(loop, NRANKS, cfg, *args)
     net.log = []
     transfers = []
     for i, (slot, src, dst, size) in enumerate(traffic):
@@ -89,6 +105,32 @@ def test_same_schedule_as_full_rescan(traffic, buses, ports):
     assert got == want
     assert not net._queue
     assert not any(net._out_wait) and not any(net._in_wait)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    traffic=st.lists(_message, min_size=1, max_size=30),
+    buses=st.sampled_from((1, 2, None)),
+    ports=st.sampled_from((1, 2)),
+    window=st.tuples(st.integers(0, 8), st.integers(1, 12)),
+    factor=st.sampled_from((0.25, 0.5, 3.0)),
+    extra=st.sampled_from((0.0, 20e-6)),
+)
+def test_perturbed_without_outage_arbitrates_per_port(
+        traffic, buses, ports, window, factor, extra):
+    """Degraded bandwidth and latency spikes free no resource outside a
+    release, so the per-port wake decides what a full pass decides."""
+    t0, t1 = window[0] * 5e-6, (window[0] + window[1]) * 5e-6
+    schedule = PerturbationSchedule(
+        bandwidth=(BandwidthWindow(t0, t1, factor),),
+        latency=(LatencyWindow(t0, t1, extra),) if extra else (),
+    )
+    platform = dict(buses=buses, input_ports=ports, output_ports=ports)
+    net, got = arbitrate(PerturbedNetwork, traffic, schedule, **platform)
+    ref, want = arbitrate(FullPassPerturbedNetwork, traffic, schedule,
+                          **platform)
+    assert got == want
+    assert net.scan_steps <= ref.scan_steps
 
 
 def test_scan_steps_count_queued_checks_only():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace.records import (
     CHANNEL_COLLECTIVE,
@@ -127,6 +129,103 @@ class TestMemoryTracker:
         self.mt.record_stores(self.buf, [0], None, 0, 10)
         p = self.mt.close_production(self.buf, 10)
         assert p.stream is None
+
+
+@st.composite
+def _batches(draw):
+    """A buffer size, a sequence of access batches on it and the time
+    they end: ``(kind, at, start, instructions)`` whole-buffer batches,
+    with partial ``("partial-" + kind, offsets, at, ...)`` ones and
+    interval ends (``("send" | "recv", now)``) in between."""
+    n = draw(st.integers(1, 40))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    ops = []
+    now = 0
+    for _ in range(draw(st.integers(1, 12))):
+        choice = draw(st.sampled_from(("store", "load", "partial-store",
+                                       "partial-load", "send", "recv")))
+        instructions = draw(st.integers(0, 10_000))
+        if choice in ("send", "recv"):
+            ops.append((choice, now))
+        elif choice.startswith("partial-"):
+            offs = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=2 * n))
+            at = np.array(draw(st.lists(unit, min_size=len(offs),
+                                        max_size=len(offs))))
+            ops.append((choice, np.array(offs), at, now, instructions))
+        else:
+            at = draw(st.one_of(st.none(), st.lists(
+                unit, min_size=n, max_size=n).map(np.array)))
+            ops.append((choice, at, now, instructions))
+        now += instructions
+    return n, ops, now
+
+
+def _drive(n, ops, end, whole, record_streams):
+    """Apply ``ops`` to a fresh tracker; a whole-buffer batch goes in
+    with ``offsets=None`` when ``whole`` is set and as explicit
+    ``arange`` offsets otherwise.  Returns the shadow bytes after every
+    op and every profile emitted."""
+    mt = MemoryTracker(Clock(1000.0), record_streams=record_streams)
+    buf = np.zeros(n)
+    state = mt.lookup(buf)
+    recvs, profiles, shadows = [], [], []
+    for op in ops:
+        kind = op[0]
+        if kind == "send":
+            profiles.append(mt.close_production(buf, op[1]))
+        elif kind == "recv":
+            recvs.append(Recv(peer=0, tag=0, size=8 * n))
+            mt.note_recv(buf, recvs[-1], op[1])
+        elif kind.startswith("partial-"):
+            record = (mt.record_stores if kind == "partial-store"
+                      else mt.record_loads)
+            record(buf, *op[1:])
+        else:
+            _, at, start, instructions = op
+            offsets = None if whole else np.arange(n)
+            record = mt.record_stores if kind == "store" else mt.record_loads
+            record(buf, offsets, at, start, instructions)
+        shadows.append((state.last_store.tobytes(), state.first_load.tobytes()))
+    mt.finalize(end)
+    profiles.extend(r.consumption for r in recvs if r.consumption is not None)
+    return shadows, profiles
+
+
+def _profile_bytes(p):
+    stream = None if p.stream is None else tuple(
+        (a.dtype.str, a.tobytes()) for a in p.stream)
+    return (p.kind, p.times.tobytes(), p.interval_start, p.interval_end,
+            stream)
+
+
+class TestWholeBufferBatches:
+    """``offsets=None`` is the whole buffer in order: the same bytes as
+    explicit ``arange`` offsets through the scatter path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_batches(), record_streams=st.booleans())
+    def test_same_bytes_as_explicit_offsets(self, case, record_streams):
+        got = _drive(*case, whole=True, record_streams=record_streams)
+        want = _drive(*case, whole=False, record_streams=record_streams)
+        assert got[0] == want[0]
+        assert ([_profile_bytes(p) for p in got[1]]
+                == [_profile_bytes(p) for p in want[1]])
+
+    def test_positions_checked(self):
+        mt = MemoryTracker(Clock(1000.0))
+        buf = np.zeros(4)
+        with pytest.raises(ValueError):
+            mt.record_stores(buf, None, np.array([0.5, 0.5]), 0, 10)
+        with pytest.raises(ValueError):
+            mt.record_loads(buf, None, np.array([0.1, 0.2, 0.3, 1.5]), 0, 10)
+
+    def test_empty_buffer_is_a_no_op(self):
+        mt = MemoryTracker(Clock(1000.0), record_streams=True)
+        buf = np.zeros(0)
+        mt.record_stores(buf, None, None, 0, 10)
+        p = mt.close_production(buf, 10)
+        assert p.times.size == 0 and p.stream[0].size == 0
 
 
 class TestTracingEndToEnd:
