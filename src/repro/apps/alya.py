@@ -16,7 +16,7 @@ import numpy as np
 
 from ..smpi.api import Comm
 from .base import Application
-from .patterns import consumption_batches, production_batches
+from .patterns import consumption_batches, production_batches, scalar_at
 
 __all__ = ["Alya"]
 
@@ -85,27 +85,28 @@ class Alya(Application):
         assembly_work = int(self.dofs_per_rank * self.work_per_dof)
         spmv_work = int(self.dofs_per_rank * max(4, self.work_per_dof // 8))
         # One-element operands: whole-buffer batches (offsets None).
-        produce = np.array([PRODUCTION_POINT])
-        consume = np.array([CONSUMPTION_POINT])
+        produce, consume = scalar_at(PRODUCTION_POINT), scalar_at(CONSUMPTION_POINT)
+        # The halo batches are the same every iteration: build them once.
+        halo_stores = [
+            (b, o, a)
+            for b in sbufs.values()
+            for o, a in production_batches(b.size, HALO_PRODUCTION, revisits=2)
+        ]
+        halo_loads = [
+            (b, o, a)
+            for b in rbufs.values()
+            for o, a in consumption_batches(b.size, HALO_CONSUMPTION)
+        ]
 
         for it in range(self.iterations):
             comm.event("iteration", it)
             # Assembly: produce interface contributions late in the burst.
-            stores = [
-                (b, o, a)
-                for b in sbufs.values()
-                for o, a in production_batches(b.size, HALO_PRODUCTION, revisits=2)
-            ]
-            comm.compute(assembly_work, stores=stores)
+            comm.compute(assembly_work, stores=halo_stores)
             reqs = [comm.Irecv(b, p, tag=7) for p, b in rbufs.items()]
             for p, b in sbufs.items():
                 comm.send(b, p, tag=7)
             comm.waitall(reqs)
-            loads = [
-                (b, o, a)
-                for b in rbufs.values()
-                for o, a in consumption_batches(b.size, HALO_CONSUMPTION)
-            ]
+            loads = halo_loads
             # Krylov loop: the paper's dominant communication — scalar
             # allreduces whose operand is produced at 98.8 % of the
             # preceding burst and consumed 0.4 % into the next.

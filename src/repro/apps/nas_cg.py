@@ -19,7 +19,7 @@ import numpy as np
 
 from ..smpi.api import Comm
 from .base import Application
-from .patterns import consumption_batches, production_batches
+from .patterns import consumption_batches, production_batches, scalar_at
 
 __all__ = ["NasCG"]
 
@@ -93,7 +93,7 @@ class NasCG(Application):
         prod = production_batches(seg, PRODUCTION_ANCHORS)
         cons = consumption_batches(seg, CONSUMPTION_ANCHORS)
         # Scalar operands: whole-buffer batches (offsets None).
-        produce, consume = np.array([0.97]), np.array([0.02])
+        produce, consume = scalar_at(0.97), scalar_at(0.02)
 
         # Transpose partner (exchange_proc of NPB-CG).
         t_row = col % nprows

@@ -26,6 +26,7 @@ __all__ = [
     "burst_touches",
     "consumption_batches",
     "production_batches",
+    "scalar_at",
     "shift_anchors",
 ]
 
@@ -82,7 +83,9 @@ def production_batches(
     """Store batches ``(offsets, at)`` for one production interval.
 
     Every batch covers the whole ``n``-element buffer in order, so its
-    offsets are ``None`` (see :class:`~repro.smpi.runtime.AccessBatch`).
+    offsets are ``None`` (see :class:`~repro.smpi.runtime.AccessBatch`),
+    and its ``at`` is read-only, so the tracer range-checks it once
+    however often the batch is passed.
     ``revisits`` adds that many earlier whole-buffer store passes
     (values still being accumulated) before the final-version pass —
     they do not move the last-store statistics but reproduce the dense
@@ -96,7 +99,7 @@ def production_batches(
         for t in pass_times:
             batches.append((None, np.full(n, float(min(t, 1.0)))))
     batches.append((None, final))
-    return batches
+    return _read_only(batches)
 
 
 def consumption_batches(
@@ -107,9 +110,9 @@ def consumption_batches(
     """Load batches ``(offsets, at)`` for one consumption interval.
 
     Every batch covers the whole ``n``-element buffer in order (offsets
-    ``None``).  ``rereads`` adds later whole-buffer load passes (e.g.
-    BT's four copy bursts); they leave the first-load statistics
-    unchanged.
+    ``None``, read-only ``at`` as in :func:`production_batches`).
+    ``rereads`` adds later whole-buffer load passes (e.g. BT's four
+    copy bursts); they leave the first-load statistics unchanged.
     """
     first = anchored_times(n, anchors)
     batches: list[tuple[None, np.ndarray]] = [(None, first)]
@@ -119,4 +122,18 @@ def consumption_batches(
         pass_times = np.linspace(lo, min(lo + 0.1 * rereads, 1.0), rereads)
         for t in pass_times:
             batches.append((None, np.full(n, float(t))))
+    return _read_only(batches)
+
+
+def scalar_at(frac: float) -> np.ndarray:
+    """The read-only ``at`` of a one-element operand accessed at
+    ``frac`` of the burst (a reduction's scalar)."""
+    at = np.array([frac])
+    at.flags.writeable = False
+    return at
+
+
+def _read_only(batches: list[tuple[None, np.ndarray]]) -> list:
+    for _offsets, at in batches:
+        at.flags.writeable = False
     return batches

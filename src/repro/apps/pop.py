@@ -21,7 +21,7 @@ import numpy as np
 
 from ..smpi.api import Comm
 from .base import Application, grid_2d
-from .patterns import consumption_batches, production_batches
+from .patterns import consumption_batches, production_batches, scalar_at
 
 __all__ = ["POP"]
 
@@ -126,12 +126,12 @@ class POP(Application):
             (buf, o, a)
             for buf in solver_sbufs.values()
             for o, a in production_batches(buf.size, PRODUCTION_ANCHORS)
-        ] + [(resid_s, None, np.array([0.97]))]
+        ] + [(resid_s, None, scalar_at(0.97))]
         solver_loads = [
             (buf, o, a)
             for buf in solver_rbufs.values()
             for o, a in consumption_batches(buf.size, CONSUMPTION_ANCHORS)
-        ] + [(resid_r, None, np.array([0.01]))]
+        ] + [(resid_r, None, scalar_at(0.01))]
 
         for step in range(self.steps):
             comm.event("iteration", step)

@@ -4,8 +4,8 @@ Design constraint: :func:`~repro.dimemas.replay.simulate` is the inner
 loop of every experiment, so the audit machinery must cost nothing
 when off and stay cheap at ``basic``.  Every invariant is therefore
 checked *post hoc*, once the event loop drains, on state the replay
-materializes anyway (state intervals, transfer slots, the request map,
-the network's resource counters) and on the replay log (see
+materializes anyway (state intervals, transfer slots, the plan's
+request-to-pair resolution, the network's resource counters) and on the replay log (see
 :mod:`repro.dimemas.replay`), from which bus and port occupancy is
 recounted.
 
@@ -401,13 +401,10 @@ class InvariantAuditor:
         every waited request completed (arrived) by end of run."""
         self._checks.append("request.lifecycle")
         plan = sim.plan
-        by_rank: list[dict[int, tuple]] = [{} for _ in range(sim.nranks)]
-        for (rank, req), entry in sim.req_map.items():
-            by_rank[rank][req] = entry
-        for rank, posted in enumerate(by_rank):
+        for rank, posted in enumerate(plan.requests()):
             counts: dict[int, int] = {}
-            for reqs in plan.waits[rank].values():
-                for req in reqs:
+            for idx in sim.waits[rank]:
+                for req in plan.wait_requests(rank, idx):
                     counts[req] = counts.get(req, 0) + 1
             for req, n in counts.items():
                 if n > 1:
@@ -415,13 +412,14 @@ class InvariantAuditor:
                         "request.lifecycle",
                         f"request {req} waited {n} times", (rank,),
                     )
-                entry = posted.get(req)
-                if entry is not None:
-                    kind, tr = entry
-                    # Eager send requests buffer-complete at the call;
-                    # everything else must have completed by now for
-                    # the wait to have returned.
-                    if (kind != "send" or tr.rendezvous) and not tr.arrived:
+                ref = posted.get(req)
+                if ref is not None:
+                    # ``ref`` is a receive's pair, or ``~pid`` for a
+                    # send's.  Eager send requests buffer-complete at
+                    # the call; everything else must have completed by
+                    # now for the wait to have returned.
+                    tr = sim.transfers[ref if ref >= 0 else ~ref]
+                    if (ref >= 0 or tr.rendezvous) and not tr.arrived:
                         self._add(
                             "request.lifecycle",
                             f"request {req} was waited but its transfer "

@@ -1,17 +1,20 @@
 """Discrete-event core of the replay simulator.
 
-A minimal, deterministic event loop: events are ``(time, seq,
-callback)`` triples on a binary heap; ties in time break by insertion
-order, so replays are bit-reproducible.  The loop is deliberately
-dumb — all simulation semantics live in :mod:`repro.dimemas.replay`
-and :mod:`repro.dimemas.network`.
+A minimal, deterministic event loop: events are ``(time, seq, fn,
+arg)`` tuples on a binary heap, and running one calls ``fn(arg)``; ties
+in time break by insertion order, so replays are bit-reproducible.  The
+argument rides in the event so the scheduler never needs a closure: the
+replay schedules bound methods and plain functions with the object or
+time they act on.  The loop is deliberately dumb — all simulation
+semantics live in :mod:`repro.dimemas.replay` and
+:mod:`repro.dimemas.network`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+from typing import Any, Callable
 
 __all__ = ["EventLoop", "SimulationStalledError", "WatchdogExpired"]
 
@@ -42,15 +45,15 @@ class EventLoop:
     """Deterministic discrete-event loop."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         #: Current simulation time (seconds).
         self.now = 0.0
         #: Number of events executed so far.
         self.executed = 0
 
-    def at(self, time: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` at absolute ``time`` (>= now)."""
+    def at(self, time: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` at absolute ``time`` (>= now)."""
         now = self.now
         # Single guard for the common case: a NaN time fails this
         # comparison too, so the fast path costs one branch.
@@ -62,14 +65,14 @@ class EventLoop:
                     f"cannot schedule into the past: t={time} < now={now}"
                 )
             time = now
-        heapq.heappush(self._heap, (time, self._seq, fn))
+        heapq.heappush(self._heap, (time, self._seq, fn, arg))
         self._seq += 1
 
-    def after(self, delay: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` ``delay`` seconds from now."""
+    def after(self, delay: float, fn: Callable[[Any], None], arg: Any) -> None:
+        """Schedule ``fn(arg)`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self.at(self.now + delay, fn)
+        self.at(self.now + delay, fn, arg)
 
     def run(
         self,
@@ -98,13 +101,13 @@ class EventLoop:
             while heap:
                 if executed >= budget:
                     raise WatchdogExpired("max_events", self.now, executed)
-                time, _, fn = heap[0]
+                time, _, fn, arg = heap[0]
                 if time > time_limit:
                     raise WatchdogExpired("max_sim_time", self.now, executed)
                 pop(heap)
                 self.now = time
                 executed += 1
-                fn()
+                fn(arg)
         finally:
             self.executed = executed
         return self.now

@@ -161,20 +161,19 @@ class Network:
         if transfer.size == 0 or transfer.src == transfer.dst:
             # Pure sync or self-message: latency only, no resources.
             transfer.start_time = now
-            loop.at(now, lambda: transfer._fire_injected(loop.now))
+            loop.at(now, transfer._fire_injected, now)
             lat = 0.0 if transfer.src == transfer.dst else self._latency
-            loop.at(now + lat, lambda: transfer._fire_arrived(loop.now))
+            loop.at(now + lat, transfer._fire_arrived, now + lat)
             return
         if self._smp_possible and self.cfg.same_node(transfer.src, transfer.dst):
             # Shared-memory path: no buses, no ports (Dimemas' SMP node
             # model) — a plain copy at intra-node latency/bandwidth.
-            transfer.start_time = self.loop.now
+            # Each event gets the time it fires at, as ``after`` sums it.
+            transfer.start_time = now
             copy = self.cfg.intra_transfer_seconds(transfer.size)
-            self.loop.after(copy, lambda: transfer._fire_injected(self.loop.now))
-            self.loop.after(
-                copy + self.cfg.intra_latency,
-                lambda: transfer._fire_arrived(self.loop.now),
-            )
+            loop.after(copy, transfer._fire_injected, now + copy)
+            lat = copy + self.cfg.intra_latency
+            loop.after(lat, transfer._fire_arrived, now + lat)
             return
         self._admit(transfer)
 
@@ -272,7 +271,7 @@ class Network:
             self.log.extend(("start", now, t, active, len(self._queue)))
         finish, held = self._injection_end(t, now)
         self.busy_seconds += held
-        loop.at(finish, lambda: self._finish_injection(t))
+        loop.at(finish, self._finish_injection, t)
 
     def _injection_end(self, t: Transfer, now: float) -> tuple[float, float]:
         """When injecting ``t`` from ``now`` ends, and the wire seconds
@@ -297,7 +296,8 @@ class Network:
             self.log.extend(("release", now, t, self._active,
                              len(self._queue)))
         t._fire_injected(now)
-        loop.at(self._arrival(t, now), lambda: t._fire_arrived(loop.now))
+        arrival = self._arrival(t, now)
+        loop.at(arrival, t._fire_arrived, arrival)
         if self._queue:
             self._wake(t)
 
@@ -425,7 +425,7 @@ class PerturbedNetwork(Network):
             now = loop.now
             transfer.ready_time = now
             transfer.start_time = now
-            loop.at(now, lambda: transfer._fire_injected(loop.now))
+            loop.at(now, transfer._fire_injected, now)
             if transfer.src == transfer.dst:
                 lat = 0.0
             else:
@@ -433,7 +433,7 @@ class PerturbedNetwork(Network):
                 lat = self._latency + extra
                 if extra > 0.0:
                     self._note_excess(transfer, extra)
-            loop.at(now + lat, lambda: transfer._fire_arrived(loop.now))
+            loop.at(now + lat, transfer._fire_arrived, now + lat)
             return
         super().submit(transfer)
 
@@ -476,7 +476,7 @@ class PerturbedNetwork(Network):
                 # Nothing else is guaranteed to poke the queue while the
                 # link is down — wake it the instant the outage lifts.
                 self._woken.add(until)
-                self.loop.at(until, self._wake)
+                self.loop.at(until, self._wake, None)
 
     def _injection_end(self, t: Transfer, now: float) -> tuple[float, float]:
         occupancy = t.size / self._bandwidth

@@ -283,13 +283,15 @@ def _find_cycle(edges: dict[int, tuple[int, ...]]) -> list[int]:
     return []
 
 
-def _blocked_op(runner, sim) -> BlockedOp:
+def _blocked_op(runner, sim, posted: list[dict[int, int]]) -> BlockedOp:
     """Describe what one unfinished rank is stuck on.
 
     Reads the packed columns of the simulation's replay plan (see
     :mod:`repro.trace.columnar`) — the record objects no longer exist
-    at replay time.
+    at replay time — and ``posted``, the plan's
+    :meth:`~repro.dimemas.replay._ReplayPlan.requests`.
     """
+    from .replay import resolve_wait
     from ..trace.columnar import OP_NAMES
 
     rank = runner.rank
@@ -321,18 +323,16 @@ def _blocked_op(runner, sim) -> BlockedOp:
         elif peer is not None:
             waiting.append(peer)
     elif kind == "Wait":
-        pend_peers = []
-        missing = []
-        for req in plan.waits[rank][idx]:
-            entry = sim.req_map.get((rank, req))
-            if entry is None:
-                missing.append(req)
-                continue
-            req_kind, tr = entry
-            if tr.arrived or (req_kind == "send" and not tr.rendezvous):
-                continue
-            pend_peers.append(tr.src if req_kind == "recv" else tr.dst)
-        waiting.extend(pend_peers)
+        pids, missing = resolve_wait(
+            plan.wait_requests(rank, idx), posted[rank],
+            plan.rendezvous_flags(sim.cfg.eager_threshold),
+        )
+        for pid in pids:
+            tr = sim.transfers[pid]
+            if not tr.arrived:
+                # The other end: the sender of a receive request, the
+                # receiver of a send request.
+                waiting.append(tr.src if tr.dst == rank else tr.dst)
         if missing:
             detail = f"request(s) {missing[:8]} were never posted"
     elif kind == "GlobalOp":
@@ -354,7 +354,9 @@ def _blocked_op(runner, sim) -> BlockedOp:
 
 def build_report(sim, unmatched: list[str] | None = None) -> DeadlockReport:
     """Post-mortem of a stalled or watchdog-stopped ``_Simulation``."""
-    blocked = [_blocked_op(r, sim) for r in sim.runners if not r.finished]
+    posted = sim.plan.requests()
+    blocked = [_blocked_op(r, sim, posted)
+               for r in sim.runners if not r.finished]
     pending = [
         PendingMessage(
             src=t.src, dst=t.dst, tag=t.tag, size=t.size,

@@ -47,9 +47,21 @@ preprocessing is factored into a cached :class:`_ReplayPlan` built on
 the packed columnar form (:mod:`repro.trace.columnar`): message
 matching and burst coalescing run once per trace *content*, and the
 dispatch loop walks plain int/float lists instead of record objects.
+Per eager threshold the plan also keeps each pair's protocol and each
+Wait's pairs: the requests a Wait names are resolved to the pairs it
+must wait for (every receive, rendezvous sends only) once, so a
+replay's Wait indexes its transfers by pair and builds no request map.
 Plans are keyed by the trace's **content digest** in a bounded LRU, so
 a trace loaded from a cache (a different object with identical bytes)
 reuses the existing plan instead of re-matching from scratch.
+
+Per event the replay allocates little: an event is a ``(time, seq,
+fn, arg)`` tuple (:mod:`repro.dimemas.engine`) whose ``fn`` is a
+method or plain function and whose ``arg`` is the transfer, runner or
+time it acts on, never a closure; a rank's cursor stays in locals
+while :meth:`_RankRunner.advance` runs its CPU bursts; and a delivered
+message becomes a :class:`~repro.dimemas.results.MessageFlight` named
+tuple.
 
 :func:`simulate` accepts either a :class:`~repro.trace.records.TraceSet`
 or a :class:`~repro.trace.columnar.ColumnarTrace` — workers fed the
@@ -58,21 +70,21 @@ and both paths produce bitwise-identical results.
 
 A replay stays out of the way of CPython's cyclic garbage collector.
 It allocates a :class:`~repro.dimemas.network.Transfer` per message
-pair and a closure per pending event (about 15k transfers for a
-64-rank BT trace), enough to set off a full collection every second
-replay or so, and each one walks every record object the caller
-holds.  So :func:`simulate` pauses the collector for its whole span
+pair (about 15k for a 64-rank BT trace) and a few objects per event,
+enough to set off a full collection every second replay or so, and
+each one walks every record object the caller holds.  So
+:func:`simulate` pauses the collector for its whole span
 (:func:`repro.gcpause.pause_collector`): plan lookup, event loop,
 result collection and the audit and insight read-out.  No garbage
 piles up meanwhile, because a drained replay holds no reference
-cycle: a :class:`_RankRunner` keeps what
-``advance`` reads (the loop, the network's ``submit``, the eager
-threshold, the request map, the collective barrier), not the
-:class:`_Simulation` whose ``runners`` list holds it, and a transfer
-or the event heap drops each callback once it fires.  Reference
-counting frees the replay when :func:`simulate` returns.  A replay
-that raises (deadlock, watchdog) may leave cycles behind, which the
-collector, running again by then, reclaims.
+cycle: a :class:`_RankRunner` keeps what ``advance`` reads (the loop,
+the network's ``submit``, the eager threshold, the transfers and the
+Wait table, the collective barrier), not the :class:`_Simulation`
+whose ``runners`` list holds it, and a transfer or the event heap
+drops each callback once it fires.  Reference counting frees the
+replay when :func:`simulate` returns.  A replay that raises
+(deadlock, watchdog) may leave cycles behind, which the collector,
+running again by then, reclaims.
 
 Replay log
 ----------
@@ -96,7 +108,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Callable, Iterator
+from typing import Iterator
 
 from ..gcpause import pause_collector
 from ..obs import get_registry, span as _span
@@ -171,7 +183,7 @@ class _CollectiveSync:
             self.completed += 1
             del self._groups[(rec.context, rec.seq)]
             for r, _, _ in group:
-                self.loop.at(t_done, _make_resume(r, t_done))
+                self.loop.at(t_done, r._resume, t_done)
 
     def stuck(self) -> list[str]:
         return [
@@ -181,19 +193,15 @@ class _CollectiveSync:
         ]
 
 
-def _make_resume(runner: "_RankRunner", t: float) -> Callable[[], None]:
-    return lambda: runner._resume(t)
-
-
 class _RankRunner:
     """Sequential replay cursor of one rank."""
 
     __slots__ = (
         "rank", "ops", "durs", "events_at", "waits_at", "colls_at",
-        "sizes", "rvs", "send_tr", "recv_tr", "n",
+        "sizes", "rvs", "send_tr", "recv_tr", "transfers", "n",
         "idx", "now", "finished", "states", "events", "cpu_ratio",
         "_block_label", "_block_start", "log",
-        "loop", "submit", "eager_threshold", "req_map", "coll",
+        "loop", "submit", "eager_threshold", "coll",
     )
 
     def __init__(self, sim: "_Simulation", rank: int):
@@ -218,13 +226,14 @@ class _RankRunner:
             if noisy is not None:
                 self.durs = noisy
         self.events_at = plan.events[rank]
-        self.waits_at = plan.waits[rank]
+        self.waits_at = sim.waits[rank]
         self.colls_at = plan.colls[rank]
         rc = plan.col.ranks[rank]
         self.sizes = rc.size
         self.rvs = rc.rv
         self.send_tr = sim.send_tr[rank]
         self.recv_tr = sim.recv_tr[rank]
+        self.transfers = sim.transfers
         self.n = len(self.ops)
         self.idx = 0
         self.now = 0.0
@@ -237,7 +246,6 @@ class _RankRunner:
         self.loop = sim.loop
         self.submit = sim.network.submit
         self.eager_threshold = sim.cfg.eager_threshold
-        self.req_map = sim.req_map
         self.coll = sim.coll
 
     # -- state bookkeeping ---------------------------------------------------
@@ -272,35 +280,52 @@ class _RankRunner:
 
     # -- the replay loop ------------------------------------------------------
     def advance(self) -> None:
+        """Replay records until this rank blocks, finishes, or runs
+        ahead of the global clock.
+
+        The cursor (``idx``, ``now``) lives in locals.  It is written
+        back before every call that can read it or re-enter this method
+        (``submit``, :meth:`_block`, ``on_arrived``, ``coll.enter``)
+        and before a reschedule: once per side-effecting record, never
+        per CPU burst or user event.
+        """
         loop = self.loop
         network_submit = self.submit
         cpu_ratio = self.cpu_ratio
-        eager_threshold = self.eager_threshold
         ops = self.ops
         durs = self.durs
         send_tr = self.send_tr
         recv_tr = self.recv_tr
-        push_state = self._push_state
+        states = self.states
         n = self.n
-        while self.idx < n:
-            idx = self.idx
+        idx = self.idx
+        now = self.now
+        while idx < n:
             op = ops[idx]
             if op == _OP_CPU:
-                now = self.now
-                dur = durs[idx] * cpu_ratio
-                push_state("Running", now, now + dur)
-                self.now = now + dur
-                self.idx = idx + 1
+                t1 = now + durs[idx] * cpu_ratio
+                # :meth:`_push_state` ("Running", now, t1), inline and
+                # with its test, so a NaN duration is recorded as there.
+                if not t1 <= now + _EPS:
+                    if (states and (last := states[-1])[0] == "Running"
+                            and abs(last[2] - now) < _EPS):
+                        states[-1] = ("Running", last[1], t1)
+                    else:
+                        states.append(("Running", now, t1))
+                now = t1
+                idx += 1
                 continue
             if op == _OP_EVENT:
                 name, value = self.events_at[idx]
-                self.events.append((self.now, name, value))
-                self.idx = idx + 1
+                self.events.append((now, name, value))
+                idx += 1
                 continue
             # Side-effecting record: only execute once the global clock
             # has caught up (causal resource arbitration).
-            if self.now > loop.now + 1e-12:
-                loop.at(self.now, self.advance)
+            self.idx = idx
+            self.now = now
+            if now > loop.now + 1e-12:
+                loop.at(now, _RankRunner.advance, self)
                 return
 
             if op == _OP_SEND or op == _OP_ISEND:
@@ -314,24 +339,24 @@ class _RankRunner:
                     rv = self.rvs[idx]
                     rendezvous = (
                         bool(rv) if rv >= 0
-                        else self.sizes[idx] > eager_threshold
+                        else self.sizes[idx] > self.eager_threshold
                     )
                     if op == _OP_ISEND or not rendezvous:
-                        self.idx = idx + 1
+                        idx += 1
                         continue
                     self._block("Send")
                     return
-                tr.send_time = self.now
+                tr.send_time = now
                 if not tr.rendezvous:
                     # Eager: enqueue the transfer and move on (OS-bypass
                     # NIC — zero sender cost for Send and ISend alike).
                     network_submit(tr)
-                    self.idx = idx + 1
+                    idx += 1
                     continue
                 if tr.recv_post_time is not None:
                     network_submit(tr)
                 if op == _OP_ISEND:
-                    self.idx = idx + 1
+                    idx += 1
                     continue
                 self._block("Send")
                 tr.on_arrived(self._resume)
@@ -344,54 +369,48 @@ class _RankRunner:
                     # IRecv's dangling request is caught at its Wait; a
                     # blocking Recv blocks forever (diagnosable).
                     if op == _OP_IRECV:
-                        self.idx = idx + 1
+                        idx += 1
                         continue
                     self._block("Waiting a message")
                     return
-                tr.recv_post_time = self.now
+                tr.recv_post_time = now
                 if tr.rendezvous and tr.send_time is not None and tr.ready_time is None:
                     network_submit(tr)
                 if op == _OP_IRECV:
-                    self.idx = idx + 1
+                    idx += 1
                     continue
                 if tr.arrived:
-                    if tr.arrival_time > self.now:
-                        self.now = tr.arrival_time
-                    self.idx = idx + 1
+                    if tr.arrival_time > now:
+                        now = tr.arrival_time
+                    idx += 1
                     continue
                 self._block("Waiting a message")
                 tr.on_arrived(self._resume)
                 return
 
             if op == _OP_WAIT:
-                # Eager send requests are buffered (complete at the send
-                # call); everything else completes at message arrival.
+                # The plan resolved the requests: the pairs to wait for
+                # (eager send requests are buffered, complete at the
+                # send call), or None for a request that belongs to an
+                # unmatched ISend/IRecv or was never posted, which can
+                # never complete.
+                pids = self.waits_at[idx]
+                if pids is None:
+                    self._block("Wait/WaitAll")
+                    return
+                transfers = self.transfers
                 pend: list[Transfer] = []
-                latest = self.now
-                dangling = False
-                req_map = self.req_map
-                rank = self.rank
-                for req in self.waits_at[idx]:
-                    entry = req_map.get((rank, req))
-                    if entry is None:
-                        # Request belongs to an unmatched ISend/IRecv
-                        # (or was never posted): it can never complete.
-                        dangling = True
-                        continue
-                    kind, tr = entry
-                    if kind == "send" and not tr.rendezvous:
-                        continue
+                latest = now
+                for pid in pids:
+                    tr = transfers[pid]
                     if tr.arrived:
                         if tr.arrival_time > latest:
                             latest = tr.arrival_time
                     else:
                         pend.append(tr)
-                if dangling:
-                    self._block("Wait/WaitAll")
-                    return
                 if not pend:
-                    self.now = latest
-                    self.idx = idx + 1
+                    now = latest
+                    idx += 1
                     continue
                 self._block("Wait/WaitAll")
                 remaining = len(pend)
@@ -416,6 +435,8 @@ class _RankRunner:
             raise ReplayError(
                 f"rank {self.rank}: cannot replay opcode {op} at index {idx}"
             )
+        self.idx = idx
+        self.now = now
         if not self.finished:
             self.finished = True
 
@@ -501,14 +522,15 @@ class _ReplayPlan:
     Computed once per trace *content* (keyed by columnar digest) and
     shared by every subsequent :func:`simulate` call on equal bytes:
     the coalesced columns, per-rank opcode/duration lists for the
-    dispatch loop, side-table lookups for the rare records, and the
-    message matching.  Everything platform-dependent (transfer
-    protocol, network state) stays in :class:`_Simulation`.
+    dispatch loop, side-table lookups for the rare records, the
+    message matching, and per eager threshold each pair's protocol and
+    each Wait's pairs.  Everything else platform-dependent (network
+    state, transfer timing) stays in :class:`_Simulation`.
     """
 
     __slots__ = (
-        "digest", "col", "ops", "durs", "events", "waits", "colls",
-        "unmatched", "pair_specs", "_rdv_cache",
+        "digest", "col", "ops", "durs", "events", "colls",
+        "unmatched", "pair_specs", "_rdv_cache", "_wait_cache",
     )
 
     def __init__(self, col: ColumnarTrace):
@@ -519,23 +541,20 @@ class _ReplayPlan:
         #: Plain per-rank lists: the dispatch loop indexes these.
         self.ops = [list(rc.op) for rc in col.ranks]
         self.durs = [list(rc.dur) for rc in col.ranks]
-        #: Per-rank side-table lookups keyed by record index.
+        #: Per-rank side-table lookups keyed by record index (a Wait's
+        #: is :meth:`wait_table`'s, per eager threshold).
         self.events: list[dict[int, tuple[str, int]]] = []
-        self.waits: list[dict[int, tuple[int, ...]]] = []
         self.colls: list[dict[int, GlobalOp]] = []
         names = col.names
         collops = col.collops
         for rc in col.ranks:
             ev: dict[int, tuple[str, int]] = {}
-            wt: dict[int, tuple[int, ...]] = {}
             cl: dict[int, GlobalOp] = {}
             op = rc.op
             aux = rc.aux
             for i in range(rc.n):
                 o = op[i]
-                if o == _OP_WAIT:
-                    wt[i] = rc.waits[aux[i]]
-                elif o == _OP_EVENT:
+                if o == _OP_EVENT:
                     ni, val = rc.events[aux[i]]
                     ev[i] = (names[ni], val)
                 elif o == _OP_COLL:
@@ -545,7 +564,6 @@ class _ReplayPlan:
                         recv_size=t[3], seq=t[4], context=t[5], members=t[6],
                     )
             self.events.append(ev)
-            self.waits.append(wt)
             self.colls.append(cl)
         #: Matching-key descriptions of records no partner pairs with
         #: (empty for well-formed traces).  Malformed traces keep their
@@ -557,7 +575,8 @@ class _ReplayPlan:
         #: recv_req)`` per matched message, with the record indices
         #: renumbered into the coalesced columns and the request ids
         #: pre-resolved (None unless the endpoint is ISend/IRecv).
-        #: The per-platform init loop then touches no columns at all.
+        #: The per-platform init loop then touches no columns at all;
+        #: a pair's position here is its index (``pid``) everywhere.
         specs = []
         ranks = col.ranks
         for pair in matching.pairs:
@@ -570,10 +589,12 @@ class _ReplayPlan:
                 dst_rc.req[ri] if dst_rc.op[ri] == _OP_IRECV else None,
             ))
         self.pair_specs = specs
-        #: Per-eager-threshold rendezvous flags (one bool per pair).
-        #: A campaign sweeps bandwidth/latency far more often than the
-        #: eager threshold, so this usually holds a single entry.
+        #: Per-eager-threshold rendezvous flags (one bool per pair)
+        #: and Wait tables.  A campaign sweeps bandwidth/latency far
+        #: more often than the eager threshold, so each usually holds
+        #: a single entry.
         self._rdv_cache: dict[float, list[bool]] = {}
+        self._wait_cache: dict[float, list[dict]] = {}
 
     def rendezvous_flags(self, eager_threshold: float) -> list[bool]:
         """Protocol choice per matched pair under ``eager_threshold``."""
@@ -588,6 +609,79 @@ class _ReplayPlan:
                 self._rdv_cache.clear()
             self._rdv_cache[eager_threshold] = flags
         return flags
+
+    def requests(self) -> list[dict[int, int]]:
+        """Per rank, the pair each posted request id belongs to: ``pid``
+        for an IRecv's request, ``~pid`` (negative) for an ISend's.
+
+        The one request-to-pair rule; a request id posted twice on a
+        rank keeps its last pair.  Requests of unmatched records are
+        absent.  Built on demand: the replay reads it only through
+        :meth:`wait_table`, the audit and the post-mortem once each.
+        """
+        posted: list[dict[int, int]] = [{} for _ in self.col.ranks]
+        for pid, (src, dst, _si, _ri, _size, _tag, _rv, sreq, rreq) in (
+                enumerate(self.pair_specs)):
+            if sreq is not None:
+                posted[src][sreq] = ~pid
+            if rreq is not None:
+                posted[dst][rreq] = pid
+        return posted
+
+    def wait_requests(self, rank: int, idx: int) -> tuple[int, ...]:
+        """The request ids of the Wait at record ``idx`` of ``rank``."""
+        rc = self.col.ranks[rank]
+        return rc.waits[rc.aux[idx]]
+
+    def wait_table(
+        self, eager_threshold: float,
+    ) -> list[dict[int, tuple[int, ...] | None]]:
+        """Per rank, each Wait's record index mapped to the pairs it
+        waits for under ``eager_threshold`` (:func:`resolve_wait`), or
+        to None when one of its requests belongs to no pair: that Wait
+        can never complete."""
+        table = self._wait_cache.get(eager_threshold)
+        if table is None:
+            rdv = self.rendezvous_flags(eager_threshold)
+            table = []
+            for rc, ops, posted in zip(self.col.ranks, self.ops,
+                                       self.requests()):
+                waits, aux = rc.waits, rc.aux
+                entries: dict[int, tuple[int, ...] | None] = {}
+                for i, o in enumerate(ops):
+                    if o == _OP_WAIT:
+                        pids, missing = resolve_wait(
+                            waits[aux[i]], posted, rdv)
+                        entries[i] = None if missing else tuple(pids)
+                table.append(entries)
+            if len(self._wait_cache) >= 8:
+                self._wait_cache.clear()
+            self._wait_cache[eager_threshold] = table
+        return table
+
+
+def resolve_wait(
+    reqs: tuple[int, ...], posted: dict[int, int], rdv: list[bool],
+) -> tuple[list[int], list[int]]:
+    """The pairs a Wait on ``reqs`` waits for, and its requests that no
+    pair posted.
+
+    ``posted`` is one rank's :meth:`_ReplayPlan.requests`, ``rdv`` the
+    pairs' rendezvous flags.  A Wait waits for every receive and for
+    rendezvous sends only: an eager send request is buffered, complete
+    at the send call.  Pairs keep the order of ``reqs``.
+    """
+    pids: list[int] = []
+    missing: list[int] = []
+    for req in reqs:
+        ref = posted.get(req)
+        if ref is None:
+            missing.append(req)
+        elif ref >= 0:
+            pids.append(ref)
+        elif rdv[~ref]:
+            pids.append(~ref)
+    return pids, missing
 
 
 #: Content-digest-keyed plan LRU.  Bounded: an experiment campaign
@@ -656,45 +750,38 @@ class _Simulation:
         self.recv_tr: list[list[Transfer | None]] = [
             [None] * rc.n for rc in col.ranks
         ]
-        req_map: dict[tuple[int, int], tuple[str, Transfer]] = {}
-        self.req_map = req_map
+        #: One transfer per matched pair, indexed by pair (``pid``).
         transfers: list[Transfer] = []
         self.transfers = transfers
+        #: The plan's Wait table for this platform's eager threshold.
+        self.waits = plan.wait_table(cfg.eager_threshold)
 
         send_tr = self.send_tr
         recv_tr = self.recv_tr
         append = transfers.append
         rdv = plan.rendezvous_flags(cfg.eager_threshold)
         for spec, rendezvous in zip(plan.pair_specs, rdv):
-            src, dst, si, ri, size, tag, _rv, sreq, rreq = spec
+            src, dst, si, ri, size, tag, _rv, _sreq, _rreq = spec
             tr = Transfer(src, dst, size, tag, rendezvous)
             append(tr)
             send_tr[src][si] = tr
             recv_tr[dst][ri] = tr
-            if sreq is not None:
-                req_map[(src, sreq)] = ("send", tr)
-            if rreq is not None:
-                req_map[(dst, rreq)] = ("recv", tr)
 
         self.runners = [_RankRunner(self, r) for r in range(col.nranks)]
 
     def blocked_on(self, rank: int, idx: int) -> tuple[Transfer, ...]:
         """The transfers record ``idx`` of ``rank`` waited for when it
         blocked, arrived ones included: a Send's or Recv's own, a
-        Wait's requests except buffered eager sends, none for a
-        collective."""
+        Wait's pairs (:func:`resolve_wait`), none for a collective or
+        for a Wait that can never complete."""
         op = self.plan.ops[rank][idx]
         if op == _OP_SEND:
             return (self.send_tr[rank][idx],)
         if op == _OP_RECV:
             return (self.recv_tr[rank][idx],)
-        out = []
-        for req in self.plan.waits[rank].get(idx, ()):
-            entry = self.req_map.get((rank, req))
-            if entry is not None and (entry[0] != "send"
-                                      or entry[1].rendezvous):
-                out.append(entry[1])
-        return tuple(out)
+        transfers = self.transfers
+        return tuple(transfers[pid]
+                     for pid in self.waits[rank].get(idx) or ())
 
 
 @pause_collector
@@ -778,7 +865,7 @@ def simulate(
         logged = auditor is not None or insight is not None
         sim = _Simulation(trace, cfg, logged=logged, pert=pert)
         for runner in sim.runners:
-            sim.loop.at(0.0, runner.advance)
+            sim.loop.at(0.0, _RankRunner.advance, runner)
         budget_events = (max_events if max_events is not None
                          else cfg.max_events)
         budget_time = (max_sim_time if max_sim_time is not None

@@ -118,6 +118,9 @@ class AppExperiment:
         #: duration-only replay.
         self._durations: dict[tuple[str, MachineConfig], float] = {}
         self._published_specs: set[str] = set()
+        #: ``variant -> _spec_key(variant)``: the key hashes fields fixed
+        #: at construction, and warm lookups ask for it on every point.
+        self._spec_keys: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     def trace(self, variant: str = "original") -> TraceSet:
@@ -241,12 +244,17 @@ class AppExperiment:
 
     def _spec_key(self, variant: str) -> str:
         """Versioned content key of (application spec, variant) — the
-        identity behind the sim cache's spec->digest shortcut."""
-        from .cache import content_key
-        return content_key(
-            kind="experiment", app=self.app_name, nranks=self.nranks,
-            chunks=self.chunks, params=self.app_params, variant=variant,
-        )
+        identity behind the sim cache's spec->digest shortcut.  Hashed
+        once per variant; the digest it maps to is read from the cache
+        on every lookup."""
+        key = self._spec_keys.get(variant)
+        if key is None:
+            from .cache import content_key
+            key = self._spec_keys[variant] = content_key(
+                kind="experiment", app=self.app_name, nranks=self.nranks,
+                chunks=self.chunks, params=self.app_params, variant=variant,
+            )
+        return key
 
     def replay(self, variant: str, cfg: MachineConfig, full: bool):
         """The result (``full``) or makespan of a replay whose lookup

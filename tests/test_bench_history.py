@@ -17,6 +17,11 @@ BENCHMARK = {
         {"name": "peak_rss_mb", "unit": "MiB", "better": "lower",
          "bound": 0.1},
     ],
+    "per_layer": [
+        {"name": "dimemas.replay.s", "unit": "s", "better": "lower"},
+        {"name": "perturb.s", "unit": "s", "better": "lower"},
+        {"name": "audit.s", "unit": "s", "better": "lower"},
+    ],
 }
 
 
@@ -75,3 +80,40 @@ class TestCompare:
                                      history_path=bench_history.HISTORY_PATH)
         code, out = run(files, "fig6", result_line(10.0, 900.0), capsys)
         assert code == 1 and "+100.0%" in out
+
+    def test_per_layer_rows_when_both_lines_carry_them(self, files, capsys):
+        def traced(replay_s: float, perturb_s: float) -> dict:
+            line = result_line(10.0, 900.0)
+            line["metrics"].update({
+                "dimemas.replay.s": {"unit": "s", "value": replay_s},
+                "perturb.s": {"unit": "s", "value": perturb_s},
+            })
+            return line
+
+        bench_history.append_history(traced(2.0, 0.0), bench="fig6",
+                                     history_path=bench_history.HISTORY_PATH)
+        # A layer three times slower is reported, not gated.
+        code, out = run(files, "fig6", traced(6.0, 0.5), capsys)
+        assert code == 0 and "WORSE" not in out
+        rows = {ln.split()[0]: ln for ln in out.splitlines()
+                if ln.startswith("  ")}
+        assert "+200.0%" in rows["dimemas.replay.s"]
+        assert "n/a" in rows["perturb.s"]
+        assert "audit.s" not in rows  # carried by neither line
+
+    def test_a_traced_entry_does_not_hide_a_plain_regression(
+            self, files, capsys):
+        traced = {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "dimemas.replay.s": {"unit": "s", "value": 1.0}}}
+        bench_history.append_history(traced, bench="fig6",
+                                     history_path=bench_history.HISTORY_PATH)
+        # Compared with the plain entry before it, not the traced one.
+        code, out = run(files, "fig6", result_line(20.0, 900.0), capsys)
+        assert code == 1 and "+100.0%" in out
+        assert "per-layer" not in out
+
+    def test_traced_line_without_traced_history_passes(self, files, capsys):
+        line = {"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "dimemas.replay.s": {"unit": "s", "value": 1.0}}}
+        code, out = run(files, "fig6", line, capsys)
+        assert code == 0 and "no history" in out and "(traced runs)" in out

@@ -7,57 +7,79 @@ from repro.dimemas.machine import MachineConfig
 from repro.dimemas.network import Network, Transfer
 
 
+def nothing(_arg) -> None:
+    """An event that does nothing with its argument."""
+
+
 class TestEventLoop:
     def test_time_order(self):
         loop, out = EventLoop(), []
-        loop.at(2e-6, lambda: out.append("b"))
-        loop.at(1e-6, lambda: out.append("a"))
+        loop.at(2e-6, out.append, "b")
+        loop.at(1e-6, out.append, "a")
         loop.run()
         assert out == ["a", "b"]
 
     def test_fifo_on_ties(self):
         loop, out = EventLoop(), []
         for k in range(5):
-            loop.at(1e-6, lambda k=k: out.append(k))
+            loop.at(1e-6, out.append, k)
         loop.run()
         assert out == [0, 1, 2, 3, 4]
+
+    def test_events_carry_their_argument(self):
+        # Two events at one time run in push order, each called with
+        # its own argument; ``after`` passes its argument on.
+        loop, seen = EventLoop(), []
+
+        def note(tag):
+            seen.append((tag, loop.now))
+
+        def chain(tag):
+            note(tag)
+            loop.after(2e-6, note, tag + "-later")
+
+        loop.at(1e-6, chain, "first")
+        loop.at(1e-6, note, "second")
+        loop.run()
+        assert seen == [("first", 1e-6), ("second", 1e-6),
+                        ("first-later", 1e-6 + 2e-6)]
 
     def test_now_advances(self):
         loop = EventLoop()
         seen = []
-        loop.at(5e-6, lambda: seen.append(loop.now))
+        loop.at(5e-6, lambda _: seen.append(loop.now), None)
         end = loop.run()
         assert seen == [5e-6] and end == 5e-6
 
     def test_after_relative(self):
         loop, seen = EventLoop(), []
-        def first():
-            loop.after(3e-6, lambda: seen.append(loop.now))
-        loop.at(1e-6, first)
+        def first(_):
+            loop.after(3e-6, lambda _: seen.append(loop.now), None)
+        loop.at(1e-6, first, None)
         loop.run()
         assert seen == [pytest.approx(4e-6)]
 
     def test_scheduling_into_past_rejected(self):
         loop = EventLoop()
-        loop.at(1e-3, lambda: None)
-        def bad():
-            loop.at(0.0, lambda: None)
-        loop.at(2e-3, bad)
+        loop.at(1e-3, nothing, None)
+        def bad(_):
+            loop.at(0.0, nothing, None)
+        loop.at(2e-3, bad, None)
         with pytest.raises(ValueError, match="past"):
             loop.run()
 
     def test_nan_time_rejected(self):
         with pytest.raises(ValueError):
-            EventLoop().at(float("nan"), lambda: None)
+            EventLoop().at(float("nan"), nothing, None)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            EventLoop().after(-1.0, lambda: None)
+            EventLoop().after(-1.0, nothing, None)
 
     def test_executed_counter(self):
         loop = EventLoop()
         for _ in range(3):
-            loop.at(0.0, lambda: None)
+            loop.at(0.0, nothing, None)
         loop.run()
         assert loop.executed == 3 and loop.pending == 0
 
@@ -74,7 +96,7 @@ class TestNetwork:
         tr = Transfer(src=0, dst=1, size=1000)
         times = {}
         tr.on_arrived(lambda t: times.__setitem__("arr", t))
-        loop.at(0.0, lambda: net.submit(tr))
+        loop.at(0.0, net.submit, tr)
         loop.run()
         assert tr.inject_time == pytest.approx(10e-6)   # 1000 B / 100 MB/s
         assert times["arr"] == pytest.approx(20e-6)     # + 10 us latency
@@ -85,7 +107,7 @@ class TestNetwork:
         tr = Transfer(src=0, dst=1, size=0)
         arr = []
         tr.on_arrived(arr.append)
-        loop.at(0.0, lambda: net.submit(tr))
+        loop.at(0.0, net.submit, tr)
         loop.run()
         assert arr == [pytest.approx(10e-6)]
 
@@ -95,7 +117,7 @@ class TestNetwork:
         tr = Transfer(src=2, dst=2, size=4096)
         arr = []
         tr.on_arrived(arr.append)
-        loop.at(0.0, lambda: net.submit(tr))
+        loop.at(0.0, net.submit, tr)
         loop.run()
         assert arr == [pytest.approx(0.0)]
 
@@ -107,7 +129,8 @@ class TestNetwork:
         arr = {}
         t1.on_arrived(lambda t: arr.__setitem__(1, t))
         t2.on_arrived(lambda t: arr.__setitem__(2, t))
-        loop.at(0.0, lambda: (net.submit(t1), net.submit(t2)))
+        for t in (t1, t2):
+            loop.at(0.0, net.submit, t)
         loop.run()
         assert arr[1] == pytest.approx(20e-6)
         assert arr[2] == pytest.approx(30e-6)  # queued 10 us on the in-port
@@ -120,7 +143,8 @@ class TestNetwork:
         arr = {}
         t1.on_arrived(lambda t: arr.__setitem__(1, t))
         t2.on_arrived(lambda t: arr.__setitem__(2, t))
-        loop.at(0.0, lambda: (net.submit(t1), net.submit(t2)))
+        for t in (t1, t2):
+            loop.at(0.0, net.submit, t)
         loop.run()
         assert sorted(arr.values()) == [pytest.approx(20e-6), pytest.approx(30e-6)]
 
@@ -132,7 +156,8 @@ class TestNetwork:
         arr = {}
         t1.on_arrived(lambda t: arr.__setitem__(1, t))
         t2.on_arrived(lambda t: arr.__setitem__(2, t))
-        loop.at(0.0, lambda: (net.submit(t1), net.submit(t2)))
+        for t in (t1, t2):
+            loop.at(0.0, net.submit, t)
         loop.run()
         assert arr[1] == pytest.approx(20e-6) and arr[2] == pytest.approx(30e-6)
 
@@ -144,7 +169,8 @@ class TestNetwork:
         arr = {}
         t1.on_arrived(lambda t: arr.__setitem__(1, t))
         t2.on_arrived(lambda t: arr.__setitem__(2, t))
-        loop.at(0.0, lambda: (net.submit(t1), net.submit(t2)))
+        for t in (t1, t2):
+            loop.at(0.0, net.submit, t)
         loop.run()
         assert arr[1] == arr[2] == pytest.approx(20e-6)
 
@@ -159,7 +185,8 @@ class TestNetwork:
         arr = {}
         for key, t in (("a", a), ("b", b), ("c", c)):
             t.on_arrived(lambda tt, key=key: arr.__setitem__(key, tt))
-        loop.at(0.0, lambda: (net.submit(a), net.submit(b), net.submit(c)))
+        for t in (a, b, c):
+            loop.at(0.0, net.submit, t)
         loop.run()
         assert arr["a"] == pytest.approx(30e-6)
         assert arr["c"] == pytest.approx(20e-6)   # went ahead of b
@@ -169,7 +196,7 @@ class TestNetwork:
         loop = EventLoop()
         net, _ = make_net(loop)
         tr = Transfer(src=0, dst=1, size=0)
-        loop.at(0.0, lambda: net.submit(tr))
+        loop.at(0.0, net.submit, tr)
         loop.run()
         got = []
         tr.on_arrived(got.append)
@@ -179,7 +206,7 @@ class TestNetwork:
         loop = EventLoop()
         net, _ = make_net(loop, buses=2)
         for (s, d) in ((0, 1), (2, 3)):
-            loop.at(0.0, lambda s=s, d=d: net.submit(Transfer(src=s, dst=d, size=1000)))
+            loop.at(0.0, net.submit, Transfer(src=s, dst=d, size=1000))
         loop.run()
         assert net.peak_active == 2
         assert net.busy_seconds == pytest.approx(20e-6)

@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.audit.certify import result_digest
+from repro.dimemas import replay as replay_mod
 from repro.dimemas.machine import MachineConfig
-from repro.dimemas.replay import ReplayError, simulate
+from repro.dimemas.postmortem import BlockedOp
+from repro.dimemas.replay import DeadlockError, ReplayError, simulate
+from repro.dimemas.results import MessageFlight, SimResult
+from repro.trace.columnar import columnar_of
 from repro.trace.records import (
     CollOp,
     CpuBurst,
@@ -190,3 +195,115 @@ class TestDeterminism:
         assert a.duration == b.duration
         assert a.states == b.states
         assert a.messages == b.messages
+
+
+class TestResolvedWaits:
+    """A Wait's requests are resolved to pairs once per trace and eager
+    threshold; the replay and its post-mortem read that resolution."""
+
+    def _stall(self, trace) -> DeadlockError:
+        with pytest.raises(DeadlockError) as info:
+            simulate(trace, CFG)
+        return info.value
+
+    def test_wait_on_unmatched_isend_blocks(self):
+        err = self._stall(ts(
+            [ISend(peer=1, tag=0, size=1000, request=7), Wait((7,))],
+            [CpuBurst(1 * US)],
+        ))
+        assert err.report.blocked == [BlockedOp(
+            rank=0, op="Wait", record_index=1, state="Wait/WaitAll",
+            detail="request(s) [7] were never posted",
+        )]
+        assert "rank 0: blocked in Wait at record 1  request(s) [7] " \
+            "were never posted" in str(err)
+
+    def test_wait_on_unmatched_irecv_blocks(self):
+        err = self._stall(ts(
+            [CpuBurst(1 * US)],
+            [IRecv(peer=0, tag=0, size=1000, request=3), Wait((3,))],
+        ))
+        assert err.report.blocked == [BlockedOp(
+            rank=1, op="Wait", record_index=1, state="Wait/WaitAll",
+            detail="request(s) [3] were never posted",
+        )]
+
+    def test_dangling_wait_still_names_its_pending_peer(self):
+        # Request 1 pairs with a send rank 1 never reaches; request 2
+        # pairs with nothing.
+        err = self._stall(ts(
+            [IRecv(peer=1, tag=0, size=1000, request=1),
+             IRecv(peer=2, tag=9, size=1000, request=2), Wait((1, 2))],
+            [Recv(peer=0, tag=3, size=1000), Send(peer=0, tag=0, size=1000)],
+            [CpuBurst(1 * US)],
+        ))
+        assert err.report.blocked[0] == BlockedOp(
+            rank=0, op="Wait", record_index=2, state="Wait/WaitAll",
+            waiting_on=(1,), detail="request(s) [2] were never posted",
+        )
+        assert "rank 0: blocked in Wait at record 2  waiting on rank(s) 1" \
+            "  request(s) [2] were never posted" in str(err)
+
+    def _isend_wait(self, **platform) -> SimResult:
+        cfg = MachineConfig(bandwidth_mbps=100.0, latency=10e-6, **platform)
+        return simulate(ts(
+            [ISend(peer=1, tag=0, size=1000, request=1), Wait((1,)),
+             CpuBurst(5 * US)],
+            [Recv(peer=0, tag=0, size=1000)],
+        ), cfg)
+
+    def test_wait_on_eager_isend_completes_at_once(self):
+        res = self._isend_wait()
+        assert res.rank_end[0] == pytest.approx(5 * US)
+        assert res.time_in_state("Wait/WaitAll", 0) == 0.0
+
+    def test_wait_on_rendezvous_isend_blocks_until_delivery(self):
+        res = self._isend_wait(eager_threshold=0)
+        # The receive is posted at 0: 10 us wire + 10 us latency.
+        assert res.time_in_state("Wait/WaitAll", 0) == pytest.approx(20 * US)
+        assert res.rank_end[0] == pytest.approx(25 * US)
+
+    def test_thresholds_alternate_on_one_plan(self):
+        # A ring of non-blocking exchanges: under the 1500-byte
+        # threshold the 1000-byte sends are eager and the 2000-byte
+        # ones rendezvous; under 0 every send is rendezvous.
+        ring = []
+        for r in range(3):
+            nxt, prv = (r + 1) % 3, (r - 1) % 3
+            ring.append([
+                CpuBurst((10 + 20 * r) * US),
+                IRecv(peer=prv, tag=0, size=1000, request=1),
+                IRecv(peer=prv, tag=1, size=2000, request=2),
+                ISend(peer=nxt, tag=0, size=1000, request=3),
+                ISend(peer=nxt, tag=1, size=2000, request=4),
+                CpuBurst(5 * US), Wait((3, 1)), CpuBurst(5 * US),
+                Wait((2, 4)),
+            ])
+        col = columnar_of(ts(*ring))
+        cfgs = [MachineConfig(bandwidth_mbps=100.0, latency=10e-6,
+                              eager_threshold=k) for k in (1500, 0)]
+        fresh = []
+        for cfg in cfgs:
+            replay_mod._plan_lru.pop(col.digest, None)
+            fresh.append(result_digest(simulate(col, cfg)))
+        assert fresh[0] != fresh[1]
+        for _ in range(2):
+            for cfg, want in zip(cfgs, fresh):
+                assert result_digest(simulate(col, cfg)) == want
+        plan = replay_mod._plan_lru[col.digest]
+        assert sorted(plan._wait_cache) == [0, 1500]
+
+
+class TestMessageFlight:
+    def test_immutable_and_hashable(self):
+        m = MessageFlight(src=0, dst=1, t_send=1.0, t_start=1.5,
+                          t_recv=2.0, size=8, tag=3)
+        with pytest.raises(AttributeError):
+            m.src = 2
+        assert hash(m) == hash(MessageFlight(0, 1, 1.0, 1.5, 2.0, 8, 3))
+        assert len({m, MessageFlight(**m._asdict())}) == 1
+
+    def test_result_round_trips_through_dict(self, pipeline_trace, machine):
+        res = simulate(pipeline_trace, machine)
+        assert res.messages
+        assert SimResult.from_dict(res.to_dict()) == res

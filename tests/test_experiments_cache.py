@@ -142,6 +142,33 @@ class TestExperimentIntegration:
         assert d2 == d1
         assert e2._traces == {}
 
+    def test_spec_key_hashed_once_per_variant(self, tmp_path, monkeypatch):
+        from repro.experiments import cache as cache_mod
+
+        hashed = []
+        content_key = cache_mod.content_key
+
+        def counting(**fields):
+            if fields.get("kind") == "experiment":
+                hashed.append(fields["variant"])
+            return content_key(**fields)
+
+        monkeypatch.setattr(cache_mod, "content_key", counting)
+        sim_cache = SimResultCache(tmp_path)
+        kwargs = dict(
+            app_params=dict(n=2000, iterations=1),
+            machine=MachineConfig.paper_testbed("cg"),
+            sim_cache=sim_cache,
+        )
+        cold, e = (AppExperiment("cg", nranks=4, **kwargs) for _ in range(2))
+        for exp in (cold, e, e, e):
+            exp.duration("original")
+            exp.duration("original", bandwidth_mbps=100.0)
+        # One hash per variant and experiment; every warm lookup still
+        # reads the spec->digest entry from disk.
+        assert hashed == ["original", "original"]
+        assert e._traces == {}
+
     def test_platform_variations_get_distinct_entries(self, tmp_path):
         sim_cache = SimResultCache(tmp_path)
         e = AppExperiment(

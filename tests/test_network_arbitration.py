@@ -74,7 +74,7 @@ def arbitrate(cls, traffic, *args, **platform):
     for i, (slot, src, dst, size) in enumerate(traffic):
         tr = Transfer(src=src, dst=dst, size=size, tag=i)
         transfers.append(tr)
-        loop.at(slot * 5e-6, lambda tr=tr: net.submit(tr))
+        loop.at(slot * 5e-6, net.submit, tr)
     loop.run()
     return net, {
         # Every queued, start and release entry, its transfer named by

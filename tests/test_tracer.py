@@ -228,6 +228,100 @@ class TestWholeBufferBatches:
         assert p.times.size == 0 and p.stream[0].size == 0
 
 
+def _read_only(values) -> np.ndarray:
+    at = np.array(values, dtype=np.float64)
+    at.flags.writeable = False
+    return at
+
+
+class TestCheckedPositions:
+    """A read-only ``at`` is range-checked once; every check still
+    raises with its message."""
+
+    def test_bad_read_only_positions_raise_every_time(self):
+        mt = MemoryTracker(Clock(1000.0))
+        buf = np.zeros(3)
+        at = _read_only([0.1, 0.2, 1.5])
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                mt.record_stores(buf, None, at, 0, 10)
+
+    def test_checked_positions_still_shape_checked(self):
+        mt = MemoryTracker(Clock(1000.0))
+        at = _read_only([0.25, 0.5, 0.75])
+        mt.record_stores(np.zeros(3), None, at, 0, 10)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mt.record_stores(np.zeros(4), None, at, 0, 10)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            mt.record_loads(np.zeros(2), [0, 1], at, 0, 10)
+
+    def test_writable_positions_checked_on_every_call(self):
+        mt = MemoryTracker(Clock(1000.0))
+        buf = np.zeros(2)
+        at = np.array([0.5, 0.5])
+        mt.record_stores(buf, None, at, 0, 10)
+        at[1] = -0.5
+        with pytest.raises(ValueError, match="must lie in"):
+            mt.record_stores(buf, None, at, 10, 10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1,
+                        max_size=12),
+        bursts=st.lists(st.tuples(st.integers(0, 1000),
+                                  st.sampled_from((7, 10, 10_000))),
+                        min_size=1, max_size=6),
+    )
+    def test_checked_positions_give_the_same_bytes(self, values, bursts):
+        """One read-only array passed on every call records what fresh
+        writable copies record, whatever the burst lengths."""
+        at = _read_only(values)
+        got, want = (MemoryTracker(Clock(1000.0), record_streams=True)
+                     for _ in range(2))
+        bufs = {id(mt): np.zeros(len(values)) for mt in (got, want)}
+        now = 0
+        for gap, instructions in bursts:
+            now += gap
+            for mt, positions in ((got, at), (want, np.array(values))):
+                buf = bufs[id(mt)]
+                mt.record_stores(buf, None, positions, now, instructions)
+                mt.record_loads(buf, None, positions, now, instructions)
+            now += instructions
+        a, b = (mt.lookup(bufs[id(mt)]) for mt in (got, want))
+        assert a.last_store.tobytes() == b.last_store.tobytes()
+        assert a.first_load.tobytes() == b.first_load.tobytes()
+        assert ([t.tobytes() for _o, t in a.store_stream]
+                == [t.tobytes() for _o, t in b.store_stream])
+
+    def test_read_only_view_of_writable_memory_checked_every_call(self):
+        mt = MemoryTracker(Clock(1000.0))
+        buf = np.zeros(2)
+        memory = np.array([0.5, 0.5])
+        view = memory.view()
+        view.flags.writeable = False
+        mt.record_stores(buf, None, view, 0, 10)
+        memory[0] = 3.0
+        with pytest.raises(ValueError, match="must lie in"):
+            mt.record_stores(buf, None, view, 10, 10)
+
+    def test_a_new_array_at_a_reused_id_is_checked(self):
+        mt = MemoryTracker(Clock(1000.0))
+        buf = np.zeros(2)
+        mt.record_stores(buf, None, _read_only([0.5, 0.5]), 0, 10)
+        # The first array is gone; the next may take its id.
+        for _ in range(8):
+            with pytest.raises(ValueError, match="must lie in"):
+                mt.record_stores(buf, None, _read_only([0.5, 2.0]), 0, 10)
+
+    def test_skeleton_positions_are_read_only(self):
+        from repro.apps.patterns import (consumption_batches,
+                                         production_batches, scalar_at)
+        batches = (production_batches(8, [(0, 0.2), (1, 1)], revisits=2)
+                   + consumption_batches(8, [(0, 0), (1, 0.5)], rereads=2))
+        assert not any(at.flags.writeable for _o, at in batches)
+        assert not scalar_at(0.5).flags.writeable
+
+
 class TestTracingEndToEnd:
     def test_record_sequence_single_rank(self):
         def app(comm):

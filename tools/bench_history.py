@@ -9,18 +9,24 @@ with the git revision and a UTC timestamp and appends it as one line to
 Save a run's last stdout line in a file named after the bench
 (``fig6-cg-64.json``); the file stem names the bench.  Then::
 
-    # compare it with the last history entry of the same bench:
+    # compare it with the last history entry of the same bench and kind:
     python tools/bench_history.py --compare fig6-cg-64.json
 
     # and log it:
     python tools/bench_history.py fig6-cg-64.json
 
 ``--compare`` prints each end-to-end metric that ``BENCHMARK.json``
-declares next to the bench's last history entry, with the relative
-change and the metric's bound, and exits 1 when any metric is worse by
-more than its bound.  A bench with no history has nothing to compare
-and passes.  Wall-clock numbers compare only on one host: take the
-history entry and the new line on the same machine.
+declares next to the bench's last history entry of the same kind, with
+the relative change and the metric's bound, and exits 1 when any
+metric is worse by more than its bound.  The kind is plain or traced: a
+traced line (``--trace 1``) carries per-layer metrics and no end-to-end
+ones, so it is compared with the last traced entry, and a plain line
+with the last plain one.  For traced lines it prints the per-layer
+metrics both carry, with their change; they have no bound and never
+set the exit code.  A bench with no history of the kind has nothing to
+compare and passes.  Wall-clock numbers
+compare only on one host: take the history entry and the new line on
+the same machine.
 
 Lines are self-contained JSON objects, so the history is greppable and
 trivially loadable::
@@ -92,16 +98,27 @@ def compare_history(doc: dict, bench: str) -> tuple[list[str], bool]:
     Returns the report lines and whether any end-to-end metric of the
     benchmark declaration is worse than that entry by more than its
     bound (relative change, in the metric's ``better`` direction).
+    The entry is the bench's last of the same kind, plain or traced
+    (module docstring).  Per-layer metrics carried by both lines
+    follow, ungated.
     """
     spec = json.loads(BENCHMARK_PATH.read_text())
+    layer_names = {m["name"] for m in spec.get("per_layer", [])}
+
+    def traced(line: dict) -> bool:
+        return not layer_names.isdisjoint(line.get("metrics", {}))
+
+    kind = traced(doc)
     last = None
     if HISTORY_PATH.exists():
         for raw in HISTORY_PATH.read_text().splitlines():
             entry = json.loads(raw) if raw.strip() else {}
-            if entry.get("bench") == bench:
+            if (entry.get("bench") == bench
+                    and traced(entry.get("results", {})) == kind):
                 last = entry
     if last is None:
-        return [f"{bench}: no history entry to compare with"], False
+        return [f"{bench}: no history entry to compare with "
+                f"({'traced' if kind else 'plain'} runs)"], False
     lines = [f"{bench}: against {last.get('git_sha', '?')[:12]} "
              f"({last.get('timestamp', '?')})",
              f"  {'metric':<12} {'last':>12} {'now':>12} {'change':>8} "
@@ -122,6 +139,18 @@ def compare_history(doc: dict, bench: str) -> tuple[list[str], bool]:
             verdict = "  WORSE"
         lines.append(f"  {name:<12} {a:>12.4g} {b:>12.4g} {change:>+8.1%} "
                      f"{bound:>6.0%}  {metric['unit']}{verdict}")
+    layers = [m for m in spec.get("per_layer", [])
+              if m["name"] in old and m["name"] in new]
+    if layers:
+        width = max(len(m["name"]) for m in layers)
+        lines.append(f"  {'per-layer (no bound)':<{width}} {'last':>12} "
+                     f"{'now':>12} {'change':>8}")
+        for metric in layers:
+            name = metric["name"]
+            a, b = old[name]["value"], new[name]["value"]
+            change = f"{(b - a) / a:>+8.1%}" if a else f"{'n/a':>8}"
+            lines.append(f"  {name:<{width}} {a:>12.4g} {b:>12.4g} "
+                         f"{change}  {metric['unit']}")
     return lines, worse
 
 
