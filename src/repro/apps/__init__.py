@@ -1,4 +1,4 @@
-"""The application pool (paper §IV) plus synthetic test apps.
+"""The application pool (paper §IV) plus a synthetic halo exchange.
 
 ``APPS`` maps the paper's application names to their skeleton classes;
 :func:`get_app` instantiates one with overrides.
@@ -7,19 +7,17 @@
 from __future__ import annotations
 
 from .alya import Alya
-from .base import Application, grid_2d, grid_3d
+from .base import Application, grid_2d
 from .nas_bt import NasBT
 from .nas_cg import NasCG
 from .pop import POP
-from .random_sparse import RandomSparse
 from .specfem3d import SPECFEM3D
 from .sweep3d import Sweep3D
-from .synthetic import HaloExchange2D, PingPong, Pipeline1D, ReduceLoop
+from .synthetic import HaloExchange2D
 
 __all__ = [
     "APPS", "Alya", "Application", "HaloExchange2D", "NasBT", "NasCG",
-    "POP", "PingPong", "Pipeline1D", "RandomSparse", "ReduceLoop", "SPECFEM3D", "Sweep3D",
-    "get_app", "grid_2d", "grid_3d",
+    "POP", "SPECFEM3D", "Sweep3D", "get_app", "grid_2d",
 ]
 
 #: The paper's pool, keyed as in Table I.

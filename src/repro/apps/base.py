@@ -21,7 +21,7 @@ from typing import Any
 from ..tracer.tracefile import TraceRun, run_traced
 from ..tracer.timestamps import DEFAULT_MIPS
 
-__all__ = ["Application", "grid_2d", "grid_3d"]
+__all__ = ["Application", "grid_2d"]
 
 
 def grid_2d(nranks: int) -> tuple[int, int]:
@@ -30,15 +30,6 @@ def grid_2d(nranks: int) -> tuple[int, int]:
     while nranks % px:
         px -= 1
     return px, nranks // px
-
-
-def grid_3d(nranks: int) -> tuple[int, int, int]:
-    """Near-cubic 3-D process grid ``(px, py, pz)``."""
-    px = max(1, round(nranks ** (1.0 / 3.0)))
-    while nranks % px:
-        px -= 1
-    py, pz = grid_2d(nranks // px)
-    return px, py, pz
 
 
 class Application:

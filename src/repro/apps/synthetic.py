@@ -1,10 +1,9 @@
-"""Parameterized synthetic applications.
+"""A parameterized synthetic application: a generic 2-D halo exchange.
 
-Small, fully-controllable codes used by the test suite and the
-ablation benchmarks: their communication structure and access anchors
-are constructor arguments, so a test can dial in any
-production/consumption pattern and check the pipeline's response
-(e.g. "a perfectly linear producer must show ideal-level speedup").
+Its communication structure is the classic four-neighbour stencil and
+its access anchors are constructor arguments, so a script can dial in
+any production/consumption pattern and watch the pipeline's response
+(the README's and ``examples/quickstart.py``'s first run).
 """
 
 from __future__ import annotations
@@ -15,57 +14,9 @@ from ..smpi.api import Comm
 from .base import Application, grid_2d
 from .patterns import consumption_batches, production_batches
 
-__all__ = ["HaloExchange2D", "PingPong", "Pipeline1D", "ReduceLoop"]
+__all__ = ["HaloExchange2D"]
 
 _LINEAR = [(0.0, 0.0), (1.0, 1.0)]
-
-
-class Pipeline1D(Application):
-    """A chain of ranks: compute, forward a buffer, repeat.
-
-    The minimal wavefront: rank r receives from r-1, computes
-    (producing its outgoing buffer per the anchors), sends to r+1.
-    """
-
-    name = "pipeline1d"
-    default_nranks = 8
-
-    def __init__(
-        self,
-        elements: int = 1000,
-        work: int = 1_000_000,
-        iterations: int = 4,
-        production_anchors: list | None = None,
-        consumption_anchors: list | None = None,
-        revisits: int = 0,
-    ):
-        if elements < 1 or work < 0 or iterations < 1:
-            raise ValueError("invalid Pipeline1D parameters")
-        self.elements = elements
-        self.work = work
-        self.iterations = iterations
-        self.production_anchors = production_anchors or _LINEAR
-        self.consumption_anchors = consumption_anchors or _LINEAR
-        self.revisits = revisits
-
-    def __call__(self, comm: Comm):
-        r, s = comm.rank, comm.size
-        out = np.zeros(self.elements)
-        inbox = np.zeros(self.elements)
-        prod = production_batches(self.elements, self.production_anchors, self.revisits)
-        cons = consumption_batches(self.elements, self.consumption_anchors)
-        loads: list = []
-        for it in range(self.iterations):
-            comm.event("iteration", it)
-            if r > 0:
-                comm.Recv(inbox, r - 1, tag=0)
-                loads = [(inbox, o, a) for o, a in cons]
-            stores = [(out, o, a) for o, a in prod] if r < s - 1 else []
-            comm.compute(self.work, loads=loads, stores=stores)
-            loads = []
-            if r < s - 1:
-                comm.send(out, r + 1, tag=0)
-        return True
 
 
 class HaloExchange2D(Application):
@@ -115,70 +66,4 @@ class HaloExchange2D(Application):
             comm.waitall(reqs)
             loads = [(rbufs[t], o, a) for t in nbrs for o, a in cons]
         comm.compute(self.work // 2, loads=loads)
-        return True
-
-
-class ReduceLoop(Application):
-    """Alya-style loop of one-element reductions."""
-
-    name = "reduceloop"
-    default_nranks = 8
-
-    def __init__(self, work: int = 500_000, iterations: int = 10,
-                 produce_at: float = 0.9, consume_at: float = 0.05):
-        if work < 0 or iterations < 1:
-            raise ValueError("invalid ReduceLoop parameters")
-        if not (0 <= produce_at <= 1 and 0 <= consume_at <= 1):
-            raise ValueError("produce_at/consume_at must lie in [0, 1]")
-        self.work = work
-        self.iterations = iterations
-        self.produce_at = produce_at
-        self.consume_at = consume_at
-
-    def __call__(self, comm: Comm):
-        s_buf, r_buf = np.zeros(1), np.zeros(1)
-        one = np.zeros(1, dtype=np.intp)
-        loads: list = []
-        for it in range(self.iterations):
-            comm.event("iteration", it)
-            comm.compute(self.work, loads=loads,
-                         stores=[(s_buf, one, np.array([self.produce_at]))])
-            comm.Allreduce(s_buf, r_buf)
-            loads = [(r_buf, one, np.array([self.consume_at]))]
-        return True
-
-
-class PingPong(Application):
-    """Two ranks bouncing one buffer — the unit test workhorse."""
-
-    name = "pingpong"
-    default_nranks = 2
-
-    def __init__(self, elements: int = 256, work: int = 100_000,
-                 rounds: int = 3):
-        if elements < 1 or work < 0 or rounds < 1:
-            raise ValueError("invalid PingPong parameters")
-        self.elements = elements
-        self.work = work
-        self.rounds = rounds
-
-    def __call__(self, comm: Comm):
-        if comm.size < 2:
-            raise ValueError("PingPong needs at least 2 ranks")
-        if comm.rank > 1:
-            return False
-        buf = np.zeros(self.elements)
-        offs = np.arange(self.elements, dtype=np.intp)
-        for k in range(self.rounds):
-            comm.event("iteration", k)
-            if comm.rank == 0:
-                comm.compute(self.work, stores=[(buf, offs)])
-                comm.send(buf, 1, tag=k)
-                comm.Recv(buf, 1, tag=k)
-                comm.compute(self.work, loads=[(buf, offs)])
-            else:
-                comm.Recv(buf, 0, tag=k)
-                comm.compute(self.work, loads=[(buf, offs)])
-                comm.compute(self.work, stores=[(buf, offs)])
-                comm.send(buf, 0, tag=k)
         return True

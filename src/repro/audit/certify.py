@@ -9,7 +9,8 @@ Three layers of trust checking on top of the invariant auditor:
 * :func:`divergence` — per-rank attribution of *where* two results of
   the same trace differ (state intervals, events, end times, outgoing
   message flights).  This is how a structurally benign perturbation —
-  e.g. the ``skew`` fault injector — is pinned to the rank it touched.
+  e.g. one rank's compute bursts all scaled by one factor — is pinned
+  to the rank it touched.
 * :func:`certify_trace` — the ``repro-verify`` pipeline for one trace:
   structural validation, an audited replay, and (optionally) a second
   replay compared digest-for-digest.  Everything folds into one

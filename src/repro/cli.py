@@ -39,6 +39,7 @@ from .experiments.checkpoint import CampaignInterrupted
 from .paraver.gantt import render_gantt
 from .paraver.stats import comm_stats, profile_table
 from .trace import dim, prv
+from .trace.records import ISend, Send
 
 __all__ = ["main_analyze", "main_explain", "main_overlap", "main_report",
            "main_resilience", "main_simulate", "main_trace", "main_verify"]
@@ -348,6 +349,25 @@ def main_simulate(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _trace_stats(trace) -> dict:
+    """Summary statistics of a trace (records, bytes per channel)."""
+    bytes_per_channel: dict[int, int] = {}
+    messages = 0
+    for proc in trace:
+        for rec in proc:
+            if isinstance(rec, (Send, ISend)):
+                messages += 1
+                bytes_per_channel[rec.channel] = (
+                    bytes_per_channel.get(rec.channel, 0) + rec.size)
+    return {
+        "nranks": trace.nranks,
+        "records": trace.total_records(),
+        "messages": messages,
+        "bytes_per_channel": bytes_per_channel,
+        "virtual_compute_seconds": trace.total_virtual_compute(),
+    }
+
+
 @_interruptible
 def main_analyze(argv: list[str] | None = None) -> int:
     """``repro-analyze trace.dim`` — patterns, stats, phase headroom.
@@ -374,11 +394,10 @@ def main_analyze(argv: list[str] | None = None) -> int:
 
     from .core.patterns import consumption_table, production_table
     from .core.phases import phase_overlap_potential
-    from .trace.filters import trace_stats
 
     with _observed(args, "repro-analyze"):
         trace = dim.load(args.trace)
-        st = trace_stats(trace)
+        st = _trace_stats(trace)
         print(f"trace: {st['nranks']} ranks, {st['records']} records, "
               f"{st['messages']} messages, "
               f"{st['virtual_compute_seconds'] * 1e3:.3f} ms compute")

@@ -3,12 +3,12 @@
 The overlap transformation rewrites *both* endpoints of every message
 (the sender's chunked transmissions must agree with the receiver's
 chunked receptions), so it first needs to know which receive record
-each send record pairs with — and tracer validation, certification,
-:func:`~repro.trace.filters.repair` and the replay simulator must agree
-with it.  All of them ask :func:`match_columnar`, which replays MPI's
-non-overtaking rule offline: records with the same key ``(src, dst,
-context, channel, tag, sub)`` match in record order, the discipline the
-runtime matcher (:mod:`repro.smpi.matching`) applies while tracing.
+each send record pairs with — and tracer validation, certification and
+the replay simulator must agree with it.  All of them ask
+:func:`match_columnar`, which replays MPI's non-overtaking rule
+offline: records with the same key ``(src, dst, context, channel, tag,
+sub)`` match in record order, the discipline the runtime matcher
+(:mod:`repro.smpi.matching`) applies while tracing.
 
 The walk reads the int columns of a
 :class:`~repro.trace.columnar.ColumnarTrace`, and its :class:`Matching`

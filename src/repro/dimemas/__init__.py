@@ -1,6 +1,6 @@
 """Trace-driven replay simulator (the framework's Dimemas stage)."""
 
-from .engine import EventLoop, SimulationStalledError, WatchdogExpired
+from .engine import EventLoop, WatchdogExpired
 from .machine import MB, MachineConfig, PAPER_BANDWIDTH_MBPS, PAPER_BUSES
 from .network import Network, PerturbedNetwork, Transfer
 from .postmortem import (
@@ -18,6 +18,6 @@ __all__ = [
     "BlockedOp", "DeadlockError", "DeadlockReport", "EventLoop", "MB",
     "MachineConfig", "MessageFlight", "Network", "PAPER_BANDWIDTH_MBPS",
     "PAPER_BUSES", "PendingMessage", "PerturbationStall", "PerturbedNetwork",
-    "ReplayError", "STATE_NAMES", "SimResult", "SimulationStalledError",
-    "SimulationTimeout", "Transfer", "WatchdogExpired", "simulate",
+    "ReplayError", "STATE_NAMES", "SimResult", "SimulationTimeout",
+    "Transfer", "WatchdogExpired", "simulate",
 ]

@@ -16,11 +16,7 @@ import heapq
 import math
 from typing import Any, Callable
 
-__all__ = ["EventLoop", "SimulationStalledError", "WatchdogExpired"]
-
-
-class SimulationStalledError(RuntimeError):
-    """The event queue drained while simulated processes were still blocked."""
+__all__ = ["EventLoop", "WatchdogExpired"]
 
 
 class WatchdogExpired(RuntimeError):

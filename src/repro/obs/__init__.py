@@ -42,7 +42,6 @@ from .metrics import (
 from .spans import SpanRecord, disable, enable, flush, is_enabled, span, traced
 from .export import (
     insight_to_chrome,
-    metrics_table,
     span_summary_table,
     spans_to_chrome,
     write_chrome_trace,
@@ -73,7 +72,6 @@ __all__ = [
     "insight_to_chrome",
     "is_enabled",
     "merge_counter_totals",
-    "metrics_table",
     "new_run_id",
     "span",
     "span_summary_table",

@@ -10,8 +10,7 @@ sits visually next to its host wall-clock cost.
 
 For terminals, :func:`span_summary_table` aggregates the same spans
 into a per-stage table in the style of
-:func:`repro.paraver.stats.profile_table`, and
-:func:`metrics_table` renders the registry snapshot.
+:func:`repro.paraver.stats.profile_table`.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from pathlib import Path
 from .metrics import MetricsRegistry
 
 __all__ = [
-    "insight_to_chrome", "metrics_table", "span_summary_table",
+    "insight_to_chrome", "span_summary_table",
     "spans_to_chrome", "write_chrome_trace", "write_insight_trace",
     "write_metrics",
 ]
@@ -197,32 +196,6 @@ def span_summary_table(span_records, width: int = 28) -> str:
     lines.append(f"observed wall-clock: {wall:.3f} s "
                  f"({len(records)} spans)")
     return "\n".join(lines)
-
-
-def metrics_table(registry: MetricsRegistry, prefix: str = "") -> str:
-    """Plain-text rendering of the registry snapshot."""
-    snap = registry.snapshot()
-    lines: list[str] = []
-    counters = {n: v for n, v in snap["counters"].items()
-                if n.startswith(prefix)}
-    if counters:
-        lines.append("counters:")
-        lines += [f"  {n:<38} {v:>12}" for n, v in sorted(counters.items())]
-    gauges = {n: v for n, v in snap["gauges"].items() if n.startswith(prefix)}
-    if gauges:
-        lines.append("gauges:")
-        lines += [f"  {n:<38} {v:>12.6g}" for n, v in sorted(gauges.items())]
-    hists = {n: s for n, s in snap["histograms"].items()
-             if n.startswith(prefix) and s.get("count")}
-    if hists:
-        lines.append("histograms:                                   "
-                     "count       mean        p50        p90        max")
-        for n, s in sorted(hists.items()):
-            lines.append(
-                f"  {n:<38} {s['count']:>9} {s['mean']:>10.4g} "
-                f"{s['p50']:>10.4g} {s['p90']:>10.4g} {s['max']:>10.4g}"
-            )
-    return "\n".join(lines) if lines else "(no metrics recorded)"
 
 
 def write_metrics(path: str | Path, registry: MetricsRegistry,

@@ -8,26 +8,15 @@ from .critical import (
     critical_path,
     render_path,
 )
-from .gantt import STATE_CHARS, render_comparison, render_gantt
-from .histogram import (
-    Histogram,
-    flight_time_histogram,
-    message_size_histogram,
-    render_heatmap,
-    render_histogram,
-    state_duration_histogram,
-)
+from .gantt import STATE_CHARS, render_comparison, render_gantt, render_heatmap
 from .stats import CommStats, comm_stats, profile_table, state_matrix
 from .svg import STATE_COLORS, render_svg, write_svg
 from .timeline import iteration_bounds, sample_states
 
 __all__ = [
     "CommStats", "CriticalPath", "CriticalPathError", "ExecutionComparison",
-    "Histogram",
     "PathSegment", "STATE_CHARS", "STATE_COLORS", "critical_path", "render_path",
-    "flight_time_histogram", "message_size_histogram", "render_heatmap",
-    "render_histogram", "state_duration_histogram",
     "comm_stats", "compare", "iteration_bounds", "profile_table",
-    "render_comparison", "render_gantt", "render_svg", "sample_states",
-    "state_matrix", "write_svg",
+    "render_comparison", "render_gantt", "render_heatmap", "render_svg",
+    "sample_states", "state_matrix", "write_svg",
 ]

@@ -4,14 +4,18 @@ A terminal stand-in for the Paraver window of paper Figure 4: one row
 per rank, one character per time bin, colour replaced by a character
 per state.  Good enough to *"qualitatively inspect differences between
 the non-overlapped and overlapped executions"* right in a test log.
+:func:`render_heatmap` draws the same grid as the share of each bin
+one state takes (Paraver's 2-D analyzer view).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..dimemas.results import SimResult
 from .timeline import sample_states
 
-__all__ = ["STATE_CHARS", "render_gantt", "render_comparison"]
+__all__ = ["STATE_CHARS", "render_comparison", "render_gantt", "render_heatmap"]
 
 #: Character legend of the Gantt view.
 STATE_CHARS: dict[str | None, str] = {
@@ -25,6 +29,9 @@ STATE_CHARS: dict[str | None, str] = {
 }
 
 _LEGEND = "legend: # running   s send-blocked   r recv-wait   w waitall   g collective"
+
+#: Character ramp of the heatmap, from 0% to 100% of a bin.
+_BLOCKS = " .:-=+*#%@"
 
 
 def render_gantt(
@@ -77,3 +84,38 @@ def render_comparison(
         f"({pct:+.1f}% improvement)"
     )
     return "\n".join([a, "", b, "", tail, _LEGEND])
+
+
+def render_heatmap(
+    result: SimResult,
+    state: str = "Running",
+    width: int = 64,
+    t0: float | None = None,
+    t1: float | None = None,
+) -> str:
+    """Rank-vs-time density of one state (Paraver's 2-D analyzer view).
+
+    Each cell shows what share of the bin the rank spent in ``state``,
+    using a 10-level character ramp.
+    """
+    grid, lo, hi = sample_states(result, width, t0, t1)
+    bin_w = (hi - lo) / width
+    lines = [f"share of '{state}' per (rank, {bin_w * 1e6:.1f} us bin)"]
+    for rank in range(result.nranks):
+        cover = np.zeros(width)
+        for s, a, b in result.states[rank]:
+            if s != state:
+                continue
+            a, b = max(a, lo), min(b, hi)
+            if b <= a:
+                continue
+            first = int((a - lo) / bin_w)
+            last = min(int((b - lo) / bin_w), width - 1)
+            for k in range(first, last + 1):
+                ka, kb = lo + k * bin_w, lo + (k + 1) * bin_w
+                cover[k] += min(b, kb) - max(a, ka)
+        frac = np.clip(cover / bin_w, 0.0, 1.0)
+        row = "".join(_BLOCKS[int(round(f * (len(_BLOCKS) - 1)))] for f in frac)
+        lines.append(f"rank {rank:>3} |{row}|")
+    lines.append(f"ramp: '{_BLOCKS}' = 0%..100%")
+    return "\n".join(lines)

@@ -20,7 +20,7 @@ from .records import (
 )
 from .validate import ValidationError, ValidationIssue, ValidationReport, validate
 from .columnar import ColumnarFormatError, ColumnarTrace, columnar_of
-from . import columnar, dim, filters, prv
+from . import columnar, dim, prv
 
 __all__ = [
     "AccessProfile", "CHANNEL_APP", "CHANNEL_CHUNK", "CHANNEL_COLLECTIVE",
@@ -28,5 +28,5 @@ __all__ = [
     "GlobalOp", "IRecv", "ISend",
     "ProcessTrace", "Recv", "Record", "Send", "TraceSet", "Wait",
     "ValidationError", "ValidationIssue", "ValidationReport", "validate",
-    "columnar", "columnar_of", "dim", "filters", "prv",
+    "columnar", "columnar_of", "dim", "prv",
 ]

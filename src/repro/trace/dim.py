@@ -275,15 +275,19 @@ def loads(text: str, errors: str = "raise") -> TraceSet:
                 raise TraceFormatError("record before first process header")
             if kind == "AP":
                 profile = _parse_profile(parts)
-                if isinstance(last_record, (Send, ISend)) and profile.kind == "production":
-                    last_record.production = profile
-                elif isinstance(last_record, (Recv, IRecv)) and profile.kind == "consumption":
-                    last_record.consumption = profile
-                else:
+                # A profile rides in the record field named after its kind.
+                takes = (Send, ISend) if profile.kind == "production" else (Recv, IRecv)
+                if not isinstance(last_record, takes):
                     raise TraceFormatError(
                         f"AP:{profile.kind} does not attach to "
                         f"{type(last_record).__name__}"
                     )
+                if getattr(last_record, profile.kind) is not None:
+                    raise TraceFormatError(
+                        f"second AP:{profile.kind} line for one "
+                        f"{type(last_record).__name__}"
+                    )
+                setattr(last_record, profile.kind, profile)
                 continue
             rec: Record
             if kind == "B":

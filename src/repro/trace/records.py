@@ -40,7 +40,6 @@ __all__ = [
     "GlobalOp",
     "IRecv",
     "ISend",
-    "Marker",
     "ProcessTrace",
     "Recv",
     "Record",
@@ -342,9 +341,6 @@ class Event(_Base):
     value: int = 0
 
 
-#: Back-compat alias: markers are plain events.
-Marker = Event
-
 Record = CpuBurst | Send | ISend | Recv | IRecv | Wait | GlobalOp | Event
 
 
@@ -397,7 +393,9 @@ class ProcessTrace:
         produces runs of adjacent bursts — every burst the replay
         simulator walks is maximal, which keeps the per-record dispatch
         loop short.  Instruction counts are summed when both sides carry
-        them; metadata dictionaries are merged (later keys win).
+        them; metadata dictionaries are merged (later keys win).  A merge
+        replaces the last record without changing the record count, so
+        it calls :meth:`invalidate`.
         """
         if (
             type(record) is CpuBurst
@@ -416,7 +414,7 @@ class ProcessTrace:
                 meta={**prev.meta, **record.meta},
             )
             self.records[-1] = merged
-            self._starts_cache = None
+            self.invalidate()
         else:
             self.append(record)
 

@@ -1,41 +1,41 @@
-"""The fault injectors: seeded deterministic trace perturbations.
+"""Seeded, deterministic fault injection for traces (test tooling).
 
-Each injector deep-copies the input trace (the original is never
-mutated), perturbs exactly one site chosen by a ``random.Random(seed)``
-stream, and returns ``(mutant, Fault)`` where the :class:`Fault`
-records *what* changed and *where* — so tests can assert that the
-resulting :class:`~repro.trace.validate.ValidationIssue` or
-:class:`~repro.dimemas.postmortem.DeadlockReport` attributes the
-failure to the right rank and record.
+The injectors perturb well-formed traces into the malformed inputs the
+robustness layer must survive: dropped, duplicated, or reordered
+records, corrupted message sizes, truncated rank streams, and skewed
+timestamps.  Every injector is a pure function of ``(trace, seed)`` —
+the same seed always produces the same perturbation — so failure
+scenarios reproduce exactly in tests and bug reports::
+
+    from tests import faults
+
+    mutant, fault = faults.inject(trace, "drop", seed=7)
+    # fault names the rank / record index that was perturbed, so a
+    # downstream ValidationIssue or DeadlockReport can be checked
+    # against it.
+
+Each injector perturbs exactly one site chosen by a
+``random.Random(seed)`` stream and returns ``(mutant, Fault)``.  The
+mutant is built by replacement: the perturbed rank gets a fresh record
+list and every changed record is a new one (``dataclasses.replace``);
+the other ranks' lists and every unchanged record are shared with the
+original, which is never modified.
 """
 
 from __future__ import annotations
 
-import copy
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..trace.records import (
+from repro.trace.records import (
     CpuBurst,
     IRecv,
     ISend,
+    ProcessTrace,
     Recv,
     Send,
     TraceSet,
 )
-
-__all__ = [
-    "FAULT_KINDS",
-    "Fault",
-    "FaultInjectionError",
-    "corrupt_size",
-    "drop_record",
-    "duplicate_record",
-    "inject",
-    "reorder_records",
-    "skew_timestamps",
-    "truncate_rank",
-]
 
 #: Record classes that participate in point-to-point communication.
 _COMM_TYPES = (Send, ISend, Recv, IRecv)
@@ -71,8 +71,13 @@ class Fault:
         )
 
 
-def _clone(trace: TraceSet) -> TraceSet:
-    return copy.deepcopy(trace)
+def _with_records(trace: TraceSet, rank: int, records: list) -> TraceSet:
+    """``trace`` with rank ``rank``'s stream replaced by ``records``."""
+    procs = [
+        ProcessTrace(p.rank, records if p.rank == rank else p.records)
+        for p in trace
+    ]
+    return TraceSet(procs, meta=trace.meta)
 
 
 def _comm_sites(trace: TraceSet, types=_COMM_TYPES) -> list[tuple[int, int]]:
@@ -94,13 +99,6 @@ def _pick_site(trace: TraceSet, seed: int, kind: str, types=_COMM_TYPES) -> tupl
     return random.Random(seed).choice(sites)
 
 
-def _records(trace: TraceSet, rank: int) -> list:
-    """The mutable record list of ``rank`` (injectors edit in place on
-    the clone; appends/removals invalidate per-trace memo caches via
-    the record-count fingerprint)."""
-    return trace[rank].records
-
-
 # --------------------------------------------------------------------------- #
 # Injectors.
 # --------------------------------------------------------------------------- #
@@ -113,12 +111,11 @@ def drop_record(trace: TraceSet, seed: int = 0) -> tuple[TraceSet, Fault]:
     blocking operation waits forever), never a silent misreport.
     """
     rank, idx = _pick_site(trace, seed, "drop")
-    mutant = _clone(trace)
-    rec = _records(mutant, rank).pop(idx)
-    mutant[rank].invalidate()
+    records = trace[rank].records
+    mutant = _with_records(trace, rank, records[:idx] + records[idx + 1:])
     return mutant, Fault(
         kind="drop", rank=rank, index=idx, seed=seed,
-        details={"record": type(rec).__name__},
+        details={"record": type(records[idx]).__name__},
     )
 
 
@@ -126,13 +123,13 @@ def duplicate_record(trace: TraceSet, seed: int = 0) -> tuple[TraceSet, Fault]:
     """Insert a second copy of one communication record (a replayed
     message: one endpoint now has more operations than its partner)."""
     rank, idx = _pick_site(trace, seed, "duplicate")
-    mutant = _clone(trace)
-    records = _records(mutant, rank)
-    records.insert(idx + 1, copy.deepcopy(records[idx]))
-    mutant[rank].invalidate()
+    records = trace[rank].records
+    copied = replace(records[idx])
+    mutant = _with_records(
+        trace, rank, records[:idx + 1] + [copied] + records[idx + 1:])
     return mutant, Fault(
         kind="duplicate", rank=rank, index=idx, seed=seed,
-        details={"record": type(records[idx]).__name__},
+        details={"record": type(copied).__name__},
     )
 
 
@@ -147,11 +144,9 @@ def reorder_records(trace: TraceSet, seed: int = 0) -> tuple[TraceSet, Fault]:
     if not sites:
         raise FaultInjectionError("cannot inject 'reorder': no swappable pair")
     rank, idx = rng.choice(sites)
-    mutant = _clone(trace)
-    records = _records(mutant, rank)
+    records = list(trace[rank].records)
     records[idx], records[idx + 1] = records[idx + 1], records[idx]
-    mutant[rank].invalidate()
-    return mutant, Fault(
+    return _with_records(trace, rank, records), Fault(
         kind="reorder", rank=rank, index=idx, seed=seed,
         details={
             "first": type(records[idx]).__name__,
@@ -164,15 +159,14 @@ def corrupt_size(trace: TraceSet, seed: int = 0) -> tuple[TraceSet, Fault]:
     """Corrupt the byte count of one message endpoint (torn header):
     the send and receive sizes no longer agree."""
     rank, idx = _pick_site(trace, seed, "corrupt_size")
-    mutant = _clone(trace)
-    rec = _records(mutant, rank)[idx]
-    old = rec.size
+    records = list(trace[rank].records)
+    old = records[idx].size
     # Deterministic, always-different, always-valid (non-negative).
-    rec.size = old * 2 + 1 + random.Random(seed).randrange(1024)
-    mutant[rank].invalidate()
-    return mutant, Fault(
+    new = old * 2 + 1 + random.Random(seed).randrange(1024)
+    records[idx] = replace(records[idx], size=new)
+    return _with_records(trace, rank, records), Fault(
         kind="corrupt_size", rank=rank, index=idx, seed=seed,
-        details={"old_size": old, "new_size": rec.size},
+        details={"old_size": old, "new_size": new},
     )
 
 
@@ -186,14 +180,10 @@ def truncate_rank(trace: TraceSet, seed: int = 0) -> tuple[TraceSet, Fault]:
     rank = rng.choice(candidates)
     records = trace[rank].records
     cut = rng.randrange(1, len(records))
-    mutant = _clone(trace)
-    removed = len(records) - cut
-    first_removed = type(records[cut]).__name__
-    del _records(mutant, rank)[cut:]
-    mutant[rank].invalidate()
-    return mutant, Fault(
+    return _with_records(trace, rank, records[:cut]), Fault(
         kind="truncate", rank=rank, index=cut, seed=seed,
-        details={"removed": removed, "record": first_removed},
+        details={"removed": len(records) - cut,
+                 "record": type(records[cut]).__name__},
     )
 
 
@@ -211,20 +201,16 @@ def skew_timestamps(trace: TraceSet, seed: int = 0) -> tuple[TraceSet, Fault]:
         raise FaultInjectionError("cannot inject 'skew': no compute bursts")
     rank = rng.choice(candidates)
     factor = 0.5 + 1.5 * rng.random()
-    mutant = _clone(trace)
-    first = None
-    scaled = 0
-    for i, rec in enumerate(_records(mutant, rank)):
-        if isinstance(rec, CpuBurst):
-            rec.duration *= factor
-            scaled += 1
-            if first is None:
-                first = i
-    mutant[rank].invalidate()
-    return mutant, Fault(
-        kind="skew", rank=rank, index=first if first is not None else 0,
-        seed=seed,
-        details={"factor": factor, "record": "CpuBurst", "bursts": scaled},
+    records = [
+        replace(r, duration=r.duration * factor)
+        if isinstance(r, CpuBurst) else r
+        for r in trace[rank].records
+    ]
+    bursts = [i for i, r in enumerate(records) if isinstance(r, CpuBurst)]
+    return _with_records(trace, rank, records), Fault(
+        kind="skew", rank=rank, index=bursts[0], seed=seed,
+        details={"factor": factor, "record": "CpuBurst",
+                 "bursts": len(bursts)},
     )
 
 

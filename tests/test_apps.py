@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.apps import APPS, get_app, grid_2d, grid_3d
+from repro.apps import APPS, get_app, grid_2d
 from repro.apps.patterns import (
     anchored_times,
-    burst_touches,
     consumption_batches,
     production_batches,
     shift_anchors,
@@ -25,11 +24,6 @@ class TestGrids:
                                           (7, (1, 7))])
     def test_grid_2d(self, n, expect):
         assert grid_2d(n) == expect
-
-    def test_grid_3d_covers(self):
-        for n in (1, 8, 12, 27, 64):
-            px, py, pz = grid_3d(n)
-            assert px * py * pz == n
 
 
 class TestPatternGenerators:
@@ -51,11 +45,6 @@ class TestPatternGenerators:
         with pytest.raises(ValueError):
             anchored_times(0, [(0.0, 0.0), (1.0, 1.0)])
 
-    def test_burst_touches(self):
-        offs, at = burst_touches(5, 0.1368)
-        assert offs.tolist() == [0, 1, 2, 3, 4]
-        assert (at == 0.1368).all()
-
     def test_production_revisits_do_not_change_last_store(self):
         anchors = [(0.0, 0.6), (1.0, 0.9)]
         plain = production_batches(32, anchors, revisits=0)
@@ -72,6 +61,25 @@ class TestPatternGenerators:
         first = batches[0][1]
         for offs, at in batches[1:]:
             assert (at >= first.max() - 1e-12).all()
+
+    def test_batches_shared_per_geometry(self):
+        """Equal arguments return the same read-only arrays, built as
+        the unmemoized body builds them."""
+        import repro.apps.patterns as patterns
+        anchors = [(0.0, 0.6), (1.0, 0.9)]
+        for build, body in ((production_batches, patterns._production_batches),
+                            (consumption_batches, patterns._consumption_batches)):
+            batches = build(32, anchors, 2)
+            assert isinstance(batches, tuple)
+            assert build(32, [list(a) for a in anchors], 2) is batches
+            assert build(32, tuple(anchors), 2)[0][1] is batches[0][1]
+            assert all(not at.flags.writeable for _o, at in batches)
+            fresh = body.__wrapped__(32, tuple(anchors), 2)
+            assert [at.tobytes() for _o, at in fresh] == [
+                at.tobytes() for _o, at in batches]
+            assert build(32, anchors, 1) is not batches
+            assert build(33, anchors, 2) is not batches
+            assert build(32, [(0.0, 0.5), (1.0, 0.9)], 2) is not batches
 
     def test_shift_anchors_clipped(self):
         out = shift_anchors([(0.0, 0.95), (1.0, 0.999)], 0.1)

@@ -24,13 +24,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro import faults
 from repro.audit.auditor import AuditConfig
 from repro.audit.certify import certify_trace
 from repro.dimemas.machine import MachineConfig
 from repro.dimemas.replay import simulate
 from repro.trace.columnar import ColumnarTrace, decode, from_traceset
 from repro.tracer import run_traced
+from tests import faults
 from tests.conftest import make_pipeline_app
 
 #: Small deterministic platform; the event budget turns any runaway

@@ -111,6 +111,23 @@ class TestAnalyzeCommand:
         assert "phase potential" in out
         assert "channel 0" in out
 
+    def test_trace_summary_counts(self, traced_file, capsys):
+        from repro.cli import main_analyze
+        from repro.trace.records import CpuBurst, ISend, Send
+        trace = dim.load(traced_file)
+        sends = [r for p in trace for r in p if isinstance(r, (Send, ISend))]
+        assert main_analyze([str(traced_file)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert trace.nranks == 4 and sends
+        assert lines[0] == (
+            f"trace: 4 ranks, {trace.total_records()} records, "
+            f"{len(sends)} messages, "
+            f"{trace.total_virtual_compute() * 1e3:.3f} ms compute")
+        assert trace.total_virtual_compute() > 0
+        assert any(isinstance(r, CpuBurst) for p in trace for r in p)
+        app_bytes = sum(r.size for r in sends if r.channel == 0)
+        assert f"  channel 0 (application): {app_bytes} bytes" in lines
+
     def test_simulate_adds_profile_and_critical_path(self, traced_file, capsys):
         from repro.cli import main_analyze
         main_analyze([str(traced_file), "--simulate", "--buses", "6"])

@@ -7,9 +7,10 @@ deterministically, and every structurally-broken mutant is *diagnosed*
 hang, a KeyError, or a silently wrong number.
 """
 
+import hashlib
+
 import pytest
 
-from repro import faults
 from repro.dimemas import (
     DeadlockError,
     MachineConfig,
@@ -19,6 +20,7 @@ from repro.dimemas import (
 from repro.trace import dim
 from repro.trace.validate import validate
 from repro.tracer import run_traced
+from tests import faults
 from tests.conftest import make_pipeline_app
 
 MACHINE = MachineConfig(bandwidth_mbps=100.0, latency=10e-6, buses=4)
@@ -26,6 +28,52 @@ MACHINE = MachineConfig(bandwidth_mbps=100.0, latency=10e-6, buses=4)
 #: Generous event budget: replay of the tiny pipeline needs ~40 events,
 #: so hitting this means a runaway, not a slow simulation.
 EVENT_BUDGET = 200_000
+
+#: Every mutant the injectors build from the ``trace`` fixture with
+#: seeds 3 and 11: ``(kind, seed) -> (sha256 of the mutant's .dim
+#: text, fault rank, fault index, fault details)``.  Recorded while the
+#: injectors deep-copied the trace and edited the copy in place;
+#: building each mutant by replacement gives the same bytes and faults.
+MUTANTS = {
+    ("corrupt_size", 3): (
+        "2137fcba909137741af1b0e782807440c39f5ebbcddbc1d2a20a044b1098c92c",
+        1, 9, {"old_size": 512, "new_size": 1512}),
+    ("corrupt_size", 11): (
+        "b855393b7ad4a60c8086f342c39d0c5f1f480f7704b91f11cf244aee167a9dea",
+        2, 11, {"old_size": 512, "new_size": 1951}),
+    ("drop", 3): (
+        "3a6ff7bbf2622e3f47ba93d2a5150ece2c1e94cc831c53f973960857b1dd099b",
+        1, 9, {"record": "Recv"}),
+    ("drop", 11): (
+        "7691bdfa35f90f4d18a116074ec1a4cbf5169d8bb11d8c2ca79e88338aa3f089",
+        2, 11, {"record": "Send"}),
+    ("duplicate", 3): (
+        "721c26e9d31133b8b427ae354d6db59d4cf80ba8bb386635a9bf5fe7d8d40493",
+        1, 9, {"record": "Recv"}),
+    ("duplicate", 11): (
+        "e749354ac1486441325bd8b6ebc14c465b93c0cc8001c078498e4675edc93b34",
+        2, 11, {"record": "Send"}),
+    ("reorder", 3): (
+        "a506c7c45ee8547bc73aeacf1cb87d60dfcd9adc76de043d205b37793ed80891",
+        1, 3, {"first": "Event", "second": "Send"}),
+    ("reorder", 11): (
+        "842607b06b4c640620628909376dda97254f37ed9878b98f6744a9ff65809845",
+        2, 1, {"first": "CpuBurst", "second": "Recv"}),
+    ("skew", 3): (
+        "344fa3ac031c2ef16d6bf27b57437f800a2826cc46e18d8fceaf8d750e69e9c3",
+        1, 2, {"factor": 1.3889613659407485, "record": "CpuBurst",
+               "bursts": 3}),
+    ("skew", 11): (
+        "a1d291780962a553cf8506fdc4f21a135274e9b7e09ce4fc24899e050e821a2a",
+        3, 2, {"factor": 1.7986134278748822, "record": "CpuBurst",
+               "bursts": 3}),
+    ("truncate", 3): (
+        "20d59d4c3d1a4e5387c34e693cff9316bdcf0d18f2ef17ad3dd748bd10055a70",
+        1, 10, {"removed": 2, "record": "CpuBurst"}),
+    ("truncate", 11): (
+        "fd19f6aea2ac10ccab9fb4055736d57ea7beb861c6d258f8968fe951f393cd09",
+        3, 8, {"removed": 1, "record": "CpuBurst"}),
+}
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +102,15 @@ class TestInjectorContract:
         before = dim.dumps(trace)
         faults.inject(trace, kind, seed=3)
         assert dim.dumps(trace) == before
+
+    def test_pinned_mutants_and_faults(self, trace):
+        assert {k for k, _ in MUTANTS} == set(faults.FAULT_KINDS)
+        for (kind, seed), (sha, rank, index, details) in MUTANTS.items():
+            mutant, fault = faults.inject(trace, kind, seed=seed)
+            digest = hashlib.sha256(dim.dumps(mutant).encode()).hexdigest()
+            assert digest == sha, (kind, seed)
+            assert fault == faults.Fault(kind=kind, rank=rank, index=index,
+                                         seed=seed, details=details)
 
     def test_seeds_explore_different_sites(self, trace):
         sites = {

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.synthetic import HaloExchange2D, PingPong, Pipeline1D, ReduceLoop
+from repro.apps.synthetic import HaloExchange2D
 from repro.core.ideal import ideal_transform
 from repro.core.transform import overlap_transform
 from repro.dimemas.machine import MachineConfig
@@ -17,6 +17,7 @@ from repro.dimemas.replay import simulate
 from repro.trace import dim
 from repro.trace.records import ISend, Send
 from repro.trace.validate import validate
+from tests.apps import PingPong, Pipeline1D, ReduceLoop
 
 CFG = MachineConfig(bandwidth_mbps=100.0, latency=8e-6, buses=4)
 

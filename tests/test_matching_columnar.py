@@ -1,7 +1,7 @@
 """The one message matcher: :func:`repro.core.matching.match_columnar`.
 
-Tracer validation, the transforms, certification, ``repair`` and the
-replay all pair sends with receives through it.  Checked here against a
+Tracer validation, the transforms, certification and the replay all
+pair sends with receives through it.  Checked here against a
 naive reference on random traces, and counted on a whole experiment:
 each trace is paired once, however many stages ask.
 """
@@ -21,7 +21,6 @@ from repro.core import matching
 from repro.dimemas import replay
 from repro.experiments.pipeline import VARIANTS, AppExperiment
 from repro.trace.columnar import columnar_of
-from repro.trace.filters import repair
 from repro.trace.records import (
     IRecv,
     ISend,
@@ -141,19 +140,6 @@ def test_validate_reports_the_reference_mismatches(spec):
     found = [i for i in validate(trace).issues
              if i.startswith(("global: key", "global: size mismatch"))]
     assert sorted(found) == sorted(expected)
-
-
-@given(traces)
-@_SETTINGS
-def test_repair_keeps_exactly_the_pairs(spec):
-    trace = _build(spec)
-    ref_pairs, _ = reference(trace)
-    out = repair(trace)
-    kept = [(p.rank, rec) for p in out for rec in p if isinstance(rec, _P2P)]
-    assert len(kept) == 2 * len(ref_pairs)
-    _, counts = reference(out)
-    assert all(s == r for s, r in counts.values())
-    assert not any("send(s) vs" in i for i in validate(out).issues)
 
 
 def test_each_trace_is_paired_once(monkeypatch):

@@ -369,14 +369,6 @@ class TestTextSummaries:
         assert "2" in lines[1].split()[1]  # two calls
         assert span_summary_table([]) == "(no spans recorded)"
 
-    def test_metrics_table(self):
-        reg = MetricsRegistry()
-        reg.counter("cache.trace.hits").inc(4)
-        reg.histogram("replay.wall_seconds").observe(0.25)
-        text = obs.metrics_table(reg)
-        assert "cache.trace.hits" in text and "4" in text
-        assert "replay.wall_seconds" in text
-
     def test_write_metrics(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("c").inc()

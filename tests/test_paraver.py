@@ -13,6 +13,7 @@ from repro.paraver import (
     profile_table,
     render_comparison,
     render_gantt,
+    render_heatmap,
     render_svg,
     sample_states,
     state_matrix,
@@ -70,6 +71,19 @@ class TestGantt:
         text = render_gantt(result, title="MY TITLE")
         assert text.startswith("MY TITLE")
         assert "legend:" in text
+
+
+class TestHeatmap:
+    def test_render_heatmap_shape(self, result):
+        text = render_heatmap(result, "Running", width=40)
+        rows = [l for l in text.splitlines() if l.startswith("rank")]
+        assert len(rows) == result.nranks
+        assert all(len(r.split("|")[1]) == 40 for r in rows)
+
+    def test_heatmap_running_dominates(self, result):
+        text = render_heatmap(result, "Running", width=30)
+        # pipeline ranks compute most of the time: dense ramp chars
+        assert "@" in text or "%" in text
 
 
 class TestStats:

@@ -420,7 +420,7 @@ class TestFaultDescribe:
         return AppExperiment("cg", nranks=4).trace("original")
 
     def test_describe_pins_seed_and_site(self, trace):
-        from repro.faults import inject
+        from tests.faults import inject
         for kind in ("drop", "duplicate", "reorder", "corrupt_size",
                      "truncate", "skew"):
             _, fault = inject(trace, kind, seed=7)
@@ -430,7 +430,7 @@ class TestFaultDescribe:
             assert fault.seed == 7
 
     def test_truncate_names_first_removed_record(self, trace):
-        from repro.faults import truncate_rank
+        from tests.faults import truncate_rank
         mutant, fault = truncate_rank(trace, seed=7)
         assert fault.details["removed"] == (
             len(trace[fault.rank].records) - fault.index)
@@ -439,7 +439,7 @@ class TestFaultDescribe:
         assert f"record={fault.details['record']}" in fault.describe()
 
     def test_skew_reports_burst_count_and_factor(self, trace):
-        from repro.faults import skew_timestamps
+        from tests.faults import skew_timestamps
         from repro.trace.records import CpuBurst as Burst
         _, fault = skew_timestamps(trace, seed=7)
         assert fault.details["record"] == "CpuBurst"
@@ -450,7 +450,7 @@ class TestFaultDescribe:
         assert "record=CpuBurst" in fault.describe()
 
     def test_same_seed_same_fault(self, trace):
-        from repro.faults import inject
+        from tests.faults import inject
         a = inject(trace, "drop", seed=13)[1]
         b = inject(trace, "drop", seed=13)[1]
         assert (a.rank, a.index, a.details) == (b.rank, b.index, b.details)

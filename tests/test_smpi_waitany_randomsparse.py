@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.random_sparse import RandomSparse
 from repro.core.ideal import ideal_transform
 from repro.core.transform import overlap_transform
 from repro.dimemas.machine import MachineConfig
 from repro.dimemas.replay import simulate
 from repro.smpi import Runtime
 from repro.trace.validate import validate
+from tests.apps import RandomSparse
 
 CFG = MachineConfig(bandwidth_mbps=100.0, latency=5e-6, buses=4)
 

@@ -228,3 +228,14 @@ class TestDigest:
         ts.processes[0].invalidate()
         assert not validate(ts).ok
         assert [m.size for m in simulate(ts).messages] == [4096]
+
+    def test_coalesced_append_drops_the_memoized_columns(self):
+        """A burst merged into the trailing one keeps the record count,
+        yet the replay and the digest see the merged duration."""
+        ts = TraceSet([ProcessTrace(0, [CpuBurst(1.0)])])
+        assert simulate(ts).duration == 1.0
+        digest = columnar_of(ts).digest
+        ts[0].append_coalesced(CpuBurst(2.0))
+        assert len(ts[0]) == 1 and ts[0].virtual_duration == 3.0
+        assert simulate(ts).duration == 3.0
+        assert columnar_of(ts).digest != digest

@@ -118,6 +118,18 @@ class TestErrors:
         with pytest.raises(dim.TraceFormatError, match="attach"):
             dim.loads(text)
 
+    def test_second_profile_of_one_kind_rejected(self):
+        import base64
+        lines = ["#DIMEMAS-REPRO:1", "P:0", "S:0:0:8:0:0:1:0:-"]
+        for value in (0.25, 0.75):
+            payload = base64.b64encode(np.array([value]).tobytes()).decode()
+            lines.append(f"AP:production:0.0:1.0:1:{payload}")
+        with pytest.raises(dim.TraceFormatError,
+                           match=r"line 5: second AP:production line"):
+            dim.loads("\n".join(lines) + "\n")
+        kept = dim.loads("\n".join(lines[:4]) + "\n")
+        assert kept[0][0].production.times.tolist() == [0.25]
+
     def test_profile_count_mismatch(self):
         import base64
         payload = base64.b64encode(np.zeros(2).tobytes()).decode()
