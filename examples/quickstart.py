@@ -33,6 +33,8 @@ print(f"traced {trace.nranks} ranks: {trace.total_records()} records, "
 
 # 3. Apply the automatic overlap transformation: message chunking,
 #    advancing sends, double buffering, post-postponed receptions.
+#    The new trace comes back as packed columns, the form the replay
+#    reads; overlapped.to_traceset() gives its record objects.
 overlapped, stats = overlap_transform(trace, chunks=4)
 print(f"transformed {stats.messages_transformed}/{stats.messages_total} "
       f"messages; {stats.sends_advanced} chunk sends advanced, "

@@ -55,6 +55,9 @@ EXIT_RESUMABLE = 5
 #: ``repro-verify`` certification).
 EXIT_INTEGRITY = 6
 EXIT_INTERRUPTED = 130
+#: The reader of standard output went away (``repro-analyze t.dim |
+#: head``): 128+SIGPIPE, as a shell reports a process SIGPIPE killed.
+EXIT_BROKEN_PIPE = 141
 
 
 def _interruptible(fn):
@@ -65,13 +68,24 @@ def _interruptible(fn):
     wrapper only standardizes the user-visible behavior: a gracefully
     drained campaign prints its resume hint and exits with
     :data:`EXIT_RESUMABLE`; a hard Ctrl-C keeps the conventional
-    128+SIGINT exit status.
+    128+SIGINT exit status; a closed standard output exits with
+    :data:`EXIT_BROKEN_PIPE`, silently.
     """
 
     @functools.wraps(fn)
     def wrapper(argv: list[str] | None = None) -> int:
         try:
-            return fn(argv)
+            code = fn(argv)
+            # Flush here, so a reader that went away is seen here and
+            # not by the interpreter's exit-time flush.
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # Whatever is still buffered goes to /dev/null at exit.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_BROKEN_PIPE
         except CampaignInterrupted as exc:
             print(str(exc), file=sys.stderr)
             if exc.resumable:
@@ -293,7 +307,7 @@ def main_overlap(argv: list[str] | None = None) -> int:
                 chunks=args.chunks,
                 double_buffering=not args.no_double_buffering,
             ))
-        dim.dump(out, args.output)
+        dim.dump(out.to_traceset(), args.output)
         print(f"transformed {stats.messages_transformed}/{stats.messages_total} "
               f"messages into {stats.chunks_created} chunks -> {args.output}")
     return 0

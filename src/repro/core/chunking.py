@@ -19,7 +19,9 @@ Both reduce a profile's raw times with one ``ufunc.reduceat`` over the
 plan's bounds, which are strictly increasing for every plan
 :func:`plan_chunks` makes, as ``reduceat`` needs, and clip only the
 per-chunk results into the interval.  Clipping is monotone, so it
-commutes with min and max and the order changes no bit.
+commutes with min and max and the order changes no bit.  The 1-4
+results are clipped one Python float at a time (:func:`_clip`): at
+that size a NumPy call costs far more than its arithmetic.
 
 A transformation plans thousands of messages on a handful of
 geometries, so :func:`plan_chunks` is memoized per ``(size, elements,
@@ -107,6 +109,19 @@ def _check(profile: AccessProfile, plan: ChunkPlan, kind: str, caller: str) -> N
         )
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip(x, lo, hi)`` on one float (``lo <= hi``): NaN
+    propagates, a tie keeps ``x``."""
+    return lo if x < lo else hi if x > hi else x
+
+
+def _clipped(chunk_times: np.ndarray, profile: AccessProfile) -> np.ndarray:
+    """Per-chunk times clipped into the profile's interval, as
+    :meth:`AccessProfile.clip` would, bit for bit."""
+    lo, hi = profile.interval_start, profile.interval_end
+    return np.array([_clip(t, lo, hi) for t in chunk_times.tolist()])
+
+
 def chunk_ready_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:
     """When each chunk's final version is produced at the sender.
 
@@ -116,7 +131,7 @@ def chunk_ready_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:
     interval.
     """
     _check(profile, plan, "production", "chunk_ready_times")
-    return profile.clip(np.fmax.reduceat(profile.times, plan.bounds[:-1]))
+    return _clipped(np.fmax.reduceat(profile.times, plan.bounds[:-1]), profile)
 
 
 def chunk_needed_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:
@@ -127,4 +142,4 @@ def chunk_needed_times(profile: AccessProfile, plan: ChunkPlan) -> np.ndarray:
     consumption interval.
     """
     _check(profile, plan, "consumption", "chunk_needed_times")
-    return profile.clip(np.fmin.reduceat(profile.times, plan.bounds[:-1]))
+    return _clipped(np.fmin.reduceat(profile.times, plan.bounds[:-1]), profile)

@@ -22,12 +22,14 @@ plus the consumption times of the earlier ones.
 
 This module is a thin, documented front-end over
 :func:`repro.core.transform.overlap_transform` with
-``schedule="ideal"``.
+``schedule="ideal"``; like it, it returns the new trace as a
+:class:`~repro.trace.columnar.ColumnarTrace`.
 """
 
 from __future__ import annotations
 
 from ..obs import traced
+from ..trace.columnar import ColumnarTrace
 from ..trace.records import TraceSet
 from .chunking import DEFAULT_CHUNKS
 from .transform import OverlapConfig, TransformStats, overlap_transform
@@ -41,7 +43,7 @@ def ideal_transform(
     chunks: int = DEFAULT_CHUNKS,
     double_buffering: bool = True,
     transform_collectives: bool = True,
-) -> tuple[TraceSet, TransformStats]:
+) -> tuple[ColumnarTrace, TransformStats]:
     """Produce the ideal-pattern overlapped trace (paper's second trace)."""
     config = OverlapConfig(
         chunks=chunks,

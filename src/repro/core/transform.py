@@ -49,38 +49,59 @@ schedule distributes chunk events only through the contiguous
 computation region bounded by the adjacent communication records: the
 data a process forwards right after a receive has no computation in
 which it could have been produced earlier.
+
+Output form
+-----------
+
+The transformation writes the derived trace straight into
+:class:`~repro.trace.columnar.RankColumns`, the replay's own input, and
+returns a :class:`~repro.trace.columnar.ColumnarTrace`: the chunk
+ISends and IRecvs, their Waits, the pieces of every burst and the Waits
+it strips become column rows, and each record it keeps is copied field
+by field from the original's columns (an access profile into the
+``profiles`` side table).  No derived record object is built;
+:meth:`~repro.trace.columnar.ColumnarTrace.to_traceset` gives them
+back.  The original is read from its columns too, and from its record
+objects only for what the columns do not hold: the access profiles and
+the ``buf`` meta that names a buffer.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ..gcpause import pause_collector
 from ..obs import get_registry, traced
-from ..trace.records import (
-    CHANNEL_CHUNK,
-    CpuBurst,
-    Event as EventRec,
-    IRecv,
-    ISend,
-    ProcessTrace,
-    Recv,
-    Record,
-    Send,
-    TraceSet,
-    Wait,
+from ..trace.columnar import (
+    OP_CPU,
+    OP_EVENT,
+    OP_IRECV,
+    OP_ISEND,
+    OP_RECV,
+    OP_SEND,
+    OP_WAIT,
+    ROW_DEFAULTS,
+    ColumnarTrace,
+    RankColumns,
+    columnar_of,
+    gather_rows,
+    new_rows,
 )
+from ..trace.records import CHANNEL_CHUNK, ProcessTrace, TraceSet
 from .chunking import (
     DEFAULT_CHUNKS,
+    _clip,
     chunk_needed_times,
     chunk_ready_times,
     plan_chunks,
 )
-from ..trace.columnar import columnar_of
 from .matching import MessagePair, match_columnar, match_messages
 
 __all__ = [
@@ -164,157 +185,270 @@ class TransformStats:
 
 
 # --------------------------------------------------------------------------- #
-# Per-rank edit script.
+# What the transformation reads of one original rank.
 # --------------------------------------------------------------------------- #
 
-@dataclass
+class _Rank:
+    """One original rank: its columns, its record objects (read for
+    profiles and ``buf`` meta only), and the bounds derived from them."""
+
+    __slots__ = ("records", "rc", "starts", "comm", "waits_of", "next_req",
+                 "prev_recv", "next_send", "next_send_row", "next_recv_time")
+
+    def __init__(self, proc: ProcessTrace, rc: RankColumns):
+        self.records = proc.records
+        self.rc = rc
+        op = np.frombuffer(rc.op, dtype=np.uint8)
+        # Virtual start of every record plus the rank's end, summed the
+        # way ProcessTrace.virtual_starts sums the same durations.
+        starts = np.zeros(rc.n + 1)
+        np.cumsum(np.frombuffer(rc.dur, dtype=np.float64), out=starts[1:])
+        self.starts: list[float] = starts.tolist()
+        #: Rows of the communication records (neither burst nor event).
+        self.comm: list[int] = np.flatnonzero(
+            (op != OP_CPU) & (op != OP_EVENT)).tolist()
+        #: request id -> the row of the (last) Wait that completes it.
+        self.waits_of: dict[int, int] = {}
+        for i in np.flatnonzero(op == OP_WAIT).tolist():
+            for q in rc.waits[rc.aux[i]]:
+                self.waits_of[q] = i
+        #: Chunk requests are numbered past every request of the rank.
+        self.next_req = max(0, max(rc.req, default=0)) + 1
+        self.prev_recv, self.next_send = self._buffer_lifecycle(
+            np.flatnonzero((op >= OP_SEND) & (op <= OP_IRECV)).tolist())
+        #: Filled by :func:`_stream_neighbors`.
+        self.next_send_row: dict[int, int | None] = {}
+        self.next_recv_time: dict[int, float] = {}
+
+    def _buffer_lifecycle(self, ptp: list[int]):
+        """Buffer-identity causality bounds (from the ``buf`` record meta).
+
+        For every send row: the virtual time of the last receive into
+        the same buffer before it (data arrival — an ideal-schedule send
+        of that buffer cannot move before it).  For every receive row:
+        the virtual time of the next send of the same buffer after it
+        (the forward point — a postponed wait cannot move past it).
+        """
+        op, records, starts = self.rc.op, self.records, self.starts
+        marks = [(i, buf) for i in ptp
+                 if (buf := records[i].meta.get("buf")) is not None]
+        prev_recv: dict[int, float] = {}
+        seen: dict[int, float] = {}
+        for i, buf in marks:
+            if op[i] <= OP_ISEND:
+                prev_recv[i] = seen.get(buf, 0.0)
+            else:
+                seen[buf] = starts[i]
+        next_send: dict[int, float] = {}
+        upcoming: dict[int, float] = {}
+        for i, buf in reversed(marks):
+            if op[i] >= OP_RECV:
+                next_send[i] = upcoming.get(buf, math.inf)
+            else:
+                upcoming[buf] = starts[i]
+        return prev_recv, next_send
+
+    # The contiguous computation region around a record: the start of
+    # the nearest communication record before it (0.0 at the head) and
+    # after it (the rank's end at the tail).  These bound how far the
+    # ideal schedule may spread chunk events without crossing a
+    # communication dependency.
+    def region_start(self, i: int) -> float:
+        k = bisect.bisect_left(self.comm, i)
+        return self.starts[self.comm[k - 1]] if k else 0.0
+
+    def region_end(self, i: int) -> float:
+        k = bisect.bisect_right(self.comm, i)
+        return self.starts[self.comm[k]] if k < len(self.comm) else self.starts[-1]
+
+
+def _stream_neighbors(col: ColumnarTrace, ranks: list[_Rank]) -> None:
+    """Per matching key, each message's successor on that key: for every
+    send the row of the next send (None at the stream's end), for every
+    receive the virtual time of the next receive (the rank's end at the
+    tail)."""
+    for (src, dst, *_), _, _, pairs in match_columnar(col).by_key():
+        next_row = ranks[src].next_send_row
+        next_time = ranks[dst].next_recv_time
+        starts = ranks[dst].starts
+        for p, nxt in zip(pairs, pairs[1:] + [None]):
+            if nxt is None:
+                next_row[p.send_index] = None
+                next_time[p.recv_index] = starts[-1]
+            else:
+                next_row[p.send_index] = nxt.send_index
+                next_time[p.recv_index] = starts[nxt.recv_index]
+
+
+# --------------------------------------------------------------------------- #
+# Per-rank edit script, written as column rows.
+# --------------------------------------------------------------------------- #
+
+#: Row kinds, in the two low bits of a row id (see :class:`_Rows`); 0
+#: is an original row.
+_PTP, _WAIT, _PIECE = 1, 2, 3
+#: Fields of an inserted ISend/IRecv row: op, peer, tag, size, sub,
+#: context, req.
+_PTP_FIELDS = 7
+
+
+class _Rows:
+    """The rows the transformation inserts, on every rank, in column form.
+
+    Each kind has its own table: chunk ISends and IRecvs
+    (``_PTP_FIELDS`` ints each), Waits (their request tuples) and burst
+    pieces (their durations).  A row is named by an id, ``j << 2 |
+    kind`` for the ``j``-th row of its table; original row ``i`` of a
+    rank is ``(base + i) << 2``, ``base`` counting the rows of the
+    ranks before it.
+    """
+
+    __slots__ = ("rendezvous", "ptp", "waits", "pieces")
+
+    def __init__(self, rendezvous: int):
+        #: The ``rv`` column of a chunk ISend.
+        self.rendezvous = rendezvous
+        self.ptp: list[int] = []
+        self.waits: list[tuple[int, ...]] = []
+        self.pieces: list[float] = []
+
+    def next_ptp(self) -> int:
+        """The id the next ISend/IRecv row gets (they follow by 4)."""
+        return (len(self.ptp) // _PTP_FIELDS) << 2 | _PTP
+
+    def wait(self, requests: tuple[int, ...]) -> int:
+        """Insert a Wait row on ``requests``; returns its id."""
+        self.waits.append(requests)
+        return (len(self.waits) - 1) << 2 | _WAIT
+
+    def piece(self, duration: float) -> int:
+        """Insert a burst piece of ``duration`` seconds; returns its id."""
+        self.pieces.append(duration)
+        return (len(self.pieces) - 1) << 2 | _PIECE
+
+
 class _Edits:
-    removed: set[int] = field(default_factory=set)
-    before_index: dict[int, list[Record]] = field(default_factory=lambda: defaultdict(list))
-    timed: list[tuple[float, int, Record]] = field(default_factory=list)
-    at_end: list[Record] = field(default_factory=list)
-    wait_strip: dict[int, set[int]] = field(default_factory=lambda: defaultdict(set))
-    _seq: int = 0
+    """One rank's edit script: rows removed, Waits stripped of requests,
+    and inserted rows placed by record index or by virtual time."""
 
-    def add_timed(self, t: float, rec: Record) -> None:
-        self.timed.append((t, self._seq, rec))
-        self._seq += 1
+    __slots__ = ("table", "base", "removed", "before", "timed", "at_end",
+                 "strip")
+
+    def __init__(self, table: _Rows, base: int):
+        self.table = table
+        self.base = base
+        self.removed: set[int] = set()
+        self.before: dict[int, list[int]] = defaultdict(list)
+        #: ``(virtual time, sequence number, id)``.
+        self.timed: list[tuple[float, int, int]] = []
+        self.at_end: list[int] = []
+        self.strip: dict[int, set[int]] = defaultdict(set)
+
+    def add_timed(self, t: float, rid: int) -> None:
+        self.timed.append((t, len(self.timed), rid))
 
 
-def _rebuild(proc: ProcessTrace, edits: _Edits) -> ProcessTrace:
+def _rebuild(src: _Rank, ed: _Edits) -> tuple[list[int], list[tuple]]:
     """Apply an edit script, splitting CPU bursts at timed insertions.
 
-    Burst pieces shorter than 1e-15 s are dropped at split points, so
+    Returns the ids of the derived rank's rows in order, and its
+    profile side table.  Every burst is written anew as the difference
+    of the prefix sums around it (without an instruction count), and
+    burst pieces shorter than 1e-15 s are dropped at split points, so
     total compute is preserved up to one femtosecond per insertion —
     negligible against microsecond-scale bursts, and bounded for tests.
     """
-    starts = proc.virtual_starts()
-    timed = sorted(edits.timed, key=lambda x: (x[0], x[1]))
+    rc, starts, records = src.rc, src.starts, src.records
+    op, waits, aux = rc.op, rc.waits, rc.aux
+    table, base = ed.table, ed.base << 2
+    before, removed, strip = ed.before, ed.removed, ed.strip
+    timed = sorted(ed.timed)
+    nt = len(timed)
     k = 0
-    out: list[Record] = []
+    order: list[int] = []
+    push = order.append
+    piece = table.piece
+    profiles: list[tuple] = []
 
-    for i, rec in enumerate(proc.records):
-        t0, t1 = starts[i], starts[i + 1]
-        if isinstance(rec, CpuBurst):
-            cur = t0
-            while k < len(timed) and timed[k][0] < t1 - 1e-15:
+    for i in range(rc.n):
+        o = op[i]
+        if o == OP_CPU:
+            cur, t1 = starts[i], starts[i + 1]
+            while k < nt and timed[k][0] < t1 - 1e-15:
                 tt = max(timed[k][0], cur)
                 if tt > cur + 1e-15:
-                    out.append(CpuBurst(tt - cur))
+                    push(piece(tt - cur))
                 cur = tt
-                out.append(timed[k][2])
+                push(timed[k][2])
                 k += 1
             if t1 > cur + 1e-15:
-                out.append(CpuBurst(t1 - cur))
+                push(piece(t1 - cur))
             continue
         # Non-burst record: flush timed insertions due up to its time.
-        while k < len(timed) and timed[k][0] <= t0 + 1e-15:
-            out.append(timed[k][2])
+        t0 = starts[i]
+        while k < nt and timed[k][0] <= t0 + 1e-15:
+            push(timed[k][2])
             k += 1
-        out.extend(edits.before_index.get(i, ()))
-        if i in edits.removed:
+        ids = before.get(i)
+        if ids:
+            order.extend(ids)
+        if i in removed:
             continue
-        if isinstance(rec, Wait) and i in edits.wait_strip:
-            kept = tuple(q for q in rec.requests if q not in edits.wait_strip[i])
+        drop = strip.get(i)
+        if drop is not None:
+            kept = tuple(q for q in waits[aux[i]] if q not in drop)
             if kept:
-                out.append(Wait(kept, meta=dict(rec.meta)))
+                push(table.wait(kept))
             continue
-        out.append(replace(rec))
+        if OP_SEND <= o <= OP_IRECV:
+            rec = records[i]
+            p = rec.production if o <= OP_ISEND else rec.consumption
+            if p is not None:
+                profiles.append((
+                    len(order), 0 if p.kind == "production" else 1,
+                    p.interval_start, p.interval_end, p.times,
+                ))
+        push(base + (i << 2))
+    order.extend(t[2] for t in timed[k:])
+    order.extend(ed.at_end)
+    return order, profiles
 
-    while k < len(timed):
-        out.append(timed[k][2])
-        k += 1
-    out.extend(edits.at_end)
-    return ProcessTrace(proc.rank, out)
 
-
-# --------------------------------------------------------------------------- #
-# Stream context: previous/next records on the same matching key.
-# --------------------------------------------------------------------------- #
-
-def _compute_regions(trace: TraceSet) -> list[tuple]:
-    """Per rank: for every record, the virtual-time bounds of the
-    contiguous computation region around it.
-
-    ``region_prev[i]`` is the virtual time of the nearest non-burst,
-    non-event record strictly before ``i`` (0.0 at the stream head);
-    ``region_next[i]`` the nearest one strictly after (trace end at the
-    tail).  These bound how far the ideal schedule may spread chunk
-    events without crossing a communication dependency.
-    """
-    out = []
-    for proc in trace:
-        starts = proc.virtual_starts()
-        n = len(proc.records)
-        prev = np.zeros(n)
-        nxt = np.full(n, proc.virtual_duration)
-        last = 0.0
-        for i, rec in enumerate(proc.records):
-            prev[i] = last
-            if not isinstance(rec, (CpuBurst, EventRec)):
-                last = starts[i]
-        upcoming = proc.virtual_duration
-        for i in range(n - 1, -1, -1):
-            nxt[i] = upcoming
-            if not isinstance(proc.records[i], (CpuBurst, EventRec)):
-                upcoming = starts[i]
-        out.append((prev, nxt))
+def _columns(col: ColumnarTrace, table: _Rows,
+             rebuilt: list[tuple[list[int], list[tuple]]]) -> list[RankColumns]:
+    """The derived ranks' columns, gathered in one pass over the whole
+    trace from the original rows and the three tables of inserted ones."""
+    ptp = np.frombuffer(array("q", table.ptp), dtype=np.int64).reshape(-1, _PTP_FIELDS)
+    n_ptp, n_waits, n_pieces = len(ptp), len(table.waits), len(table.pieces)
+    is_send = ptp[:, 0] == OP_ISEND
+    blocks = [
+        new_rows(n_ptp, ptp[:, 0],
+                 rv=np.where(is_send, table.rendezvous, ROW_DEFAULTS["rv"]),
+                 peer=ptp[:, 1], tag=ptp[:, 2], size=ptp[:, 3],
+                 channel=CHANNEL_CHUNK, sub=ptp[:, 4], context=ptp[:, 5],
+                 req=ptp[:, 6]),
+        # An inserted Wait's aux is ``~j``: its request tuple is
+        # table.waits[j]; an original Wait's aux indexes its rank's table.
+        new_rows(n_waits, OP_WAIT, aux=-1 - np.arange(n_waits)),
+        new_rows(n_pieces, OP_CPU, dur=table.pieces),
+    ]
+    ids = np.fromiter(chain.from_iterable(order for order, _ in rebuilt),
+                      dtype=np.int64)
+    # Each table's rows follow the original rows in one concatenation.
+    first = np.cumsum([0, col.total_records(), n_ptp, n_waits])
+    bounds = np.cumsum([0] + [len(order) for order, _ in rebuilt]).tolist()
+    out = gather_rows(col, blocks, first[ids & 3] + (ids >> 2), bounds)
+    for d, rc, (_, profiles) in zip(out, col.ranks, rebuilt):
+        # Renumber the Waits into the derived rank's wait table.
+        aux = np.frombuffer(d.aux, dtype=np.int64)
+        w = np.flatnonzero(np.frombuffer(d.op, dtype=np.uint8) == OP_WAIT)
+        d.waits = [rc.waits[x] if x >= 0 else table.waits[~x]
+                   for x in aux[w].tolist()]
+        aux[w] = np.arange(len(w))
+        d.events = list(rc.events)
+        d.colls = list(rc.colls)
+        d.profiles = profiles
     return out
-
-
-def _buffer_lifecycle(trace: TraceSet):
-    """Buffer-identity causality bounds (from the ``buf`` record meta).
-
-    For every send record: the virtual time of the last receive into
-    the same buffer before it (data arrival — an ideal-schedule send of
-    that buffer cannot move before it).  For every receive record: the
-    virtual time of the next send of the same buffer after it (the
-    forward point — a postponed wait cannot move past it).
-    """
-    prev_recv: dict[tuple[int, int], float] = {}
-    next_send: dict[tuple[int, int], float] = {}
-    for proc in trace:
-        starts = proc.virtual_starts()
-        seen_recv: dict[int, float] = {}
-        for i, rec in enumerate(proc.records):
-            buf = rec.meta.get("buf") if isinstance(rec, (Send, ISend, Recv, IRecv)) else None
-            if buf is None:
-                continue
-            if isinstance(rec, (Send, ISend)):
-                prev_recv[(proc.rank, i)] = seen_recv.get(buf, 0.0)
-            else:
-                seen_recv[buf] = float(starts[i])
-        upcoming: dict[int, float] = {}
-        for i in range(len(proc.records) - 1, -1, -1):
-            rec = proc.records[i]
-            buf = rec.meta.get("buf") if isinstance(rec, (Send, ISend, Recv, IRecv)) else None
-            if buf is None:
-                continue
-            if isinstance(rec, (Recv, IRecv)):
-                next_send[(proc.rank, i)] = upcoming.get(buf, math.inf)
-            else:
-                upcoming[buf] = float(starts[i])
-    return prev_recv, next_send
-
-
-def _stream_neighbors(trace: TraceSet):
-    """Per matching key, each message's successor on that key: for every
-    send ``(rank, index)`` the index of the next send (None at the
-    stream's end), for every receive the virtual time of the next
-    receive (the rank's end at the tail)."""
-    next_send_index: dict[tuple[int, int], int | None] = {}
-    next_recv_time: dict[tuple[int, int], float] = {}
-    by_key = match_columnar(columnar_of(trace)).by_key()
-    for (src, dst, *_), _, _, pairs in by_key:
-        starts = trace[dst].virtual_starts()
-        for p, nxt in zip(pairs, pairs[1:] + [None]):
-            if nxt is None:
-                next_send_index[(src, p.send_index)] = None
-                next_recv_time[(dst, p.recv_index)] = trace[dst].virtual_duration
-            else:
-                next_send_index[(src, p.send_index)] = nxt.send_index
-                next_recv_time[(dst, p.recv_index)] = starts[nxt.recv_index]
-    return next_send_index, next_recv_time
 
 
 # --------------------------------------------------------------------------- #
@@ -327,13 +461,18 @@ def overlap_transform(
     trace: TraceSet,
     config: OverlapConfig | None = None,
     **kwargs,
-) -> tuple[TraceSet, TransformStats]:
+) -> tuple[ColumnarTrace, TransformStats]:
     """Rewrite an original trace into the overlapped-execution trace.
 
     Parameters may be given as an :class:`OverlapConfig` or as keyword
     arguments (``chunks=4, schedule="ideal", ...``).  Returns the new
-    :class:`TraceSet` and a :class:`TransformStats` summary.  The input
-    trace is not modified.
+    trace as a :class:`~repro.trace.columnar.ColumnarTrace` (its record
+    objects through ``to_traceset()``) and a :class:`TransformStats`
+    summary.  The input trace is not modified.
+
+    The original must be a :class:`TraceSet`: its record objects carry
+    the access profiles and buffer ids.  A trace that already holds
+    chunked messages, in either form, raises :class:`ValueError`.
 
     The cyclic garbage collector is paused while the new trace is built
     and left as the caller had it (:mod:`repro.gcpause`): the
@@ -344,36 +483,38 @@ def overlap_transform(
     elif kwargs:
         raise TypeError("pass either an OverlapConfig or keyword arguments, not both")
 
-    for proc in trace:
-        for rec in proc.records:
-            if isinstance(rec, (Send, ISend, Recv, IRecv)) and rec.channel == CHANNEL_CHUNK:
-                raise ValueError(
-                    "input trace already contains chunked messages; "
-                    "overlap_transform must run on an original trace"
-                )
+    col = columnar_of(trace)
+    for rc in col.ranks:
+        op = np.frombuffer(rc.op, dtype=np.uint8)
+        chunked = np.frombuffer(rc.channel, dtype=np.int64) == CHANNEL_CHUNK
+        if np.any(chunked & (op >= OP_SEND) & (op <= OP_IRECV)):
+            raise ValueError(
+                "input trace already contains chunked messages; "
+                "overlap_transform must run on an original trace"
+            )
+    if not isinstance(trace, TraceSet):
+        raise TypeError(
+            "overlap_transform reads the access profiles and buffer ids "
+            "of the original's record objects: pass its TraceSet"
+        )
 
     stats = TransformStats()
     pairs = match_messages(trace)
     stats.messages_total = len(pairs)
 
-    next_send_i, next_recv_t = _stream_neighbors(trace)
-    regions = _compute_regions(trace)
-    lifecycle = _buffer_lifecycle(trace)
+    ranks = [_Rank(proc, rc) for proc, rc in zip(trace.processes, col.ranks)]
+    _stream_neighbors(col, ranks)
+    # Chunk sends are eager under double buffering, else rendezvous.
+    table = _Rows(rendezvous=int(not config.double_buffering))
+    rows = table.ptp
+    bases = np.cumsum([0] + [rc.n for rc in col.ranks]).tolist()
+    edits = [_Edits(table, base) for base in bases[:-1]]
 
-    edits = [_Edits() for _ in range(trace.nranks)]
-    req_counter = [_max_request_id(p) + 1 for p in trace.processes]
-
-    def new_req(rank: int) -> int:
-        req_counter[rank] += 1
-        return req_counter[rank]
-
-    # Map (rank, wait-record-index) for request -> Wait position lookup.
-    wait_of_request = _index_waits(trace)
-
+    double_buffering = config.double_buffering
     for pair in pairs:
-        sproc, rproc = trace[pair.src], trace[pair.dst]
-        srec = sproc.records[pair.send_index]
-        rrec = rproc.records[pair.recv_index]
+        src, dst = pair.src, pair.dst
+        si, ri = pair.send_index, pair.recv_index
+        s, r = ranks[src], ranks[dst]
 
         # The point where the original reception *completed*: the Recv
         # record itself, or the Wait record of a non-blocking receive.
@@ -382,89 +523,86 @@ def overlap_transform(
         # earlier can deadlock the replay (e.g. the IRecv/Send/Waitall
         # halo idiom where posting, sends, and wait share one virtual
         # instant).
-        complete_idx = pair.recv_index
-        if isinstance(rrec, IRecv):
-            wi = wait_of_request.get((pair.dst, rrec.request))
-            if wi is not None:
-                complete_idx = wi
-        t_complete = float(rproc.virtual_starts()[complete_idx])
+        complete_idx = ri
+        recv_wait = None
+        if r.rc.op[ri] == OP_IRECV:
+            rreq = r.rc.req[ri]
+            recv_wait = r.waits_of.get(rreq)
+            if recv_wait is not None:
+                complete_idx = recv_wait
+        t_complete = r.starts[complete_idx]
 
-        decision = _plan_message(
-            trace, pair, config, regions, next_recv_t, complete_idx, t_complete,
-            lifecycle,
-        )
+        decision = _plan_message(pair, config, s, r, complete_idx, t_complete)
         if decision is None:
             continue
         plan, send_times, wait_times, ts = decision
+        n = plan.nchunks
         stats.messages_transformed += 1
-        stats.chunks_created += plan.nchunks
+        stats.chunks_created += n
         advanced_before = ts - 1e-12
         postponed_after = t_complete + 1e-12
-        stats.sends_advanced += sum(t < advanced_before for t in send_times)
-        stats.waits_postponed += sum(t > postponed_after for t in wait_times)
+        stats.sends_advanced += sum([t < advanced_before for t in send_times])
+        stats.waits_postponed += sum([t > postponed_after for t in wait_times])
         sizes = plan.sizes.tolist()
-
-        se, re_ = edits[pair.src], edits[pair.dst]
+        sub0 = chunk_sub(pair.channel, pair.sub, 0)
+        tag, context = pair.tag, pair.context
+        se, re_ = edits[src], edits[dst]
 
         # ---- sender side ------------------------------------------------ #
-        se.removed.add(pair.send_index)
-        if isinstance(srec, ISend):
-            wi = wait_of_request.get((pair.src, srec.request))
+        se.removed.add(si)
+        if s.rc.op[si] == OP_ISEND:
+            sreq = s.rc.req[si]
+            wi = s.waits_of.get(sreq)
             if wi is not None:
-                se.wait_strip[wi].add(srec.request)
-        chunk_reqs: list[int] = []
-        for c in range(plan.nchunks):
-            req = new_req(pair.src)
-            chunk_reqs.append(req)
-            isend = ISend(
-                peer=pair.dst, tag=pair.tag, size=sizes[c],
-                channel=CHANNEL_CHUNK, sub=chunk_sub(pair.channel, pair.sub, c),
-                context=pair.context, request=req,
-                rendezvous=not config.double_buffering,
-            )
+                se.strip[wi].add(sreq)
+        req0 = s.next_req + 1
+        s.next_req += n
+        here = se.before[si]
+        rid = table.next_ptp()
+        for c in range(n):
+            rows.extend((OP_ISEND, dst, tag, sizes[c], sub0 + c, context,
+                         req0 + c))
             # Only chunks with evidence of earlier production move; the
             # rest keep the original send's position in the stream (see
             # "Causality rules" above).
             if send_times[c] < ts - 1e-15:
-                se.add_timed(float(send_times[c]), isend)
+                se.add_timed(send_times[c], rid + 4 * c)
             else:
-                se.before_index[pair.send_index].append(isend)
-        waitall = Wait(tuple(chunk_reqs))
-        nsi = next_send_i.get((pair.src, pair.send_index))
-        if config.double_buffering and nsi is not None:
-            se.before_index[nsi].append(waitall)
-        elif config.double_buffering:
+                here.append(rid + 4 * c)
+        waitall = table.wait(tuple(range(req0, req0 + n)))
+        nsi = s.next_send_row.get(si)
+        if double_buffering and nsi is not None:
+            se.before[nsi].append(waitall)
+        elif double_buffering:
             se.at_end.append(waitall)
         else:
-            se.before_index[pair.send_index].append(waitall)
+            here.append(waitall)
 
         # ---- receiver side ------------------------------------------------ #
-        re_.removed.add(pair.recv_index)
-        if isinstance(rrec, IRecv):
-            wi = wait_of_request.get((pair.dst, rrec.request))
-            if wi is not None:
-                re_.wait_strip[wi].add(rrec.request)
-        immediate_waits: list[Record] = []
-        for c in range(plan.nchunks):
-            req = new_req(pair.dst)
-            re_.before_index[pair.recv_index].append(
-                IRecv(
-                    peer=pair.src, tag=pair.tag, size=sizes[c],
-                    channel=CHANNEL_CHUNK, sub=chunk_sub(pair.channel, pair.sub, c),
-                    context=pair.context, request=req,
-                )
-            )
+        re_.removed.add(ri)
+        if recv_wait is not None:
+            re_.strip[recv_wait].add(rreq)
+        req0 = r.next_req + 1
+        r.next_req += n
+        rid = table.next_ptp()
+        for c in range(n):
+            rows.extend((OP_IRECV, src, tag, sizes[c], sub0 + c, context,
+                         req0 + c))
+        re_.before[ri].extend(range(rid, rid + 4 * n, 4))
+        immediate_waits: list[int] = []
+        for c in range(n):
             # Waits that cannot be postponed keep the original
             # completion point's position in the record stream
             # (index-anchored, after the IRecv postings and any sends in
             # between); only genuinely-postponed waits move by time.
+            wid = table.wait((req0 + c,))
             if wait_times[c] <= t_complete + 1e-15:
-                immediate_waits.append(Wait((req,)))
+                immediate_waits.append(wid)
             else:
-                re_.add_timed(float(wait_times[c]), Wait((req,)))
-        re_.before_index[complete_idx].extend(immediate_waits)
+                re_.add_timed(wait_times[c], wid)
+        re_.before[complete_idx].extend(immediate_waits)
 
-    new_procs = [_rebuild(trace[r], edits[r]) for r in range(trace.nranks)]
+    new_ranks = _columns(col, table, [_rebuild(s, ed) for s, ed in zip(ranks, edits)])
     meta = dict(trace.meta)
     meta["overlap"] = {
         "chunks": config.chunks,
@@ -478,25 +616,8 @@ def overlap_transform(
     reg.counter("transform.runs").inc()
     reg.counter("transform.messages_transformed").inc(stats.messages_transformed)
     reg.counter("transform.chunks_created").inc(stats.chunks_created)
-    return TraceSet(new_procs, meta=meta), stats
-
-
-def _max_request_id(proc: ProcessTrace) -> int:
-    mx = 0
-    for rec in proc.records:
-        if isinstance(rec, (ISend, IRecv)):
-            mx = max(mx, rec.request)
-    return mx
-
-
-def _index_waits(trace: TraceSet) -> dict[tuple[int, int], int]:
-    out: dict[tuple[int, int], int] = {}
-    for proc in trace:
-        for i, rec in enumerate(proc.records):
-            if isinstance(rec, Wait):
-                for req in rec.requests:
-                    out[(proc.rank, req)] = i
-    return out
+    return (ColumnarTrace(new_ranks, list(col.names), list(col.collops), meta),
+            stats)
 
 
 def _minimum(x: float, bound: float) -> float:
@@ -505,15 +626,8 @@ def _minimum(x: float, bound: float) -> float:
     return x if not x >= bound else bound
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    """``np.clip(x, lo, hi)`` on one float (``lo <= hi``): NaN
-    propagates, a tie keeps ``x``."""
-    return lo if x < lo else hi if x > hi else x
-
-
-def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
-                  regions, next_recv_t, complete_idx: int, t_complete: float,
-                  lifecycle):
+def _plan_message(pair: MessagePair, config: OverlapConfig, s: _Rank,
+                  r: _Rank, complete_idx: int, t_complete: float):
     """Decide chunk plan and schedules for one message.
 
     Returns ``(plan, send_times, wait_times, ts)`` or None when the
@@ -528,28 +642,26 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
     if pair.channel != 0 and not config.transform_collectives:
         return None
 
-    sproc, rproc = trace[pair.src], trace[pair.dst]
-    srec = sproc.records[pair.send_index]
-    rrec = rproc.records[pair.recv_index]
-    ts = float(sproc.virtual_starts()[pair.send_index])
-
-    production = srec.production
-    consumption = rrec.consumption
+    ts = s.starts[pair.send_index]
+    production = s.records[pair.send_index].production
+    consumption = r.records[pair.recv_index].consumption
 
     elements = None
     if production is not None:
-        elements = production.elements
+        elements = len(production.times)
     if consumption is not None:
         if elements is None:
-            elements = consumption.elements
-        elif consumption.elements != elements:
+            elements = len(consumption.times)
+        elif len(consumption.times) != elements:
             consumption = None  # inconsistent view; trust the sender
     if elements is None:
         if config.schedule == "ideal":
             # No profile: fall back to the element count recorded off the
             # MPI call (a one-element reduction stays unchunkable, paper
             # Table II note on Alya), then to byte granularity.
-            elements = srec.elements if srec.elements > 0 else pair.size
+            elements = s.rc.elements[pair.send_index]
+            if elements <= 0:
+                elements = pair.size
         else:
             return None
     if elements <= 0:
@@ -559,7 +671,6 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
     n = plan.nchunks
 
     # -- sender schedule ------------------------------------------------------
-    prev_recv_of_buf, next_send_of_buf = lifecycle
     if not config.advance_sends:
         send_times = [ts] * n
     elif config.schedule == "ideal":
@@ -570,8 +681,8 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
         if production is not None:
             p_start = production.interval_start
         else:
-            p_start = float(regions[pair.src][0][pair.send_index])
-        p_start = max(p_start, prev_recv_of_buf.get((pair.src, pair.send_index), 0.0))
+            p_start = s.region_start(pair.send_index)
+        p_start = max(p_start, s.prev_recv.get(pair.send_index, 0.0))
         span = max(ts - p_start, 0.0)
         # np.minimum(ts - span + (np.arange(1, n + 1) / n) * span, ts)
         base = ts - span
@@ -587,9 +698,9 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
     if not config.postpone_receptions:
         wait_times = [t_complete] * n
     else:
-        t_next = next_recv_t[(pair.dst, pair.recv_index)]
-        t_fwd = next_send_of_buf.get((pair.dst, pair.recv_index), math.inf)
-        upper = float(max(min(t_next, t_fwd), t_complete))
+        t_next = r.next_recv_time[pair.recv_index]
+        t_fwd = r.next_send.get(pair.recv_index, math.inf)
+        upper = max(min(t_next, t_fwd), t_complete)
         if config.schedule == "ideal":
             # Uniform consumption through the consumption interval (this
             # receive -> next receive of the buffer), never past the
@@ -598,7 +709,7 @@ def _plan_message(trace, pair: MessagePair, config: OverlapConfig,
             if consumption is not None:
                 c_end = consumption.interval_end
             else:
-                c_end = float(regions[pair.dst][1][complete_idx])
+                c_end = r.region_end(complete_idx)
             c_end = min(c_end, t_fwd)
             span = max(c_end - t_complete, 0.0)
             # np.clip(t_complete + (np.arange(n) / n) * span, t_complete, upper)

@@ -3,7 +3,12 @@
 One :class:`AppExperiment` owns the three traces of one application
 run (original, real-pattern overlapped, ideal-pattern overlapped —
 exactly the three traces the paper's tracer emits per run) and replays
-them on any platform variation.  Traces are built lazily and cached;
+them on any platform variation.  The original is a
+:class:`~repro.trace.records.TraceSet`, whose record objects carry the
+access profiles the transformations and the pattern statistics read;
+the two derived traces are held as the
+:class:`~repro.trace.columnar.ColumnarTrace` the transformations
+return, the form the replay reads.  Traces are built lazily and cached;
 replays are memoized per (variant, platform) so bandwidth searches
 stay cheap.  Every replay goes through one lookup
 (:meth:`AppExperiment.cached`) and, on a miss, one replay step
@@ -29,6 +34,7 @@ from ..dimemas.machine import MachineConfig
 from ..dimemas.replay import simulate
 from ..dimemas.results import SimResult
 from ..obs import span as _span
+from ..trace.columnar import ColumnarTrace, columnar_of
 from ..trace.records import TraceSet
 
 __all__ = ["AppExperiment", "VARIANTS", "override_platform", "paper_testbed"]
@@ -112,7 +118,7 @@ class AppExperiment:
         #: Optional :class:`~repro.experiments.cache.SimResultCache`
         #: persisting replay results across processes and sessions.
         self.sim_cache = sim_cache
-        self._traces: dict[str, TraceSet] = {}
+        self._traces: dict[str, TraceSet | ColumnarTrace] = {}
         self._sims: dict[tuple[str, MachineConfig], SimResult] = {}
         #: The makespan of every replay in ``_sims`` and of every
         #: duration-only replay.
@@ -123,8 +129,10 @@ class AppExperiment:
         self._spec_keys: dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
-    def trace(self, variant: str = "original") -> TraceSet:
-        """The trace of one execution variant (built and cached lazily)."""
+    def trace(self, variant: str = "original") -> TraceSet | ColumnarTrace:
+        """The trace of one execution variant (built and cached lazily):
+        the original's :class:`TraceSet`, or a derived variant's
+        :class:`ColumnarTrace` (records through ``to_traceset()``)."""
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; pick from {VARIANTS}")
         if variant not in self._traces:
@@ -172,7 +180,6 @@ class AppExperiment:
         columns.  Also publishes the spec->digest index entry so later
         runs can answer warm hits without building the trace at all.
         """
-        from ..trace.columnar import columnar_of
         col = columnar_of(self.trace(variant))
         spec = self._spec_key(variant)
         if self.sim_cache is not None and spec not in self._published_specs:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dimemas.results import SimResult
-from .timeline import sample_states
+from .timeline import sample_states, time_window
 
 __all__ = ["STATE_CHARS", "render_comparison", "render_gantt", "render_heatmap"]
 
@@ -98,7 +98,7 @@ def render_heatmap(
     Each cell shows what share of the bin the rank spent in ``state``,
     using a 10-level character ramp.
     """
-    grid, lo, hi = sample_states(result, width, t0, t1)
+    lo, hi = time_window(result, width, t0, t1)
     bin_w = (hi - lo) / width
     lines = [f"share of '{state}' per (rank, {bin_w * 1e6:.1f} us bin)"]
     for rank in range(result.nranks):

@@ -13,7 +13,28 @@ from collections import defaultdict
 
 from ..dimemas.results import SimResult
 
-__all__ = ["iteration_bounds", "sample_states"]
+__all__ = ["iteration_bounds", "sample_states", "time_window"]
+
+
+def time_window(
+    result: SimResult,
+    bins: int,
+    t0: float | None = None,
+    t1: float | None = None,
+) -> tuple[float, float]:
+    """The ``(t0, t1)`` window a view of ``bins`` columns draws.
+
+    ``t0`` defaults to 0 and ``t1`` to the makespan; an empty window
+    widens to one picosecond.  Raises :class:`ValueError` when ``bins``
+    is below 1.
+    """
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    lo = 0.0 if t0 is None else t0
+    hi = result.duration if t1 is None else t1
+    if hi <= lo:
+        hi = lo + 1e-12
+    return lo, hi
 
 
 def sample_states(
@@ -27,12 +48,7 @@ def sample_states(
     Returns ``(grid, t0, t1)`` where ``grid[rank][b]`` is the dominant
     state name of bin ``b`` (None = idle/no coverage).
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    lo = 0.0 if t0 is None else t0
-    hi = result.duration if t1 is None else t1
-    if hi <= lo:
-        hi = lo + 1e-12
+    lo, hi = time_window(result, bins, t0, t1)
     width = (hi - lo) / bins
 
     grid: list[list[str | None]] = []

@@ -8,6 +8,12 @@ Implements the MPI point-to-point matching rules:
   the lowest global arrival sequence number, which makes wildcard
   matching deterministic under the baton scheduler.
 
+Pending sends and receives are kept in buckets keyed by ``(dst,
+context, channel, sub)``, each in posting order.  Two compatible
+entries always share that key (only source and tag take wildcards), so
+the first compatible entry of a bucket is the first compatible entry
+of the whole board.
+
 Payloads are copied on send (value semantics, like a real eager
 protocol buffer), so a sender may immediately reuse its buffer.
 """
@@ -69,8 +75,9 @@ class MessageBoard:
     """Global store of in-flight messages and posted receives."""
 
     def __init__(self) -> None:
-        self._pending_sends: list[Envelope] = []
-        self._pending_recvs: list[_PendingRecv] = []
+        #: ``(dst, context, channel, sub)`` -> pending entries, oldest first.
+        self._pending_sends: dict[tuple, list[Envelope]] = {}
+        self._pending_recvs: dict[tuple, list[_PendingRecv]] = {}
         self._seq = 0
 
     def _next_seq(self) -> int:
@@ -94,14 +101,16 @@ class MessageBoard:
         # scan pending sends in seq order on their side, it suffices to
         # hand the message to the earliest-posted compatible receive,
         # which leaves the board once matched.
-        for i, pr in enumerate(self._pending_recvs):
+        key = (dst, context, channel, sub)
+        recvs = self._pending_recvs.get(key, ())
+        for i, pr in enumerate(recvs):
             if self._compatible(pr, env):
                 # But only if no earlier pending send also matches pr —
                 # those would have been taken already when pr was posted.
                 pr.matched = env
-                del self._pending_recvs[i]
+                del recvs[i]
                 return env
-        self._pending_sends.append(env)
+        self._pending_sends.setdefault(key, []).append(env)
         return env
 
     # -- receive side --------------------------------------------------------
@@ -114,13 +123,15 @@ class MessageBoard:
             dst=dst, src=src, tag=tag, channel=channel, sub=sub,
             seq=self._next_seq(), context=context,
         )
-        for i, env in enumerate(self._pending_sends):
+        key = (dst, context, channel, sub)
+        sends = self._pending_sends.get(key, ())
+        for i, env in enumerate(sends):
             if self._compatible(pr, env):
                 pr.matched = env
-                del self._pending_sends[i]
+                del sends[i]
                 break
         else:
-            self._pending_recvs.append(pr)
+            self._pending_recvs.setdefault(key, []).append(pr)
         return pr
 
     def is_complete(self, pr: _PendingRecv) -> bool:
@@ -156,15 +167,15 @@ class MessageBoard:
             dst=dst, src=src, tag=tag, channel=channel, sub=sub,
             seq=0, context=context,
         )
-        for env in self._pending_sends:
+        for env in self._pending_sends.get((dst, context, channel, sub), ()):
             if self._compatible(peek, env):
                 return env
         return None
 
     def pending_send_count(self) -> int:
         """Number of buffered messages not yet matched."""
-        return len(self._pending_sends)
+        return sum(map(len, self._pending_sends.values()))
 
     def pending_recv_count(self) -> int:
         """Number of posted receives not yet matched."""
-        return len(self._pending_recvs)
+        return sum(map(len, self._pending_recvs.values()))

@@ -84,12 +84,15 @@ __all__ = [
     "OP_WAIT",
     "OP_COLL",
     "OP_NAMES",
+    "ROW_DEFAULTS",
     "ColumnarFormatError",
     "ColumnarTrace",
     "RankColumns",
     "columnar_of",
     "decode",
     "from_traceset",
+    "gather_rows",
+    "new_rows",
 ]
 
 #: Replay opcodes, shared with :mod:`repro.dimemas.replay`.
@@ -120,6 +123,18 @@ _Q_COLUMNS = (
     "instr", "peer", "tag", "size", "channel", "sub", "elements",
     "context", "req", "aux",
 )
+
+#: Every column's array typecode, in serialization order.
+_TYPECODES = {"op": "B", "rv": "b", "dur": "d", **dict.fromkeys(_Q_COLUMNS, "q")}
+
+#: What a row holds in each column its record does not set (every
+#: column but ``op``): :func:`from_traceset` writes these, and
+#: :func:`new_rows` fills them in.
+ROW_DEFAULTS = {
+    "rv": -1, "dur": 0.0, "instr": -1, "peer": -1, "tag": 0, "size": 0,
+    "channel": 0, "sub": 0, "elements": 0, "context": 0, "req": -1,
+    "aux": -1,
+}
 
 
 class ColumnarFormatError(ValueError):
@@ -206,11 +221,8 @@ class RankColumns:
 
     def __init__(self) -> None:
         self.n = 0
-        self.op = array("B")
-        self.rv = array("b")
-        self.dur = array("d")
-        for name in _Q_COLUMNS:
-            setattr(self, name, array("q"))
+        for name, code in _TYPECODES.items():
+            setattr(self, name, array(code))
         self.waits: list[tuple[int, ...]] = []
         self.events: list[tuple[int, int]] = []
         self.colls: list[tuple[int, int, int, int, int, int, int]] = []
@@ -446,8 +458,12 @@ def from_traceset(trace: TraceSet, with_profiles: bool = True) -> ColumnarTrace:
         (instr_a, peer_a, tag_a, size_a, channel_a, sub_a, elements_a,
          context_a, req_a, aux_a) = cols
 
-        def push(op, rv=-1, dur=0.0, instr=-1, peer=-1, tag=0, size=0,
-                 channel=0, sub=0, elements=0, context=0, req=-1, aux=-1):
+        d = ROW_DEFAULTS
+
+        def push(op, rv=d["rv"], dur=d["dur"], instr=d["instr"],
+                 peer=d["peer"], tag=d["tag"], size=d["size"],
+                 channel=d["channel"], sub=d["sub"], elements=d["elements"],
+                 context=d["context"], req=d["req"], aux=d["aux"]):
             op_a.append(op)
             rv_a.append(rv)
             dur_a.append(dur)
@@ -520,6 +536,55 @@ def from_traceset(trace: TraceSet, with_profiles: bool = True) -> ColumnarTrace:
         rc.n = len(rc.op)
         ranks.append(rc)
     return ColumnarTrace(ranks, names, collops, meta=dict(trace.meta))
+
+
+# --------------------------------------------------------------------------- #
+# Building columns in bulk.
+# --------------------------------------------------------------------------- #
+def new_rows(n: int, op, **fields) -> dict[str, np.ndarray]:
+    """The columns of ``n`` new rows, one NumPy array each.
+
+    ``op`` and each named field are one value per row or one value for
+    all of them; every other column holds its :data:`ROW_DEFAULTS`
+    value, as in a row :func:`from_traceset` writes for a record that
+    lacks the field.
+    """
+    unknown = fields.keys() - ROW_DEFAULTS.keys()
+    if unknown:
+        raise TypeError(f"unknown columns: {sorted(unknown)}")
+    values = {"op": op, **ROW_DEFAULTS, **fields}
+    return {
+        name: np.broadcast_to(np.asarray(values[name], dtype=code), (n,))
+        for name, code in _TYPECODES.items()
+    }
+
+
+def gather_rows(
+    col: ColumnarTrace,
+    blocks: list[dict[str, np.ndarray]],
+    pos: np.ndarray,
+    bounds: list[int],
+) -> list[RankColumns]:
+    """New ranks gathered from the rows of ``col`` and of ``blocks``.
+
+    The rows are numbered as one sequence: every row of ``col``, rank
+    after rank, then each block's (see :func:`new_rows`) in order.  Row
+    ``pos[k]`` of that sequence becomes row ``k`` of the output, which
+    is cut into ranks at ``bounds`` (``bounds[r]:bounds[r + 1]`` is
+    rank ``r``).  Values are copied as they are, ``aux`` included; the
+    side tables are left empty for the caller to fill.
+    """
+    ranks = [RankColumns() for _ in bounds[1:]]
+    for name, code in _TYPECODES.items():
+        parts = [np.frombuffer(getattr(rc, name), dtype=code)
+                 for rc in col.ranks]
+        parts.extend(block[name] for block in blocks)
+        values = np.concatenate(parts)[pos]
+        for rc, lo, hi in zip(ranks, bounds, bounds[1:]):
+            setattr(rc, name, array(code, values[lo:hi].tobytes()))
+    for rc, lo, hi in zip(ranks, bounds, bounds[1:]):
+        rc.n = hi - lo
+    return ranks
 
 
 # --------------------------------------------------------------------------- #

@@ -1,9 +1,25 @@
 """CLI entry point tests (run in-process with argv lists)."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main_overlap, main_simulate, main_trace
 from repro.trace import dim
+
+#: sha256 of the 8-rank CG trace ``repro-trace cg -n 8`` writes, and of
+#: the ``.dim`` files ``repro-overlap`` writes from it, without and with
+#: ``--ideal``.
+CG8_SHA256 = "a57042278470afb6d57ac884cb6d2b3d469c6b47e2545e4c938e8f474866078a"
+OVERLAP_SHA256 = {
+    "real": "af2a5c841abb87eacf28a10605ea2796927f9bed20fd7b1ad6b7958acdd4140d",
+    "ideal": "08978fb819cb83b84c079b1574fd473d004fb5fb84b33002168deff5b9464378",
+}
 
 
 @pytest.fixture
@@ -56,6 +72,19 @@ class TestOverlapCommand:
         main_overlap([str(traced_file), "-o", str(out),
                       "--no-double-buffering"])
         assert dim.load(out).meta["overlap"]["double_buffering"] is False
+
+    @pytest.mark.parametrize("variant", sorted(OVERLAP_SHA256))
+    def test_output_bytes_locked(self, tmp_path, capsys, variant):
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        src = tmp_path / "cg8.dim"
+        assert main_trace(["cg", "-n", "8", "-o", str(src)]) == 0
+        assert sha(src) == CG8_SHA256
+        out = tmp_path / f"{variant}.dim"
+        flags = ["--ideal"] if variant == "ideal" else []
+        assert main_overlap([str(src), "-o", str(out)] + flags) == 0
+        assert sha(out) == OVERLAP_SHA256[variant]
 
 
 class TestSimulateCommand:
@@ -170,6 +199,31 @@ class TestInterruptUniformity:
                             interrupt)
         assert getattr(cli, name)([]) == cli.EXIT_INTERRUPTED == 130
         assert "interrupted" in capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_141_quietly(self, traced_file):
+        """A reader that went away (``repro-analyze t.dim | head``) ends
+        the command with 128+SIGPIPE and no traceback."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys; from repro.cli import main_analyze; "
+                "sys.exit(main_analyze(sys.argv[1:]))")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(traced_file)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
 
 
 class TestResilienceCommand:

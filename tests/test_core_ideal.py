@@ -33,7 +33,7 @@ class TestUniformDistribution:
         tr = run_traced(app, 2, mips=1000.0).trace
         out, _ = ideal_transform(tr, chunks=4)
         validate(out, strict=True)
-        times = chunk_send_times(out, 0)
+        times = chunk_send_times(out.to_traceset(), 0)
         burst = 1_000_000 / (1000.0 * 1e6)
         expect = [burst * k / 4 for k in (1, 2, 3, 4)]
         assert times == pytest.approx(expect, rel=1e-6)
@@ -122,14 +122,14 @@ class TestCausalityBounds:
 class TestComputePreservation:
     def test_burst_total_preserved_exactly(self, pipeline_trace):
         out, _ = ideal_transform(pipeline_trace)
-        for orig, new in zip(pipeline_trace, out):
+        for orig, new in zip(pipeline_trace, out.to_traceset()):
             o = sum(r.duration for r in orig if isinstance(r, CpuBurst))
             n = sum(r.duration for r in new if isinstance(r, CpuBurst))
             assert n == pytest.approx(o, rel=1e-12)
 
     def test_all_chunk_requests_waited(self, pipeline_trace):
         out, _ = ideal_transform(pipeline_trace)
-        for proc in out:
+        for proc in out.to_traceset():
             posted = {r.request for r in proc if isinstance(r, ISend)}
             waited = {q for r in proc if isinstance(r, Wait) for q in r.requests}
             assert posted <= waited

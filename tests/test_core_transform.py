@@ -15,9 +15,12 @@ from repro.core.transform import (
 )
 from repro.core.ideal import ideal_transform
 from repro.dimemas import simulate
+from repro.experiments.pipeline import AppExperiment
+from repro.trace.columnar import from_traceset
 from repro.trace.records import (
     CHANNEL_CHUNK,
     CpuBurst,
+    IRecv,
     ISend,
     Recv,
     Send,
@@ -101,7 +104,7 @@ class TestStructure:
     def test_chunked_messages_on_chunk_channel(self, pipeline_trace):
         out, stats = overlap_transform(pipeline_trace)
         chunk_sends = [
-            r for p in out for r in p
+            r for p in out.to_traceset() for r in p
             if isinstance(r, ISend) and r.channel == CHANNEL_CHUNK
         ]
         assert len(chunk_sends) == stats.chunks_created
@@ -109,7 +112,7 @@ class TestStructure:
     def test_original_app_messages_removed(self, pipeline_trace):
         out, _ = overlap_transform(pipeline_trace)
         leftover = [
-            r for p in out for r in p
+            r for p in out.to_traceset() for r in p
             if isinstance(r, (Send, Recv)) and r.channel == 0 and r.size > 0
         ]
         assert leftover == []
@@ -119,9 +122,18 @@ class TestStructure:
         with pytest.raises(ValueError, match="already contains"):
             overlap_transform(out)
 
+    def test_retransform_rejected_in_record_form(self, pipeline_trace):
+        out, _ = overlap_transform(pipeline_trace)
+        with pytest.raises(ValueError, match="already contains"):
+            overlap_transform(out.to_traceset())
+
+    def test_original_columns_rejected(self, pipeline_trace):
+        with pytest.raises(TypeError, match="TraceSet"):
+            overlap_transform(from_traceset(pipeline_trace))
+
     def test_compute_time_preserved_per_rank(self, pipeline_trace):
         out, _ = overlap_transform(pipeline_trace)
-        for orig, new in zip(pipeline_trace, out):
+        for orig, new in zip(pipeline_trace, out.to_traceset()):
             assert new.virtual_duration == pytest.approx(
                 orig.virtual_duration, rel=1e-9,
             )
@@ -133,7 +145,7 @@ class TestStructure:
         )
         out, _ = overlap_transform(pipeline_trace)
         chunk_bytes = sum(
-            r.size for p in out for r in p
+            r.size for p in out.to_traceset() for r in p
             if isinstance(r, ISend) and r.channel == CHANNEL_CHUNK
         )
         assert chunk_bytes == orig_bytes
@@ -152,7 +164,7 @@ class TestSemantics:
         out, stats = overlap_transform(tr)
         assert stats.sends_advanced > 0
         # rank 0: some chunk ISend must appear before the last burst ends
-        recs = out[0].records
+        recs = out.to_traceset()[0].records
         isend_pos = [i for i, r in enumerate(recs) if isinstance(r, ISend)]
         burst_pos = [i for i, r in enumerate(recs) if isinstance(r, CpuBurst)]
         assert isend_pos[0] < burst_pos[-1]
@@ -179,8 +191,8 @@ class TestSemantics:
     def test_double_buffering_controls_rendezvous(self, pipeline_trace):
         out_db, _ = overlap_transform(pipeline_trace, OverlapConfig(double_buffering=True))
         out_sb, _ = overlap_transform(pipeline_trace, OverlapConfig(double_buffering=False))
-        rv_db = {r.rendezvous for p in out_db for r in p if isinstance(r, ISend)}
-        rv_sb = {r.rendezvous for p in out_sb for r in p if isinstance(r, ISend)}
+        rv_db = {r.rendezvous for p in out_db.to_traceset() for r in p if isinstance(r, ISend)}
+        rv_sb = {r.rendezvous for p in out_sb.to_traceset() for r in p if isinstance(r, ISend)}
         assert rv_db == {False} and rv_sb == {True}
 
     def test_zero_size_messages_untouched(self):
@@ -201,7 +213,7 @@ class TestSemantics:
             comm.compute(1000, loads=[(y, [0], np.array([0.1]))])
         tr = run_traced(app, 4).trace
         out, stats = ideal_transform(tr)
-        chunk_recs = [r for p in out for r in p
+        chunk_recs = [r for p in out.to_traceset() for r in p
                       if isinstance(r, ISend) and r.channel == CHANNEL_CHUNK]
         # every transformed scalar message stays whole (1 chunk)
         assert all(r.size == 8 for r in chunk_recs)
@@ -212,6 +224,67 @@ class TestSemantics:
             validate(out, strict=True)
             per_msg = stats.chunks_created / max(stats.messages_transformed, 1)
             assert per_msg <= ch
+
+
+# Every mechanism switched off in turn, plus the ideal schedule and the
+# byte-sized chunk rule.
+ABLATIONS = {
+    "paper": OverlapConfig(),
+    "ideal": OverlapConfig(schedule="ideal"),
+    "single-buffer": OverlapConfig(double_buffering=False),
+    "ideal-single-buffer": OverlapConfig(schedule="ideal",
+                                         double_buffering=False),
+    "no-advance": OverlapConfig(advance_sends=False),
+    "no-postpone": OverlapConfig(postpone_receptions=False),
+    "chunk-bytes": OverlapConfig(chunks=16, chunk_bytes=256),
+    "no-collectives": OverlapConfig(transform_collectives=False),
+}
+
+
+@pytest.fixture(scope="module")
+def cg_original():
+    """CG at 4 ranks: its collectives' messages carry access profiles."""
+    return AppExperiment("cg", nranks=4).trace("original")
+
+
+def _profile(rec):
+    """A point-to-point record's access profile, bit for bit."""
+    p = getattr(rec, "production", None) or getattr(rec, "consumption", None)
+    if p is None:
+        return None
+    return p.kind, p.interval_start, p.interval_end, p.times.tobytes()
+
+
+class TestColumnarOutput:
+    """The columns the transformation writes are the columns of the
+    records they stand for, under every configuration."""
+
+    @pytest.mark.parametrize("name", sorted(ABLATIONS))
+    def test_columns_equal_packed_records(self, cg_original, name):
+        out, _ = overlap_transform(cg_original, ABLATIONS[name])
+        assert out.encode() == from_traceset(out.to_traceset()).encode()
+
+    @pytest.mark.parametrize("name", sorted(ABLATIONS))
+    def test_kept_messages_keep_their_profiles(self, cg_original, name):
+        out, stats = overlap_transform(cg_original, ABLATIONS[name])
+        ptp = (Send, ISend, Recv, IRecv)
+        originals = kept = profiled = 0
+        for orig, new in zip(cg_original, out.to_traceset()):
+            before = [r for r in orig if isinstance(r, ptp)]
+            after = [r for r in new
+                     if isinstance(r, ptp) and r.channel != CHANNEL_CHUNK]
+            # The kept records are the originals' in order, each with
+            # its original's fields and profile.
+            rest = iter(before)
+            for rec in after:
+                assert any(rec == o and _profile(rec) == _profile(o)
+                           for o in rest), rec
+            originals += len(before)
+            kept += len(after)
+            profiled += sum(_profile(r) is not None for r in after)
+        assert kept == originals - 2 * stats.messages_transformed
+        if name == "no-collectives":
+            assert profiled > 0
 
 
 class TestReplayability:

@@ -81,7 +81,7 @@ class TestAdaptiveChunking:
         out, stats = overlap_transform(
             pipeline_trace, OverlapConfig(chunks=8, chunk_bytes=256))
         validate(out, strict=True)
-        sizes = {r.size for p in out for r in p
+        sizes = {r.size for p in out.to_traceset() for r in p
                  if isinstance(r, ISend) and r.channel == CHANNEL_CHUNK}
         assert sizes  # produced chunked traffic
         # pipeline messages are 64*8=512 bytes -> 2 chunks of ~256

@@ -41,7 +41,11 @@ bus count, unlimited buses):
   included, that :class:`~repro.experiments.cache.TraceCache` writes
   for the six Table I originals at 16 ranks — the byte lock of the
   columnar format, which keeps existing cache directories readable,
-  and of the tracer's output.
+  and of the tracer's output;
+* ``derived``: the SHA-256 of ``encode()`` of the real and ideal
+  traces of the six Table I applications at 16 ranks, as the overlap
+  transformation returns them — the byte lock of its output, profiles
+  included.
 
 A change that is meant to leave behaviour alone must keep every entry
 identical.  If a change legitimately alters replay results, regenerate
@@ -109,6 +113,8 @@ SEARCHES = {"relaxation": relaxation_bandwidth,
             "equivalent": equivalent_bandwidth}
 #: The originals whose trace-cache entry is locked byte for byte.
 RCT_CASES = tuple((app, 16) for app in APPS)
+#: The derived traces whose encoding is locked byte for byte.
+DERIVED_CASES = tuple((app, 16, v) for app in APPS for v in ("real", "ideal"))
 #: The ``analysis`` cases: ``(kind, app, nranks, variant, platform,
 #: condition)``, the condition being a perturbation scenario (seed 0),
 #: ``"bus-blind"`` (see :class:`BusBlindNetwork`) or None.
@@ -265,6 +271,11 @@ class Traces:
         cache.load_or_build(key, lambda: self.trace(app, nranks, "original"))
         return cache.path_for(key).read_bytes()
 
+    def derived_sha(self, app: str, nranks: int, variant: str) -> str:
+        """SHA-256 of the encoded columns of a real or ideal trace."""
+        data = self.trace(app, nranks, variant).encode()
+        return hashlib.sha256(data).hexdigest()
+
     def insight(self) -> str:
         app, nranks, variant, platform = ANALYSIS_CASE
         _res, col = collect(self.trace(app, nranks, variant),
@@ -316,6 +327,10 @@ def build_golden(traces: Traces) -> dict:
             for k, v in figure6(traces.experiment(app, n)).items()
         },
         "rct": rct,
+        "derived": {
+            "/".join(map(str, c)): traces.derived_sha(*c)
+            for c in DERIVED_CASES
+        },
     }
 
 
@@ -356,6 +371,9 @@ class TestGoldenDigests:
         )
         assert sorted(golden["analysis"]) == sorted(
             analysis_id(c) for c in ANALYSIS_CASES
+        )
+        assert sorted(golden["derived"]) == sorted(
+            "/".join(map(str, c)) for c in DERIVED_CASES
         )
 
     @pytest.mark.parametrize(
@@ -415,6 +433,12 @@ class TestGoldenDigests:
                 == golden["rct"][f"{app}/{nranks}"])
         col = from_traceset(traces.trace(app, nranks, "original"))
         assert col.encode() == data
+
+    @pytest.mark.parametrize("app,nranks,variant", DERIVED_CASES,
+                             ids=["/".join(map(str, c)) for c in DERIVED_CASES])
+    def test_derived_trace_bytes(self, traces, golden, app, nranks, variant):
+        assert (traces.derived_sha(app, nranks, variant)
+                == golden["derived"][f"{app}/{nranks}/{variant}"])
 
 
 class TestFigure6Thresholds:

@@ -52,12 +52,13 @@ class TestSyntheticAppsFullPipeline:
     def test_transform_preserves_bytes(self, app):
         tr = app.trace(nranks=app.default_nranks).trace
         out, _ = overlap_transform(tr)
-        assert total_bytes_per_pair(out) == total_bytes_per_pair(tr)
+        assert total_bytes_per_pair(out.to_traceset()) == total_bytes_per_pair(tr)
 
     def test_transformed_trace_serializes(self, app):
         tr = app.trace(nranks=app.default_nranks).trace
         out, _ = overlap_transform(tr)
-        assert dim.dumps(dim.loads(dim.dumps(out))) == dim.dumps(out)
+        assert (dim.dumps(dim.loads(dim.dumps(out.to_traceset())))
+                == dim.dumps(out.to_traceset()))
 
 
 class TestMethodologyInvariants:
@@ -66,7 +67,7 @@ class TestMethodologyInvariants:
         overlap — total computation must be bit-identical."""
         for transform in (overlap_transform, ideal_transform):
             out = transform(pipeline_trace)[0]
-            for orig, new in zip(pipeline_trace, out):
+            for orig, new in zip(pipeline_trace, out.to_traceset()):
                 assert new.virtual_duration == pytest.approx(
                     orig.virtual_duration, rel=1e-12)
 
@@ -160,6 +161,6 @@ def test_property_random_pipelines_survive_the_pipeline(
         # compute conservation (the rebuild may drop sub-femtosecond
         # burst slivers at split points; bound: ~1e-15 s per insertion)
         slack = 1e-15 * max(out.total_records(), 1)
-        assert out.total_virtual_compute() == pytest.approx(
+        assert out.to_traceset().total_virtual_compute() == pytest.approx(
             tr.total_virtual_compute(), rel=1e-6, abs=slack)
     assert base >= 0

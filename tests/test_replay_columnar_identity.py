@@ -13,7 +13,7 @@ from repro.apps import APPS, get_app
 from repro.dimemas.machine import MachineConfig
 from repro.dimemas.replay import simulate
 from repro.experiments.pipeline import AppExperiment
-from repro.trace.columnar import decode, from_traceset
+from repro.trace.columnar import columnar_of, decode, from_traceset
 
 SMALL = 8  # ranks: enough for real communication structure, fast to run
 
@@ -48,5 +48,5 @@ class TestTransformedTraceIdentity:
         ts = exp.trace(variant)
         cfg = exp.platform(bandwidth_mbps=125.0)
         direct = simulate(ts, cfg)
-        shipped = simulate(decode(from_traceset(ts).encode()), cfg)
+        shipped = simulate(decode(columnar_of(ts).encode()), cfg)
         assert_results_identical(direct, shipped)
