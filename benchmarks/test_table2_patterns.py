@@ -12,6 +12,7 @@ other result:
 
 import pytest
 
+from repro.core.patterns import iter_profiles
 from repro.experiments.tables import (
     PAPER_CONSUMPTION,
     PAPER_PRODUCTION,
@@ -64,3 +65,24 @@ def test_table2_orderings_across_pool(benchmark):
         f"earliest producer : cg ({first['cg']:.4f})",
         f"most independent work before consumption: bt ({nothing['bt']:.4f})",
     ])
+
+
+@pytest.mark.parametrize("app", POOL)
+def test_profiles_resident_once(app):
+    """The original holds one array per distinct access profile: every
+    rank of a skeleton records the same profiles, and they share."""
+    trace = get_experiment(app).trace("original")
+    times = [p.times for kind in ("production", "consumption")
+             for _, _, p in iter_profiles(trace, kind, min_elements=0)]
+    arrays = {id(t): t for t in times}
+    resident = sum(t.nbytes for t in arrays.values())
+    distinct = {t.tobytes(): t.nbytes for t in arrays.values()}
+    referenced = sum(t.nbytes for t in times)
+    print_block(f"Access profiles — {app}", [
+        f"profiles {len(times)}, arrays {len(arrays)}, "
+        f"distinct contents {len(distinct)}",
+        f"referenced {referenced / 2**20:8.2f} MiB, "
+        f"resident {resident / 2**20:8.2f} MiB",
+    ])
+    assert resident == sum(distinct.values())
+    assert all(not t.flags.writeable for t in arrays.values())

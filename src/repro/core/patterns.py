@@ -175,6 +175,25 @@ def _aggregate(rows: Iterable, cls):
     return cls(**out)
 
 
+def _rows(trace: TraceSet, kind: str, stats, channel, min_elements) -> Iterator:
+    """``stats`` of every ``kind`` profile of ``trace``, in order, each
+    distinct row computed once.
+
+    A row depends only on a profile's times and interval, and the
+    profiles of a trace share one array per distinct content
+    (:func:`~repro.trace.records.intern_times`): at 64 ranks a table's
+    1,024-6,432 profiles are 4-193 distinct rows.  The trace keeps
+    every array alive for the call, so ``id`` names it.
+    """
+    seen: dict[tuple[int, float, float], object] = {}
+    for _, _, p in iter_profiles(trace, kind, channel, min_elements):
+        key = (id(p.times), p.interval_start, p.interval_end)
+        row = seen.get(key)
+        if row is None:
+            row = seen[key] = stats(p)
+        yield row
+
+
 def production_table(
     trace: TraceSet,
     channel: int | None = None,
@@ -182,8 +201,7 @@ def production_table(
 ) -> ProductionStats:
     """Average Table II(a) row over all production profiles of a trace."""
     return _aggregate(
-        (production_stats(p) for _, _, p in
-         iter_profiles(trace, "production", channel, min_elements)),
+        _rows(trace, "production", production_stats, channel, min_elements),
         ProductionStats,
     )
 
@@ -195,8 +213,7 @@ def consumption_table(
 ) -> ConsumptionStats:
     """Average Table II(b) row over all consumption profiles of a trace."""
     return _aggregate(
-        (consumption_stats(p) for _, _, p in
-         iter_profiles(trace, "consumption", channel, min_elements)),
+        _rows(trace, "consumption", consumption_stats, channel, min_elements),
         ConsumptionStats,
     )
 

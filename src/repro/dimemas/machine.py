@@ -116,27 +116,29 @@ class MachineConfig:
     perturb: object | None = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
+        # Every bound is tested in its positive form, so NaN (which
+        # compares false to everything) fails it; infinity passes.
+        if not self.bandwidth_mbps > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_mbps}")
-        if self.latency < 0:
+        if not self.latency >= 0:
             raise ValueError(f"latency must be >= 0, got {self.latency}")
-        if self.buses is not None and self.buses < 1:
+        if self.buses is not None and not self.buses >= 1:
             raise ValueError(f"buses must be >= 1 or None, got {self.buses}")
-        if self.input_ports < 1 or self.output_ports < 1:
+        if not (self.input_ports >= 1 and self.output_ports >= 1):
             raise ValueError("port counts must be >= 1")
-        if self.cpu_ratio <= 0:
+        if not self.cpu_ratio > 0:
             raise ValueError(f"cpu_ratio must be positive, got {self.cpu_ratio}")
-        if self.cores_per_node < 1:
+        if not self.cores_per_node >= 1:
             raise ValueError(f"cores_per_node must be >= 1, got {self.cores_per_node}")
-        if self.intra_latency < 0:
+        if not self.intra_latency >= 0:
             raise ValueError("intra_latency must be >= 0")
-        if self.intra_bandwidth_mbps is not None and self.intra_bandwidth_mbps <= 0:
+        if self.intra_bandwidth_mbps is not None and not self.intra_bandwidth_mbps > 0:
             raise ValueError("intra_bandwidth_mbps must be positive or None")
-        if self.eager_threshold < 0:
+        if not self.eager_threshold >= 0:
             raise ValueError("eager_threshold must be >= 0")
-        if self.max_events is not None and self.max_events < 1:
+        if self.max_events is not None and not self.max_events >= 1:
             raise ValueError(f"max_events must be >= 1 or None, got {self.max_events}")
-        if self.max_sim_time is not None and self.max_sim_time <= 0:
+        if self.max_sim_time is not None and not self.max_sim_time > 0:
             raise ValueError(
                 f"max_sim_time must be positive or None, got {self.max_sim_time}"
             )

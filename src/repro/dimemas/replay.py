@@ -110,6 +110,8 @@ import time
 from collections import OrderedDict
 from typing import Iterator
 
+import numpy as np
+
 from ..gcpause import pause_collector
 from ..obs import get_registry, span as _span
 from ..core.matching import match_columnar
@@ -123,8 +125,9 @@ from ..trace.columnar import (
     OP_SEND as _OP_SEND,
     OP_WAIT as _OP_WAIT,
     ColumnarTrace,
-    RankColumns,
     columnar_of,
+    gather_rows,
+    new_rows,
 )
 from ..trace.records import CollOp, GlobalOp, TraceSet
 from .collectives import collective_cost
@@ -442,77 +445,68 @@ class _RankRunner:
 
 
 def _coalesce_columnar(col: ColumnarTrace) -> tuple[ColumnarTrace, list]:
-    """Columns with maximal CpuBursts (copy only when needed), and per
+    """Columns with maximal CpuBursts (copied only when needed), and per
     rank the new index of every old record.
 
     Build-time coalescing (:meth:`ProcessTrace.append_coalesced`) keeps
     tracer output burst-maximal, but transformed traces can reacquire
-    adjacency (e.g. a Wait dropped between two burst pieces).  Scans
-    first so the common already-coalesced case costs no copy (and maps
-    every index to itself).
+    adjacency (e.g. a Wait dropped between two burst pieces).  One
+    comparison per rank finds the bursts that follow a burst; when
+    there are none, the columns are returned as they are (and every
+    index maps to itself).  Otherwise each run of adjacent bursts
+    becomes one row of a :func:`new_rows` block, the row
+    :func:`from_traceset` writes for one burst: its durations summed
+    left to right, as the record walk added them, and its instruction
+    count summed, or -1 when one is unknown.  :func:`gather_rows`
+    builds the ranks from the kept rows and the block, so every column
+    of the layout is carried.
     """
-    needs_work = False
+    # cont[i]: row i is a burst right after a burst, so it joins the row
+    # before it.
+    conts = []
     for rc in col.ranks:
-        op = rc.op
-        prev_cpu = False
-        for i in range(rc.n):
-            is_cpu = op[i] == _OP_CPU
-            if is_cpu and prev_cpu:
-                needs_work = True
-                break
-            prev_cpu = is_cpu
-        if needs_work:
-            break
-    if not needs_work:
+        cpu = np.frombuffer(rc.op, dtype=np.uint8) == _OP_CPU
+        cont = np.zeros(rc.n, dtype=bool)
+        np.logical_and(cpu[1:], cpu[:-1], out=cont[1:])
+        conts.append(cont)
+    if not any(cont.any() for cont in conts):
         return col, [range(rc.n) for rc in col.ranks]
 
-    ranks = []
+    cont = np.concatenate(conts)
+    keep = ~cont
+    starts = np.flatnonzero(keep)
+    runs = np.diff(starts, append=cont.shape[0])
+    merged = runs > 1
+    heads, runs = starts[merged], runs[merged]
+    dur = np.concatenate([np.frombuffer(rc.dur, dtype=np.float64)
+                          for rc in col.ranks])
+    instr = np.concatenate([np.frombuffer(rc.instr, dtype=np.int64)
+                            for rc in col.ranks])
+    dur_sum, instr_sum = dur[heads], instr[heads]
+    unknown = instr_sum < 0
+    for k in range(1, int(runs.max())):
+        live = runs > k
+        rows = heads[live] + k
+        dur_sum[live] += dur[rows]
+        instr_sum[live] += instr[rows]
+        unknown[live] |= instr[rows] < 0
+    instr_sum[unknown] = -1
+    bursts = new_rows(heads.shape[0], _OP_CPU, dur=dur_sum, instr=instr_sum)
+
+    pos = starts.copy()
+    pos[merged] = cont.shape[0] + np.arange(heads.shape[0])
+    first = np.cumsum([0] + [rc.n for rc in col.ranks])
+    bounds = np.searchsorted(starts, first).tolist()
+    ranks = gather_rows(col, [bursts], pos, bounds)
+    new_index = np.cumsum(keep) - 1
     renumber = []
-    for rc in col.ranks:
-        op = rc.op
-        merged = RankColumns()
-        new_index: list[int] = []
-        cols_in = [rc.instr, rc.peer, rc.tag, rc.size, rc.channel, rc.sub,
-                   rc.elements, rc.context, rc.req, rc.aux]
-        cols_out = [merged.instr, merged.peer, merged.tag, merged.size,
-                    merged.channel, merged.sub, merged.elements,
-                    merged.context, merged.req, merged.aux]
-        i = 0
-        n = rc.n
-        while i < n:
-            if op[i] == _OP_CPU and i + 1 < n and op[i + 1] == _OP_CPU:
-                dur = rc.dur[i]
-                instr = rc.instr[i]
-                j = i + 1
-                while j < n and op[j] == _OP_CPU:
-                    dur += rc.dur[j]
-                    nxt = rc.instr[j]
-                    instr = instr + nxt if instr >= 0 and nxt >= 0 else -1
-                    j += 1
-                new_index.extend([len(merged.op)] * (j - i))
-                merged.op.append(_OP_CPU)
-                merged.rv.append(-1)
-                merged.dur.append(dur)
-                merged.instr.append(instr)
-                for k in range(1, 10):
-                    cols_out[k].append(cols_in[k][i])
-                i = j
-            else:
-                new_index.append(len(merged.op))
-                merged.op.append(op[i])
-                merged.rv.append(rc.rv[i])
-                merged.dur.append(rc.dur[i])
-                for k in range(10):
-                    cols_out[k].append(cols_in[k][i])
-                i += 1
-        merged.n = len(merged.op)
+    for r, (rc, merged_rc) in enumerate(zip(col.ranks, ranks)):
         # Side tables are index-stable (only CpuBursts merge, and they
         # reference none); aux values still point at the right entries.
-        merged.waits = rc.waits
-        merged.events = rc.events
-        merged.colls = rc.colls
-        ranks.append(merged)
-        renumber.append(new_index)
+        merged_rc.waits = rc.waits
+        merged_rc.events = rc.events
+        merged_rc.colls = rc.colls
+        renumber.append((new_index[first[r]:first[r + 1]] - bounds[r]).tolist())
     return ColumnarTrace(ranks, col.names, col.collops, meta=col.meta), renumber
 
 

@@ -72,6 +72,7 @@ from .records import (
     Send,
     TraceSet,
     Wait,
+    intern_times,
 )
 
 __all__ = [
@@ -166,19 +167,24 @@ else:  # pragma: no cover - big-endian hosts
 
 
 class _Cursor:
-    """Bounds-checked reader over a byte string."""
+    """Bounds-checked reader over a byte string.
+
+    :meth:`take` returns a ``memoryview`` slice, not a copy: reading a
+    cache entry copies only what it keeps (the core's columns, each
+    distinct profile once), never the payload it walks over.
+    """
 
     __slots__ = ("data", "pos")
 
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
     @property
     def remaining(self) -> int:
         return len(self.data) - self.pos
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self.pos + n > len(self.data):
             raise ColumnarFormatError(
                 f"truncated payload: wanted {n} bytes at offset {self.pos}, "
@@ -612,7 +618,7 @@ def decode(data: bytes) -> ColumnarTrace:
             f"unsupported columnar schema version {version} "
             f"(this codec reads version {VERSION})"
         )
-    core = cur.take(cur.u64())
+    core = bytes(cur.take(cur.u64()))
     sha = cur.take(32)
     if hashlib.sha256(_VERSION_SALT + core).digest() != sha:
         raise ColumnarFormatError("core checksum mismatch")
@@ -621,7 +627,7 @@ def decode(data: bytes) -> ColumnarTrace:
     if zlib.crc32(meta_json) != cur.u32():
         raise ColumnarFormatError("meta checksum mismatch")
     try:
-        meta = json.loads(meta_json.decode("utf-8"))
+        meta = json.loads(str(meta_json, "utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ColumnarFormatError(f"undecodable meta: {exc}") from None
 
@@ -649,7 +655,7 @@ def decode(data: bytes) -> ColumnarTrace:
 def _decode_core(core: bytes) -> ColumnarTrace:
     cur = _Cursor(core)
     try:
-        hdr = json.loads(cur.take(cur.u32()).decode("utf-8"))
+        hdr = json.loads(str(cur.take(cur.u32()), "utf-8"))
         names = list(hdr["names"])
         collops = list(hdr["collops"])
     except (UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
@@ -701,18 +707,26 @@ def _decode_core(core: bytes) -> ColumnarTrace:
     return col
 
 
-def _decode_profiles(col: ColumnarTrace, payload: bytes) -> None:
+def _decode_profiles(col: ColumnarTrace, payload: memoryview) -> None:
+    """Fill the ranks' profile side tables from ``payload``.
+
+    Each array is read where it lies in the payload and copied only
+    when its bytes are new to this trace (:func:`intern_times`), so
+    the payload can be freed and equal profiles share one array.
+    """
     cur = _Cursor(payload)
+    table: dict = {}
     count = cur.u32()
     for _ in range(count):
         head = cur.take(struct.calcsize("<IIBddQ"))
         rank, idx, kind, istart, iend, nelem = struct.unpack("<IIBddQ", head)
-        times = np.frombuffer(cur.take(8 * nelem), dtype="<f8").copy()
+        view = np.frombuffer(cur.take(8 * nelem), dtype="<f8")
         if rank >= col.nranks or idx >= col.ranks[rank].n:
             raise ColumnarFormatError(
                 f"profile references record {idx} of rank {rank} "
                 "which does not exist"
             )
+        times = intern_times(table, view, copy=True)
         col.ranks[rank].profiles.append((idx, kind, istart, iend, times))
     if cur.remaining:
         raise ColumnarFormatError("trailing bytes inside profile section")

@@ -64,6 +64,7 @@ from .records import (
     Send,
     TraceSet,
     Wait,
+    intern_times,
 )
 
 __all__ = ["dump", "dumps", "load", "loads", "TraceFormatError"]
@@ -156,18 +157,20 @@ def dumps(trace: TraceSet) -> str:
     return buf.getvalue()
 
 
-def _parse_profile(parts: list[str]) -> AccessProfile:
+def _parse_profile(parts: list[str], table: dict) -> AccessProfile:
+    """One ``AP`` line's profile; its times are interned in ``table``
+    (one per parsed text), so equal profiles share one array."""
     if len(parts) != 5:
         raise TraceFormatError(f"malformed AP line: expected 5 fields, got {len(parts)}")
     kind, istart, iend, n, payload = parts
-    times = np.frombuffer(base64.b64decode(payload), dtype="<f8").astype(np.float64)
+    times = np.frombuffer(base64.b64decode(payload), dtype="<f8")
     if times.shape[0] != int(n):
         raise TraceFormatError(
             f"AP element count mismatch: header says {n}, payload has {times.shape[0]}"
         )
     return AccessProfile(
         kind=kind,
-        times=times,
+        times=intern_times(table, times),
         interval_start=float(istart),
         interval_end=float(iend),
     )
@@ -222,6 +225,7 @@ def loads(text: str, errors: str = "raise") -> TraceSet:
     last_record: Record | None = None
     quarantined: list[dict] = []
     nrecords = 0
+    profiles: dict = {}
 
     for lineno, raw in enumerate(lines[1:], start=2):
         if len(raw) > limits.max_line_len:
@@ -274,7 +278,7 @@ def loads(text: str, errors: str = "raise") -> TraceSet:
             if current is None:
                 raise TraceFormatError("record before first process header")
             if kind == "AP":
-                profile = _parse_profile(parts)
+                profile = _parse_profile(parts, profiles)
                 # A profile rides in the record field named after its kind.
                 takes = (Send, ISend) if profile.kind == "production" else (Recv, IRecv)
                 if not isinstance(last_record, takes):

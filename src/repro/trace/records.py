@@ -46,6 +46,7 @@ __all__ = [
     "Send",
     "TraceSet",
     "Wait",
+    "intern_times",
     "CHANNEL_APP",
     "CHANNEL_COLLECTIVE",
     "CHANNEL_CHUNK",
@@ -92,7 +93,10 @@ class AccessProfile:
     times:
         Array of shape ``(elements,)`` with absolute virtual times in
         seconds.  ``NaN`` marks an element that was never accessed
-        inside the interval.
+        inside the interval.  The tracer and both trace decoders pass
+        it through :func:`intern_times`, so it is read-only and may be
+        shared by every profile of the trace with the same bytes (on
+        the SPMD skeletons, most of them): read it, never write it.
     interval_start, interval_end:
         Bounds of the production/consumption interval in absolute
         virtual time.  Production intervals run from the previous send
@@ -176,6 +180,43 @@ class AccessProfile:
             return None
         offsets, times = self.stream
         return offsets, self.normalize(times)
+
+
+#: Elements of an array sampled, at an even stride, into its bucket key
+#: in :func:`intern_times`.
+_KEY_SAMPLES = 16
+
+
+def intern_times(table: dict, times: np.ndarray, copy: bool = False) -> np.ndarray:
+    """The read-only array in ``table`` with the bytes of ``times``.
+
+    When ``table`` holds none, ``times`` (or a copy of it, with
+    ``copy``) is made read-only, added and returned.  One table per
+    trace makes every profile with the same contents share one array:
+    every rank of an SPMD skeleton records the same profiles, so at 64
+    ranks more than 98% of the profile bytes repeat an earlier array.
+
+    Arrays are bucketed by their length and a strided sample of their
+    bits, and a candidate is confirmed elementwise on ``uint64`` views:
+    equal means equal bytes (NaN matches NaN, ``-0.0`` differs from
+    ``0.0``).  No key hashes a whole array, and the comparison reads one
+    only when its sample matches; an array short enough to be sampled
+    whole (fewer than ``2 * _KEY_SAMPLES`` elements) is its own key and
+    needs no comparison.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    bits = times.view(np.uint64)
+    n = bits.shape[0]
+    step = max(1, n // _KEY_SAMPLES)
+    bucket = table.setdefault((n, bits[::step].tobytes()), [])
+    for known in bucket:
+        if step == 1 or (known.view(np.uint64) == bits).all():
+            return known
+    if copy:
+        times = times.copy()
+    times.flags.writeable = False
+    bucket.append(times)
+    return times
 
 
 @dataclass

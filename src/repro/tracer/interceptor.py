@@ -48,11 +48,14 @@ class _RecvToken:
 class TracingObserver(Observer):
     """Observer that emits one :class:`ProcessTrace` for its rank."""
 
-    def __init__(self, rank: int, clock: Clock, record_streams: bool = False):
+    def __init__(self, rank: int, clock: Clock, profiles: dict,
+                 record_streams: bool = False):
         self.rank = rank
         self.clock = clock
         self.trace = ProcessTrace(rank)
-        self.memory = MemoryTracker(clock, record_streams=record_streams)
+        self.memory = MemoryTracker(
+            clock, record_streams=record_streams, profiles=profiles
+        )
         self._icount = 0  # mirror of the runtime's per-rank virtual clock
 
     # ------------------------------------------------------------------ #

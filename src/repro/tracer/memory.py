@@ -25,6 +25,14 @@ touch any subset, in any order and with repeats, so it is range-checked
 and scattered with ``np.fmax.at`` / ``np.fmin.at``.  Both forms write
 the same bytes for the same accesses.
 
+A closed interval's profile times go through
+:func:`~repro.trace.records.intern_times` with one table per traced run
+(:func:`~repro.tracer.tracefile.run_traced` hands every rank's tracker
+the same table), so every profile with the same bytes, on any rank,
+holds one read-only array: at 64 ranks the SPMD skeletons record each
+distinct profile on every rank, and CG/64's 4,370 profiles are 70
+arrays.  A profile's times must therefore never be written in place.
+
 The skeletons build their access positions (``at``) once and pass the
 same read-only arrays on every compute call, so the tracker range-checks
 such an array once (a weak reference tells it the array is still the
@@ -41,7 +49,7 @@ from typing import Any
 
 import numpy as np
 
-from ..trace.records import AccessProfile, IRecv, Recv
+from ..trace.records import AccessProfile, IRecv, Recv, intern_times
 from .timestamps import Clock
 
 __all__ = ["BufferState", "MemoryTracker"]
@@ -82,12 +90,15 @@ class BufferState:
 class MemoryTracker:
     """Per-rank shadow memory: buffers, intervals, profile construction."""
 
-    def __init__(self, clock: Clock, record_streams: bool = False):
+    def __init__(self, clock: Clock, record_streams: bool = False,
+                 profiles: dict | None = None):
         self.clock = clock
         #: When True, every access (not only last store / first load) is
         #: retained and attached to profiles as a raw stream — needed for
         #: the pattern scatter plots of paper Figure 5.
         self.record_streams = record_streams
+        #: The :func:`intern_times` table of the trace (module docstring).
+        self._profiles: dict = {} if profiles is None else profiles
         self._buffers: dict[int, BufferState] = {}
         #: ``id(at) -> weakref(at)`` for the read-only float64 ``at``
         #: arrays owning their memory already range-checked.  A reused id fails the
@@ -224,7 +235,7 @@ class MemoryTracker:
             return None
         profile = AccessProfile(
             kind="production",
-            times=self.clock.seconds(st.last_store.copy()),
+            times=intern_times(self._profiles, self.clock.seconds(st.last_store)),
             interval_start=self.clock.seconds(st.production_start),
             interval_end=self.clock.seconds(now),
             stream=self._pack_stream(st.store_stream),
@@ -260,7 +271,9 @@ class MemoryTracker:
         if st.pending_recv is not None:
             st.pending_recv.consumption = AccessProfile(
                 kind="consumption",
-                times=self.clock.seconds(st.first_load.copy()),
+                times=intern_times(
+                    self._profiles, self.clock.seconds(st.first_load)
+                ),
                 interval_start=self.clock.seconds(st.consumption_start),
                 interval_end=self.clock.seconds(now),
                 stream=self._pack_stream(st.load_stream),

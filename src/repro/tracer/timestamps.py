@@ -25,7 +25,7 @@ class Clock:
     mips: float = DEFAULT_MIPS
 
     def __post_init__(self) -> None:
-        if self.mips <= 0:
+        if not self.mips > 0:  # NaN fails too
             raise ValueError(f"MIPS rate must be positive, got {self.mips}")
 
     @property

@@ -60,7 +60,12 @@ def run_traced(
         first-load arrays) for pattern scatter plots (paper Figure 5).
     """
     clock = Clock(mips)
-    observers = [TracingObserver(r, clock, record_streams=record_streams) for r in range(nranks)]
+    # One profile table for the run: equal profiles share one array.
+    profiles: dict = {}
+    observers = [
+        TracingObserver(r, clock, profiles, record_streams=record_streams)
+        for r in range(nranks)
+    ]
     runtime = Runtime(
         nranks, fn, observers=observers,
         decompose_collectives=decompose_collectives,

@@ -236,3 +236,33 @@ class TestMachineConfig:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             MachineConfig(**kw)
+
+    # Every validated field, with the message its out-of-range values
+    # get: NaN compares false to any bound, so it must fail the test in
+    # its positive form rather than slip past ``x <= 0``.
+    @pytest.mark.parametrize("field, message", [
+        ("bandwidth_mbps", "bandwidth must be positive"),
+        ("latency", "latency must be >= 0"),
+        ("buses", "buses must be >= 1 or None"),
+        ("input_ports", "port counts must be >= 1"),
+        ("output_ports", "port counts must be >= 1"),
+        ("cpu_ratio", "cpu_ratio must be positive"),
+        ("cores_per_node", "cores_per_node must be >= 1"),
+        ("intra_latency", "intra_latency must be >= 0"),
+        ("intra_bandwidth_mbps", "intra_bandwidth_mbps must be positive or None"),
+        ("eager_threshold", "eager_threshold must be >= 0"),
+        ("max_events", "max_events must be >= 1 or None"),
+        ("max_sim_time", "max_sim_time must be positive or None"),
+    ])
+    def test_nan_rejected(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            MachineConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", [
+        "bandwidth_mbps", "latency", "buses", "input_ports", "output_ports",
+        "cpu_ratio", "cores_per_node", "intra_latency",
+        "intra_bandwidth_mbps", "eager_threshold", "max_events",
+        "max_sim_time",
+    ])
+    def test_infinity_stays_legal(self, field):
+        assert getattr(MachineConfig(**{field: float("inf")}), field) == float("inf")

@@ -8,7 +8,8 @@ from repro.dimemas.machine import MachineConfig
 from repro.dimemas.postmortem import BlockedOp
 from repro.dimemas.replay import DeadlockError, ReplayError, simulate
 from repro.dimemas.results import MessageFlight, SimResult
-from repro.trace.columnar import columnar_of
+from repro.experiments.pipeline import AppExperiment
+from repro.trace.columnar import OP_CPU, ROW_DEFAULTS, _TYPECODES, columnar_of
 from repro.trace.records import (
     CollOp,
     CpuBurst,
@@ -307,3 +308,79 @@ class TestMessageFlight:
         res = simulate(pipeline_trace, machine)
         assert res.messages
         assert SimResult.from_dict(res.to_dict()) == res
+
+
+def reference_coalesce(col):
+    """Adjacent bursts merged row by row: durations added left to
+    right, instruction counts summed (-1 once one is unknown), every
+    other column of a merged row at its ``ROW_DEFAULTS`` value; and per
+    rank the new index of every old row."""
+    ranks, renumber = [], []
+    for rc in col.ranks:
+        rows, new_index = [], []
+        for i in range(rc.n):
+            row = {name: getattr(rc, name)[i] for name in _TYPECODES}
+            last = rows[-1] if rows else None
+            if row["op"] == OP_CPU and last is not None and last["op"] == OP_CPU:
+                instr = (last["instr"] + row["instr"]
+                         if last["instr"] >= 0 and row["instr"] >= 0 else -1)
+                rows[-1] = {"op": OP_CPU, **ROW_DEFAULTS,
+                            "dur": last["dur"] + row["dur"], "instr": instr}
+            else:
+                rows.append(row)
+            new_index.append(len(rows) - 1)
+        ranks.append(rows)
+        renumber.append(new_index)
+    return ranks, renumber
+
+
+class TestCoalesce:
+    """Adjacent CpuBursts merge into one row before replay, every
+    column of the layout carried (``trace/columnar.py``)."""
+
+    def check(self, col):
+        out, renumber = replay_mod._coalesce_columnar(col)
+        want, want_renumber = reference_coalesce(col)
+        assert [list(r) for r in renumber] == want_renumber
+        for rc, old, rows in zip(out.ranks, col.ranks, want):
+            assert rc.n == len(rows)
+            for name in _TYPECODES:
+                assert list(getattr(rc, name)) == [row[name] for row in rows], name
+            assert (rc.waits, rc.events, rc.colls) == (old.waits, old.events, old.colls)
+        return out
+
+    def test_adjacent_bursts_merge(self):
+        tiny = [CpuBurst(1e-16, instructions=1) for _ in range(10)]
+        col = columnar_of(ts(
+            [CpuBurst(0.1, instructions=10), CpuBurst(0.2, instructions=20),
+             CpuBurst(0.3, instructions=None), Send(peer=1, tag=0, size=8),
+             CpuBurst(1.0, instructions=3), *tiny],
+            [],
+            [CpuBurst(0.5), Recv(peer=0, tag=0, size=8), Event("phase", 1),
+             CpuBurst(0.25, instructions=4), CpuBurst(0.5, instructions=4)],
+        ))
+        out = self.check(col)
+        assert out is not col
+        # Left to right: (0.1 + 0.2) + 0.3, and ten 1e-16 lost in 1.0 one
+        # at a time (a pairwise sum would keep some of them).
+        assert out.ranks[0].dur[0] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+        assert out.ranks[0].instr[0] == -1
+        assert out.ranks[0].dur[2] == 1.0
+        assert out.ranks[0].instr[2] == 13
+        assert out.ranks[1].n == 0
+        assert list(out.ranks[2].instr) == [-1, -1, -1, 8]
+
+    def test_burst_maximal_columns_are_kept(self):
+        col = columnar_of(ts(
+            [CpuBurst(0.1), Send(peer=1, tag=0, size=8), CpuBurst(0.2)],
+            [Recv(peer=0, tag=0, size=8)],
+        ))
+        out, renumber = replay_mod._coalesce_columnar(col)
+        assert out is col
+        assert [list(r) for r in renumber] == [[0, 1, 2], [0]]
+
+    def test_overlapped_sweep3d(self):
+        # The overlap transform leaves adjacent burst pieces in Sweep3D.
+        col = AppExperiment("sweep3d", nranks=8).trace("real")
+        out = self.check(col)
+        assert out.total_records() < col.total_records()

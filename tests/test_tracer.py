@@ -36,6 +36,10 @@ class TestClock:
         with pytest.raises(ValueError):
             Clock(0.0)
 
+    def test_nan_mips_rejected(self):
+        with pytest.raises(ValueError, match="MIPS rate must be positive"):
+            Clock(float("nan"))
+
 
 class TestMemoryTracker:
     def setup_method(self):
